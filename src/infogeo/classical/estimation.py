@@ -217,18 +217,20 @@ def cramer_rao_report(fam: ParametricFamily, theta, estimators) -> CramerRaoRepo
     return CramerRaoReport(v, g, gap, min_eig, eff)
 
 
-def maxent_fit(family: ExponentialFamily, target_means) -> CanonicalPoint:
+def maxent_fit(
+    family: ExponentialFamily, target_means, tol: float = 1e-10
+) -> CanonicalPoint:
     """Maximum-entropy member of the family with the given feature means.
 
     The convex dual is solved by damped Newton iteration; the returned
-    point reproduces the targets to 1e-10.  Targets outside (or on the
-    boundary of) the moment polytope make the canonical coordinates diverge,
-    which is classified and raised as :class:`FeasibilityError` with the
-    direction of escape.
+    point reproduces the targets to ``tol`` in the max norm.  Targets outside
+    (or on the boundary of) the moment polytope make the canonical
+    coordinates diverge, which is classified and raised as
+    :class:`FeasibilityError` with the direction of escape.
     """
     target = np.asarray(target_means, dtype=float)
     try:
-        return fit_mixture_coords(family, target)
+        return fit_mixture_coords(family, target, tol=tol)
     except ConvergenceError as exc:
         # Rerun briefly to find the direction in which xi escaped.
         xi = np.zeros(family.n_features)

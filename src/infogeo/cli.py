@@ -66,7 +66,7 @@ def _write(text: str, out: str | None):
 def _cmd_fit_classical(args) -> int:
     family = ser.family_from_json(_load(args.family))
     target = _vector(args.means)
-    pt = maxent_fit(family, target)
+    pt = maxent_fit(family, target, tol=args.tol)
     doc = {
         "xi": pt.xi.tolist(),
         "means": mixture_coords(pt).tolist(),
@@ -324,3 +324,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -4,29 +4,29 @@ The n-point correlation of a perturbation V in the Gibbs state of H0 is the
 simplex-averaged trace
 
     I_n = integral over {a_i >= 0, sum a_i = 1} of
-          Tr[rho^{a_1} V_1 ... rho^{a_n} V_n],
+          Tr[rho^{a_1} V_1 ... rho^{a_n} V_n].
 
-which in the eigenbasis of rho reduces, via the Hermite-Genocchi identity,
-to divided differences of the exponential at the logarithms of the
-eigenvalues.  Divided differences are evaluated through the matrix
-exponential of the bidiagonal Opitz matrix, which remains accurate for
-confluent and near-confluent eigenvalue clusters without any branching.
-
-The Duhamel expansion of Z_V = Tr exp(-(H0 + V)) collapses, after merging
-the cyclic endpoints of the time-ordered integral, to
+In the eigenbasis of rho, the exponential of the block-bidiagonal matrix with
+diag(log p) on its n+1 diagonal blocks and V_1, ..., V_n just above them holds
+in block (0, k) the iterated Duhamel integral of rho^{s_0} V_1 ... V_k
+rho^{s_k} over {s_0 + ... + s_k = 1} (Van Loan, IEEE TAC 23, 1978; Najfeld &
+Havel, Adv. Appl. Math. 16, 1995).  Under the trace the cyclic endpoints s_0
+and s_n merge into a_1, which then weights the integrand of I_n, so I_n is
+the block-(0, n) trace summed over the n cyclic rotations of the arguments
+(sum a_i = 1).  With -V in every slot the same traces expand
 
     Z_V / Z_0 = 1 + sum_{n >= 1} (-1)^n I_n / n,
 
-and taking the formal logarithm order by order gives the cumulant
-(connected) contributions whose partial sums converge to log Z_V.  The sign
-and normalization conventions above are pinned numerically by the exact
-log Z in :func:`expand_log_z` and by its derivative checks.
+where log p on the diagonal makes Z_0 = 1, so nothing overflows.  Taking the
+formal logarithm order by order gives the cumulant (connected) contributions
+whose partial sums converge to log Z_V.  The sign and normalization
+conventions are pinned numerically by the exact log Z in
+:func:`expand_log_z` and by its derivative checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 from scipy.linalg import expm
@@ -44,7 +44,6 @@ SERIES_CONVENTION = (
     "Z_V/Z_0 = 1 + sum_{n>=1} (-1)^n I_n / n with I_n the simplex-averaged "
     "n-point trace; log collected order by order (connected parts)"
 )
-_MAX_TUPLES = 2_000_000
 
 
 def divided_difference_exp(nodes) -> float:
@@ -63,13 +62,16 @@ def divided_difference_exp(nodes) -> float:
     return float(expm(j)[0, n - 1].real)
 
 
-def _simplex_weight_cache(log_p: np.ndarray, n: int) -> dict:
-    """Divided differences of exp for every sorted index multiset of size n."""
-    d = log_p.size
-    return {
-        idx: divided_difference_exp(log_p[list(idx)])
-        for idx in combinations_with_replacement(range(d), n)
-    }
+def _duhamel_traces(log_p: np.ndarray, vt) -> np.ndarray:
+    """Traces of the blocks (0, k), k = 0..n, of exp(M), with M holding
+    diag(log_p) on its n+1 diagonal blocks and the eigenbasis perturbations
+    ``vt`` on the blocks just above them (see the module docstring)."""
+    d, n = log_p.size, len(vt)
+    m = np.zeros(((n + 1) * d, (n + 1) * d), dtype=complex)
+    m[np.diag_indices_from(m)] = np.tile(log_p, n + 1)
+    for k, v in enumerate(vt):
+        m[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = v
+    return np.einsum("iki->k", expm(m)[:d].reshape(d, n + 1, d))
 
 
 def kubo_n_point(rho0: DensityMatrix, vs) -> float:
@@ -77,11 +79,8 @@ def kubo_n_point(rho0: DensityMatrix, vs) -> float:
 
     Cyclic in its arguments and linear in each slot.  The value is real for
     argument lists symmetric under reversal (in particular when all entries
-    coincide); a materially complex result is rejected.
-
-    Index count d^n is capped (n <= 8 and d^n <= 2e6): the evaluation sums
-    an n-index tensor and factorial growth beyond that is not a desk-scale
-    computation.
+    coincide); a materially complex result is rejected.  Costs n ``expm``
+    calls of size (n+1)d, one per cyclic rotation; n <= :data:`MAX_POINTS`.
     """
     mats = [hermitian_part(v) for v in vs]
     n = len(mats)
@@ -93,25 +92,11 @@ def kubo_n_point(rho0: DensityMatrix, vs) -> float:
     for v in mats:
         if v.shape != (d, d):
             raise ValueError(f"perturbation shape {v.shape} != ({d}, {d})")
-    if d**n > _MAX_TUPLES:
-        raise ValueError(
-            f"{d}^{n} index tuples exceed the supported desk scale"
-        )
     u = rho0.spectral.eigenvectors
     log_p = np.log(rho0.eigenvalues)
     vt = [u.conj().T @ v @ u for v in mats]
 
-    cache = _simplex_weight_cache(log_p, n)
-    if n == 1:
-        return float(sum(cache[(i,)] * vt[0][i, i] for i in range(d)).real)
-    weights = np.empty((d,) * n)
-    for idx in product(range(d), repeat=n):
-        weights[idx] = cache[tuple(sorted(idx))]
-    letters = "abcdefgh"[:n]
-    subscripts = letters + "," + ",".join(
-        letters[k] + letters[(k + 1) % n] for k in range(n)
-    )
-    val = complex(np.einsum(subscripts + "->", weights, *vt))
+    val = complex(sum(_duhamel_traces(log_p, vt[r:] + vt[:r])[n] for r in range(n)))
     if abs(val.imag) > 1e-9 * (abs(val.real) + 1.0):
         raise ValueError(
             f"n-point value has imaginary part {val.imag:.3e}; the argument "
@@ -174,13 +159,14 @@ class SeriesReport:
 
 def expand_log_z(prob: PerturbationProblem) -> SeriesReport:
     """Kubo-Mori expansion of log Z_V against the exact spectral value."""
-    rho0, log_z0 = gibbs_state(prob.h0)
+    dec = eigh(prob.h0)
+    log_z0 = float(logsumexp(-dec.eigenvalues))
     exact = float(logsumexp(-eigh(prob.h0 + prob.v).eigenvalues))
 
+    # z[n] = (-1)^n I_n / n: block (0, n) with -V in every slot
     n_max = prob.max_order
-    z = np.zeros(n_max + 1)
-    for n in range(1, n_max + 1):
-        z[n] = (-1.0) ** n * kubo_n_point(rho0, [prob.v] * n) / n
+    vt = -(dec.eigenvectors.conj().T @ prob.v @ dec.eigenvectors)
+    z = _duhamel_traces(-dec.eigenvalues - log_z0, [vt] * n_max).real
     c = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         c[n] = z[n] - sum(k * c[k] * z[n - k] for k in range(1, n)) / n

@@ -207,9 +207,15 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
     """Information of the pushed parametric family over the original.
 
     Classical families use the Fisher information; quantum paths, given as
-    (state, derivative) at the parameter point, default to the BKM
-    information.  Degenerate pushed families report a ratio of 0.
+    (state, derivative) at the parameter point, the BKM (default) or GNS
+    information; other names raise.  Degenerate families report a ratio of 0.
     """
+    kernels = {BKM: log_difference_kernel, GNS: symmetric_inverse_kernel}
+    metric = BKM if metric is None else metric
+    if metric not in kernels:
+        raise ValueError(
+            f"unknown metric {metric!r}; expected one of {sorted(kernels)}"
+        )
     if isinstance(mapping, ClassicalStochasticMap):
         rho = fam.distribution(np.asarray(theta, dtype=float))
         scores = fam.scores(np.asarray(theta, dtype=float))
@@ -224,8 +230,7 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
         after = float(np.sum(pushed_dp * pushed_dp / pushed_p.probs))
         return after / before
     rho, drho = fam
-    metric = BKM if metric is None else metric
-    kern = log_difference_kernel if metric == BKM else symmetric_inverse_kernel
+    kern = kernels[metric]
     before = float(
         np.trace(drho @ kernel_apply(rho.spectral, drho, kern)).real
     )

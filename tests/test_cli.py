@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import infogeo
 from infogeo.classical import ExponentialFamily, maxent_fit
 from infogeo.cli import run
 from infogeo.kubomori import PerturbationProblem, expand_log_z
@@ -46,6 +51,18 @@ class TestFitClassical:
         doc = json.loads(capsys.readouterr().out)
         pt = maxent_fit(ExponentialFamily(np.array([[0.0, 1.0, 2.0]])), [0.8])
         assert doc["xi"] == pt.xi.tolist()  # byte-identical float path
+
+    def test_tolerance_reaches_solver(self, workdir, capsys):
+        fam_doc = {"omega": 3, "features": [[0.0, 1.0, 2.0]]}
+        fam = write(workdir / "f.json", fam_doc)
+        assert run(
+            ["fit-classical", "--family", fam, "--means", "1.9", "--tol", "1e-2"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        family = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        assert doc["tolerance_overridden"] is True
+        assert doc["xi"] == maxent_fit(family, [1.9], tol=1e-2).xi.tolist()
+        assert doc["xi"] != maxent_fit(family, [1.9]).xi.tolist()
 
     def test_infeasible_target_exits_one(self, workdir, capsys):
         fam = write(workdir / "coin.json", coin_family_doc())
@@ -285,3 +302,25 @@ class TestEntropyBoundAndSample:
         assert capsys.readouterr().out == first
         hist = json.loads(first)
         assert sum(hist) == 100
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(infogeo.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run(
+            [sys.executable, "-m", "infogeo.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_help_prints_usage(self):
+        proc = self.run_module("--help")
+        assert proc.returncode == 0
+        assert "usage:" in proc.stdout
+
+    def test_unknown_subcommand_exits_two(self):
+        proc = self.run_module("no-such-command")
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr

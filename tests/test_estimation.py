@@ -208,6 +208,15 @@ class TestMaxentFit:
         with pytest.raises(FeasibilityError, match="infeasible"):
             maxent_fit(fam, [2.5])
 
+    def test_tolerance_reaches_solver(self):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        for tol in (1e-2, 1e-6, 1e-10):
+            resid = abs(mixture_coords(maxent_fit(fam, [1.9], tol=tol))[0] - 1.9)
+            assert resid < tol
+        # a loose tolerance stops the Newton iteration early
+        loose = abs(mixture_coords(maxent_fit(fam, [1.9], tol=1e-2))[0] - 1.9)
+        assert loose > 1e-6
+
 
 class TestSampling:
     def test_single_draw_one_hot(self):

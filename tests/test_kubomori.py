@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import infogeo.kubomori as kubomori
 from infogeo.kubomori import (
     PerturbationProblem,
     divided_difference_exp,
@@ -40,6 +42,25 @@ def mc_simplex_kubo(rho, vs, n_samples=100_000, seed=0):
             m = m @ np.diag(p**ai) @ v
         total += np.trace(m).real
     return total / n_samples / math.factorial(n - 1)
+
+
+def divided_difference_kubo(rho, vs):
+    """Hermite-Genocchi oracle: the d^n-term divided-difference sum.
+
+    In the eigenbasis of rho the simplex integral of
+    Tr[rho^{a_1} V_1 ... rho^{a_n} V_n] is the sum over index tuples of
+    exp[log p_{i_1}, ..., log p_{i_n}] times V_1[i_1, i_2] ... V_n[i_n, i_1].
+    Returned complex, so reversal symmetry can be checked too.
+    """
+    n = len(vs)
+    log_p = np.log(rho.eigenvalues)
+    u = rho.spectral.eigenvectors
+    vt = [u.conj().T @ hermitian_part(v) @ u for v in vs]
+    total = 0j
+    for idx in itertools.product(range(rho.dim), repeat=n):
+        weight = divided_difference_exp(log_p[list(idx)])
+        total += weight * math.prod(vt[k][idx[k], idx[(k + 1) % n]] for k in range(n))
+    return total
 
 
 class TestDividedDifference:
@@ -140,6 +161,19 @@ class TestKuboNPoint:
             mc = mc_simplex_kubo(rho, [v] * n, n_samples=100_000, seed=7)
             npt.assert_allclose(exact, mc, rtol=2e-2, atol=2e-2)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_divided_difference_oracle(self, d):
+        rng = np.random.default_rng(100 + d)
+        rho, _ = gibbs_state(random_hermitian(rng, d))
+        v, w, x = (random_hermitian(rng, d) for _ in range(3))
+        # each distinct list reads the same reversed, up to a cyclic shift
+        distinct = {1: [v], 2: [v, w], 3: [v, w, w], 4: [v, w, x, w]}
+        for n in range(1, 5):
+            for args in ([v] * n, distinct[n]):
+                oracle = divided_difference_kubo(rho, args)
+                assert abs(oracle.imag) <= 1e-12
+                npt.assert_allclose(kubo_n_point(rho, args), oracle.real, atol=1e-12)
+
     def test_order_cap(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError, match="n <= 8"):
@@ -195,6 +229,41 @@ class TestExpandLogZ:
             rep = expand_log_z(PerturbationProblem(h0, v, max_order=4))
             assert np.all(np.diff(rep.truncation_errors[1:]) <= 1e-12)
             assert not rep.diverged
+
+    def test_large_dimension_at_order_six(self):
+        # 16^6 index tuples: beyond reach of a per-tuple evaluation
+        rng = np.random.default_rng(18)
+        d = 16
+        h0 = random_hermitian(rng, d)
+        gap = np.ptp(np.linalg.eigvalsh(h0))
+        v = random_hermitian(rng, d)
+        v *= 0.05 * gap / np.abs(np.linalg.eigvalsh(v)).max()
+        rep = expand_log_z(PerturbationProblem(h0, v, max_order=6))
+        assert np.all(np.isfinite(rep.terms))
+        assert np.all(np.diff(rep.truncation_errors[1:]) <= 1e-12)
+        assert not rep.diverged
+
+    def test_spectral_gap_beyond_double_range(self):
+        # exp(-800) underflows to 0, but log p on the block diagonal does not
+        v = np.array([[0.1, 0.05], [0.05, -0.1]])
+        rep = expand_log_z(PerturbationProblem(np.diag([0.0, 800.0]), v, max_order=4))
+        assert np.all(np.isfinite(rep.terms))
+        assert rep.truncation_errors[-1] <= 1e-12
+
+    def test_one_matrix_exponential_per_expansion(self, monkeypatch):
+        calls = []
+        expm = kubomori.expm
+
+        def counting_expm(a):
+            calls.append(a.shape)
+            return expm(a)
+
+        monkeypatch.setattr(kubomori, "expm", counting_expm)
+        rng = np.random.default_rng(19)
+        expand_log_z(
+            PerturbationProblem(random_hermitian(rng, 5), random_hermitian(rng, 5, 0.1), 6)
+        )
+        assert calls == [(35, 35)]
 
     def test_divergence_flagged_for_large_v(self):
         rng = np.random.default_rng(13)

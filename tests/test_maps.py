@@ -233,6 +233,17 @@ class TestFamilyInfoAudit:
         quantum = audit_family_info(chan, (rho, np.diag(dp)), None)
         npt.assert_allclose(quantum, classical, atol=1e-10)
 
+    def test_unknown_metric_raises(self):
+        rho = DensityMatrix(np.diag([0.6, 0.4]))
+        chan = QuantumCPUnitalMap([np.eye(2)])
+        drho = np.diag([0.1, -0.1])
+        for metric in (None, BKM, GNS):
+            npt.assert_allclose(
+                audit_family_info(chan, (rho, drho), None, metric), 1.0, atol=1e-12
+            )
+        with pytest.raises(ValueError, match="unknown metric 'bmk'.*bkm.*gns"):
+            audit_family_info(chan, (rho, drho), None, "bmk")
+
     def test_degenerate_family_reports_zero(self):
         fam = ParametricFamily.from_map(lambda th: uniform(3), 1, 3)
         m = ClassicalStochasticMap(np.eye(3))
