@@ -9,6 +9,10 @@ with Psi = log Z the normalizer (Massieu function).  Under this sign
 convention the mixture coordinates are eta_j = E[f_j] = -dPsi/dxi_j, the
 feature covariance V is the Hessian of Psi, and the entropy relative to the
 base weight is the Legendre transform S_rel = Psi + xi . eta.
+
+Every normalisation is one max-shifted log-sum-exp (:func:`_log_normalize`);
+a :class:`CanonicalPoint` normalises once and reads its probabilities,
+moments and entropy from the cached log density.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import ConvergenceError
+from ..spectral import log_sum_exp
 from .distributions import FiniteDistribution
 
 _GRAM_FLOOR = 1e-10
@@ -84,14 +88,12 @@ class ExponentialFamily:
 
     def log_probs(self, xi) -> np.ndarray:
         """Normalized log density at canonical coordinates xi."""
-        xi = _check_xi(self, xi)
-        s = self.base_log_density - xi @ self.features
-        return s - logsumexp(s)
+        s, psi = _log_normalize(self, _check_xi(self, xi))
+        return s - psi
 
     def massieu(self, xi) -> float:
         """log Z at xi, evaluated by log-sum-exp (never overflows)."""
-        xi = _check_xi(self, xi)
-        return float(logsumexp(self.base_log_density - xi @ self.features))
+        return _log_normalize(self, _check_xi(self, xi))[1]
 
     def point(self, xi) -> "CanonicalPoint":
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
@@ -108,26 +110,37 @@ def _check_xi(family: ExponentialFamily, xi) -> np.ndarray:
     return xi
 
 
+def _log_normalize(family: ExponentialFamily, xi: np.ndarray):
+    """Unnormalized log density s = b - xi . f and Psi = log sum exp(s)."""
+    s = family.base_log_density - xi @ family.features
+    return s, log_sum_exp(s)
+
+
 @dataclass(frozen=True)
 class CanonicalPoint:
-    """A member of an exponential family, with its Massieu value cached."""
+    """A member of an exponential family; construction normalises it once
+    and caches Psi and the (read-only) normalised log density ``log_p``."""
 
     family: ExponentialFamily
     xi: np.ndarray
     psi: float = field(init=False)
+    log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xi = _check_xi(self.family, self.xi)
-        xi = xi.copy()
+        xi = _check_xi(self.family, self.xi).copy()
         xi.setflags(write=False)
+        s, psi = _log_normalize(self.family, xi)
+        log_p = s - psi
+        log_p.setflags(write=False)
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "psi", self.family.massieu(xi))
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "log_p", log_p)
 
     def distribution(self) -> FiniteDistribution:
-        return FiniteDistribution(np.exp(self.family.log_probs(self.xi)))
+        return FiniteDistribution(self.probs())
 
     def probs(self) -> np.ndarray:
-        return np.exp(self.family.log_probs(self.xi))
+        return np.exp(self.log_p)
 
 
 def massieu(pt: CanonicalPoint) -> float:
@@ -140,6 +153,13 @@ def mixture_coords(pt: CanonicalPoint) -> np.ndarray:
     return pt.family.features @ pt.probs()
 
 
+def _centered(pt: CanonicalPoint):
+    """Probabilities p and the features centered at their means under p."""
+    p = pt.probs()
+    f = pt.family.features
+    return p, f - (f @ p)[:, None]
+
+
 def covariance(pt: CanonicalPoint) -> np.ndarray:
     """Feature covariance matrix V under the point, by exact summation.
 
@@ -147,16 +167,13 @@ def covariance(pt: CanonicalPoint) -> np.ndarray:
     the Fisher information matrix of the family in canonical coordinates,
     and the inverse of the Fisher matrix in mixture coordinates.
     """
-    p = pt.probs()
-    f = pt.family.features
-    centered = f - (f @ p)[:, None]
+    p, centered = _centered(pt)
     return (centered * p) @ centered.T
 
 
 def entropy_relative_to_base(pt: CanonicalPoint) -> float:
     """-sum p (log p - b): Shannon entropy when the base is uniform."""
-    p = pt.probs()
-    return float(-(p * (pt.family.log_probs(pt.xi) - pt.family.base_log_density)).sum())
+    return float(-(pt.probs() * (pt.log_p - pt.family.base_log_density)).sum())
 
 
 @dataclass(frozen=True)
@@ -195,12 +212,10 @@ def legendre_check(pt: CanonicalPoint, step: float = 1e-5) -> LegendreReport:
 
 
 def _psi_eta_cov(family: ExponentialFamily, xi):
-    s = family.base_log_density - xi @ family.features
-    m = s.max()
-    w = np.exp(s - m)
-    z = w.sum()
-    p = w / z
-    psi = float(np.log(z) + m)
+    s, psi = _log_normalize(family, xi)
+    # dividing the shifted weights by their sum makes p sum to 1 to rounding
+    w = np.exp(s - s.max())
+    p = w / w.sum()
     eta = family.features @ p
     centered = family.features - eta[:, None]
     cov = (centered * p) @ centered.T

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ..errors import ConvergenceError, FeasibilityError
-from ..spectral import eigh, hermitian_part, logarithmic_mean_kernel
+from ..spectral import eigh, hermitian_part, log_sum_exp, logarithmic_mean_kernel
 from .states import DensityMatrix
 
 _GRAM_FLOOR = 1e-10
@@ -89,7 +88,7 @@ def _check_xi(fam: QuantumExponentialFamily, xi) -> np.ndarray:
 def _gibbs(fam: QuantumExponentialFamily, xi):
     """Eigenvalues/vectors of the state and log Z, overflow-safe."""
     dec = eigh(fam.hamiltonian(xi))
-    log_z = float(logsumexp(-dec.eigenvalues))
+    log_z = log_sum_exp(-dec.eigenvalues)
     p = np.exp(-dec.eigenvalues - log_z)
     return dec, p, log_z
 

@@ -83,6 +83,23 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     return dec
 
 
+def log_sum_exp(x: np.ndarray) -> float:
+    """log sum exp(x), shifted by max(x) so that it never overflows.
+
+    With x = -eigenvalues of H this is log Tr exp(-H); with x a classical
+    log density it is the Massieu function.  The k maximal terms are split
+    off and the rest enters through log1p, which keeps full accuracy when
+    the maximum dominates (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41, 2021); the rounding is that of ``scipy.special.logsumexp``.
+    """
+    m = x.max()
+    top = x == m
+    k = np.count_nonzero(top)
+    w = np.exp(x - m)
+    w[top] = 0.0
+    return float(np.log1p(w.sum() / k) + np.log(k) + m)
+
+
 def _as_decomposition(a) -> SpectralDecomposition:
     if isinstance(a, SpectralDecomposition):
         return a

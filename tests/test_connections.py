@@ -1,12 +1,18 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
+import pytest
+import scipy.special
 
+import infogeo.classical.families as families
 from infogeo.classical import (
     ExponentialFamily,
     christoffel,
     covariance,
     full_simplex_family,
     geodesic,
+    geodesic_acceleration,
     geodesic_mixture_coords,
     skewness_tensor,
 )
@@ -111,3 +117,57 @@ class TestGeodesics:
         path = geodesic(fam.point([0.0]), np.array([10.0]), 1.0, t_max=20.0, dt=0.1)
         assert path.truncated
         assert np.abs(path.xis).max() <= 50.0
+
+
+class TestFusedAcceleration:
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["simplex", "features"])
+    def test_matches_christoffel_contraction(self, kind, alpha):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            if kind == "simplex":
+                fam = full_simplex_family(9)
+            else:
+                fam = random_family(rng, 40, 4)
+            n = fam.n_features
+            pt = fam.point(rng.normal(scale=0.5, size=n))
+            v = rng.normal(size=n)
+            expected = -np.einsum("kij,i,j->k", christoffel(pt, alpha), v, v)
+            got = geodesic_acceleration(pt, v, alpha)
+            scale = max(np.abs(expected).max(), 1e-300)
+            assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    def test_singular_covariance_raises(self):
+        # exp(-800) underflows, so one point carries all the mass and V = 0
+        fam = ExponentialFamily(np.array([[0.0, 1.0]]))
+        pt = fam.point([-800.0])
+        with pytest.raises(ValueError, match="singular covariance"):
+            christoffel(pt, 0.0)
+        with pytest.raises(ValueError, match="singular covariance"):
+            geodesic_acceleration(pt, np.array([1.0]), 0.0)
+
+    def test_one_normalisation_per_stage(self, monkeypatch):
+        calls = []
+        log_normalize = families._log_normalize
+
+        def counting(family, xi):
+            calls.append(1)
+            return log_normalize(family, xi)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.special.logsumexp called")
+
+        monkeypatch.setattr(families, "_log_normalize", counting)
+        monkeypatch.setattr(scipy.special, "logsumexp", forbidden)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("infogeo"):
+                assert "logsumexp" not in vars(mod), name
+        rng = np.random.default_rng(8)
+        fam = random_family(rng, 12, 3)
+        n_steps = 25
+        # constructing pt0 normalises once; each RK4 step normalises the
+        # four points at which it evaluates the acceleration
+        pt0 = fam.point(rng.normal(scale=0.3, size=3))
+        path = geodesic(pt0, rng.normal(size=3), alpha=0.5, t_max=n_steps * 0.01, dt=0.01)
+        assert len(path.xis) == n_steps + 1
+        assert len(calls) == 4 * n_steps + 1

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import logsumexp
 
 from infogeo.classical import (
     ExponentialFamily,
@@ -101,6 +102,22 @@ class TestMassieuAndMoments:
         fam = coin_family()
         val = fam.massieu([800.0])
         npt.assert_allclose(val, 0.0, atol=1e-12)  # log(1 + e^-800) ~ 0
+
+    def test_point_matches_logsumexp_at_large_xi(self):
+        # |xi| ~ 700 puts log densities near +-2000, far past exp's range
+        rng = np.random.default_rng(4)
+        for base in (False, True):
+            fam = random_family(rng, 9, 3, base=base)
+            xi = 700.0 * np.sign(rng.normal(size=3))
+            s = fam.base_log_density - xi @ fam.features
+            assert np.abs(s).max() > 710.0
+            pt = fam.point(xi)
+            assert np.isfinite(pt.psi)
+            npt.assert_allclose(pt.psi, logsumexp(s), rtol=1e-15)
+            for log_p in (pt.log_p, fam.log_probs(xi)):
+                assert np.all(np.isfinite(log_p))
+                npt.assert_allclose(log_p, s - logsumexp(s), rtol=1e-15, atol=1e-12)
+            npt.assert_allclose(pt.probs().sum(), 1.0, atol=1e-14)
 
 
 class TestLegendre:

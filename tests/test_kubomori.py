@@ -15,7 +15,12 @@ from infogeo.kubomori import (
     massieu_derivative_check,
 )
 from infogeo.quantum import DensityMatrix, bkm_metric, maximally_mixed
-from infogeo.spectral import hermitian_part
+from infogeo.spectral import (
+    eigh,
+    hermitian_part,
+    kernel_apply,
+    logarithmic_mean_kernel,
+)
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -274,6 +279,40 @@ class TestExpandLogZ:
 
 
 class TestMassieuDerivativeCheck:
+    def test_wide_spectrum(self):
+        # p = (1, e^-40) is below the density-matrix faithfulness floor, but
+        # the check works from log p and stays finite
+        v = np.array([[0.1, 0.05], [0.05, -0.1]])
+        prob = PerturbationProblem(np.diag([0.0, 40.0]), v)
+        assert expand_log_z(prob).truncation_errors[-1] <= 1e-10
+        chk = massieu_derivative_check(prob)
+        assert np.isfinite(chk.first) and np.isfinite(chk.second)
+        assert chk.first <= 1e-6
+        assert chk.second <= 1e-6
+
+    def test_matches_density_matrix_kernel(self):
+        # mean and BKM norm from the faithful state rho0 and kernel_apply
+        rng = np.random.default_rng(18)
+        for d in (2, 3, 4):
+            prob = PerturbationProblem(
+                random_hermitian(rng, d), random_hermitian(rng, d)
+            )
+            rho0, _ = gibbs_state(prob.h0)
+            mean = float(np.trace(rho0.matrix @ prob.v).real)
+            v0 = prob.v - mean * np.eye(d)
+            metric = float(
+                np.trace(
+                    kernel_apply(rho0.spectral, v0, logarithmic_mean_kernel) @ v0
+                ).real
+            )
+            exact = [expand_log_z(PerturbationProblem(prob.h0, t * prob.v)).exact_log_z
+                     for t in (-0.02, -0.01, 0.0, 0.01, 0.02)]
+            g_m2, g_m1, g_0, g_p1, g_p2 = exact
+            d1 = (g_m2 - 8 * g_m1 + 8 * g_p1 - g_p2) / 0.12
+            d2 = (-g_m2 + 16 * g_m1 - 30 * g_0 + 16 * g_p1 - g_p2) / 0.0012
+            chk = massieu_derivative_check(prob)
+            npt.assert_allclose(chk.first, abs(d1 + mean), atol=1e-12)
+            npt.assert_allclose(chk.second, abs(d2 - metric), atol=1e-12)
     def test_zero_perturbation(self):
         rng = np.random.default_rng(14)
         chk = massieu_derivative_check(

@@ -1,12 +1,14 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.special import logsumexp
 
 from infogeo.spectral import (
     Kernel,
     eigh,
     hermitian_part,
     kernel_apply,
+    log_sum_exp,
     logarithmic_mean_kernel,
     log_difference_kernel,
     matrix_function,
@@ -183,3 +185,17 @@ class TestKernelApply:
             rho = rho / np.trace(rho)
             out = kernel_apply(rho, PAULI_X, logarithmic_mean_kernel)
             npt.assert_allclose(out, 0.5 * PAULI_X, atol=1e-8)
+
+
+class TestLogSumExp:
+    def test_rounds_like_scipy(self):
+        rng = np.random.default_rng(30)
+        cases = [rng.normal(scale=sc, size=n) for sc in (1e-3, 1.0, 50.0, 900.0)
+                 for n in (1, 2, 7, 300)]
+        cases += [np.zeros(5), np.array([3.0, 3.0, -1.0]), np.array([-800.0, 0.0])]
+        for x in cases:
+            assert log_sum_exp(x) == float(logsumexp(x))
+
+    def test_no_overflow(self):
+        assert log_sum_exp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
+        assert log_sum_exp(np.array([-1000.0])) == -1000.0
