@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundaryError
+from ..spectral import any_set, at_index, worst_index
 
 #: Distributions with a cell below this are rejected unless an operation
 #: documents a boundary override; scores and log densities blow up there.
@@ -24,6 +25,38 @@ _ZERO_SUM_TOL = 1e-12
 
 MIXTURE = "mixture"
 EXPONENTIAL = "exponential"
+
+
+def check_probabilities(p, allow_boundary: bool = False) -> np.ndarray:
+    """Validate a probability vector, or a stack of them (..., n).
+
+    Entries must be finite and nonnegative and each vector must sum to 1 (to
+    1e-12), else ValueError; without ``allow_boundary`` a cell at or below
+    :data:`FAITHFULNESS_FLOOR` raises :class:`BoundaryError`.  In a stack the
+    message names the index of the worst vector.  Returns ``p`` as floats.
+    """
+    p = np.asarray(p, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
+    if any_set(p < 0):
+        lo = p.min(axis=-1)
+        i = worst_index(-lo)
+        raise ValueError(f"{at_index(i)}negative probability {lo[i]!r}")
+    error = abs(p.sum(axis=-1) - 1.0)
+    if any_set(error > _NORMALIZATION_TOL):
+        i = worst_index(error)
+        total = p[i].sum()
+        raise ValueError(f"{at_index(i)}probabilities sum to {total!r}, not 1")
+    if not allow_boundary:
+        lo = p.min(axis=-1)
+        if any_set(lo <= FAITHFULNESS_FLOOR):
+            i = worst_index(-lo)
+            raise BoundaryError(
+                f"{at_index(i)}distribution is not faithful: min probability "
+                f"{lo[i]!r} <= {FAITHFULNESS_FLOOR}; pass allow_boundary=True "
+                f"where the operation supports it"
+            )
+    return p
 
 
 @dataclass(frozen=True)
@@ -47,20 +80,7 @@ class FiniteDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError(f"probability vector must be 1-d, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be finite")
-        if np.any(p < 0):
-            raise ValueError(f"negative probability {p.min()!r}")
-        total = p.sum()
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        if not self.allow_boundary and p.min() <= FAITHFULNESS_FLOOR:
-            raise BoundaryError(
-                f"distribution is not faithful: min probability {p.min()!r} "
-                f"<= {FAITHFULNESS_FLOOR}; pass allow_boundary=True where the "
-                f"operation supports it"
-            )
-        p = p.copy()
+        p = check_probabilities(p, self.allow_boundary).copy()
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

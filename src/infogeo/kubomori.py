@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .quantum.states import DensityMatrix
+from .quantum.states import DensityMatrix, gibbs_density
 from .spectral import eigh, hermitian_part, log_sum_exp
 
 MAX_POINTS = 8
@@ -134,8 +134,7 @@ def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:
     dec = eigh(h)
     log_z = log_sum_exp(-dec.eigenvalues)
     p = np.exp(-dec.eigenvalues - log_z)
-    u = dec.eigenvectors
-    return DensityMatrix((u * p) @ u.conj().T), log_z
+    return gibbs_density(dec, p), log_z
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConvergenceError, FeasibilityError
 from ..spectral import eigh, hermitian_part, log_sum_exp, logarithmic_mean_kernel
-from .states import DensityMatrix
+from .states import DensityMatrix, gibbs_density
 
 _GRAM_FLOOR = 1e-10
 _DIVERGENCE_NORM = 1e3
@@ -96,8 +96,7 @@ def _gibbs(fam: QuantumExponentialFamily, xi):
 def state_from_score(fam: QuantumExponentialFamily, xi) -> DensityMatrix:
     """The family member exp(-(H0 + xi . F))/Z."""
     dec, p, _ = _gibbs(fam, xi)
-    u = dec.eigenvectors
-    return DensityMatrix((u * p) @ u.conj().T)
+    return gibbs_density(dec, p)
 
 
 def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:

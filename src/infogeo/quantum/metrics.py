@@ -69,17 +69,6 @@ def bkm_metric(rho: DensityMatrix, x, y) -> float:
     )
 
 
-def bkm_gram(rho: DensityMatrix, xs) -> np.ndarray:
-    """Gram matrix of BKM products of a list of scores."""
-    mats = [_as_score(rho, x) for x in xs]
-    out = np.zeros((len(mats), len(mats)))
-    mapped = [kernel_apply(rho.spectral, m, logarithmic_mean_kernel) for m in mats]
-    for i in range(len(mats)):
-        for j in range(i, len(mats)):
-            out[i, j] = out[j, i] = float(np.trace(mapped[i] @ mats[j]).real)
-    return out
-
-
 def path_derivative(
     path: Callable[[float], DensityMatrix], t0: float, h: float = _FD_STEP
 ) -> np.ndarray:

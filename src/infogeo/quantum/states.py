@@ -17,11 +17,14 @@ import numpy as np
 from ..errors import BoundaryError
 from ..spectral import (
     SpectralDecomposition,
+    any_set,
+    at_index,
     eigh,
     hermitian_part,
     kernel_apply,
     log_difference_kernel,
     logarithmic_mean_kernel,
+    worst_index,
 )
 
 #: States with an eigenvalue at or below this are rejected unless the
@@ -32,6 +35,41 @@ _TRACE_TOL = 1e-12
 
 MIXTURE = "mixture"
 SCORE = "score"
+
+
+def _check_one_matrix(matrix):
+    if np.ndim(matrix) != 2:
+        raise ValueError(f"expected a square matrix, got shape {np.shape(matrix)}")
+
+
+def check_density(matrix, allow_boundary: bool = False):
+    """Validate a density matrix, or a stack of them, and decompose it.
+
+    Returns the Hermitian part and its :class:`SpectralDecomposition`.  Every
+    matrix must have unit trace (ValueError).  With ``allow_boundary`` an
+    eigenvalue below -1e-12 raises ValueError; without it, one at or below
+    :data:`EIGENVALUE_FLOOR` raises :class:`BoundaryError`.  In a stack the
+    message names the index of the worst matrix.
+    """
+    m = hermitian_part(matrix)
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    if any_set(abs(tr - 1.0) > _TRACE_TOL):
+        i = worst_index(abs(tr - 1.0))
+        raise ValueError(f"{at_index(i)}trace is {float(tr[i])!r}, not 1")
+    dec = eigh(m)
+    lo = dec.eigenvalues.min(axis=-1)
+    if allow_boundary:
+        if any_set(lo < -1e-12):
+            i = worst_index(-lo)
+            raise ValueError(f"{at_index(i)}negative eigenvalue {float(lo[i])!r}")
+    elif any_set(lo <= EIGENVALUE_FLOOR):
+        i = worst_index(-lo)
+        raise BoundaryError(
+            f"{at_index(i)}state is not faithful: min eigenvalue "
+            f"{float(lo[i])!r} <= {EIGENVALUE_FLOOR}; pass allow_boundary=True "
+            f"where supported"
+        )
+    return m, dec
 
 
 @dataclass(frozen=True)
@@ -47,20 +85,8 @@ class DensityMatrix:
     allow_boundary: bool = False
 
     def __post_init__(self):
-        m = hermitian_part(self.matrix)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace is {tr!r}, not 1")
-        dec = eigh(m)
-        lo = float(dec.eigenvalues.min())
-        if self.allow_boundary:
-            if lo < -1e-12:
-                raise ValueError(f"negative eigenvalue {lo!r}")
-        elif lo <= EIGENVALUE_FLOOR:
-            raise BoundaryError(
-                f"state is not faithful: min eigenvalue {lo!r} <= "
-                f"{EIGENVALUE_FLOOR}; pass allow_boundary=True where supported"
-            )
+        _check_one_matrix(self.matrix)
+        m, dec = check_density(self.matrix, self.allow_boundary)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectral", dec)
@@ -84,15 +110,37 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ x).real)
 
 
+def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
+    """The state sum_i p_i |u_i><u_i| for Gibbs weights p in the eigenbasis of H.
+
+    ``dec`` is the decomposition of H and p = exp(-w)/Z its normalised
+    weights.  A spectrum so wide that the smallest weight reaches the
+    faithfulness floor raises :class:`BoundaryError` naming the spread.
+    """
+    u = dec.eigenvectors
+    try:
+        return DensityMatrix((u * p) @ u.conj().T)
+    except BoundaryError as exc:
+        w = dec.eigenvalues
+        raise BoundaryError(
+            f"Gibbs state exp(-H)/Z is not faithful: the eigenvalues of H "
+            f"spread over {w[-1] - w[0]:.6g}, so its smallest weight "
+            f"{p.min():.3e} is at or below the floor {EIGENVALUE_FLOOR} "
+            f"(spreads above about -log({EIGENVALUE_FLOOR}) = "
+            f"{-np.log(EIGENVALUE_FLOOR):.1f} reach it)"
+        ) from exc
+
+
 def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim)
 
 
 def project_traceless(x: np.ndarray) -> np.ndarray:
-    """Remove the trace component of a Hermitian matrix."""
+    """Remove the trace component of a Hermitian matrix or of a stack."""
     x = hermitian_part(x)
-    d = x.shape[0]
-    return x - (np.trace(x).real / d) * np.eye(d)
+    d = x.shape[-1]
+    tr = np.trace(x, axis1=-2, axis2=-1).real
+    return x - (tr / d)[..., None, None] * np.eye(d)
 
 
 def gauge_fix_score(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
@@ -120,6 +168,7 @@ class QuantumTangent:
     def __post_init__(self):
         if self.rep not in (MIXTURE, SCORE):
             raise ValueError(f"unknown representation {self.rep!r}")
+        _check_one_matrix(self.matrix)
         m = hermitian_part(self.matrix)
         if self.rep == MIXTURE:
             tr = abs(np.trace(m).real)

@@ -27,58 +27,104 @@ _RECONSTRUCTION_RTOL = 1e-10
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (a + a†)/2 as a complex array.
+    """Return (a + a†)/2 as a complex array, for one matrix or a stack.
 
     Applied on every construction from raw data so that round-trips through
-    files are idempotent.
+    files are idempotent.  Stacks have shape (..., d, d); † acts on the last
+    two axes.
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def any_set(mask) -> bool:
+    """Whether any entry of a per-matrix mask is set.
+
+    One matrix gives a numpy scalar, on which bool() is cheap; .any()
+    costs microseconds a call on scalars and small arrays alike, where
+    count_nonzero costs one.  One-matrix paths call this several times.
+    """
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
+
+
+def worst_index(values) -> tuple:
+    """Stack index of the largest entry of a per-matrix array; () for one."""
+    values = np.asarray(values)
+    if values.ndim == 0:
+        return ()
+    return tuple(int(i) for i in np.unravel_index(np.argmax(values), values.shape))
+
+
+def at_index(index: tuple) -> str:
+    """Error-message prefix naming a matrix of a stack; empty for one matrix."""
+    if not index:
+        return ""
+    return f"stack index {index[0] if len(index) == 1 else index}: "
 
 
 class SpectralDecomposition(NamedTuple):
-    """Eigendecomposition a = U diag(w) U† with w ascending and U unitary."""
+    """Eigendecomposition a = U diag(w) U† with w ascending and U unitary.
+
+    For a stack, w has shape (..., d) and U shape (..., d, d).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
+        return (u * self.eigenvalues[..., None, :]) @ u.conj().swapaxes(-1, -2)
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    # One matrix takes norm's BLAS-dot path: faster, and the rounding the
+    # one-matrix check has always had.
+    return np.linalg.norm(x) if x.ndim == 2 else np.linalg.norm(x, axis=(-2, -1))
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix.
+    """Eigendecompose a Hermitian matrix or a stack of them.
 
     The input is symmetrized first, so mildly non-Hermitian input (file
-    round-off) is tolerated.  The decomposition is validated: unitarity of
+    round-off) is tolerated.  Every decomposition is validated: unitarity of
     the eigenvector matrix and the reconstruction error must both be below
-    1e-10 relative to the Frobenius norm.
+    1e-10 relative to the Frobenius norm.  A failing stack names the index
+    of its worst matrix.
     """
     a = hermitian_part(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(a).all():
+        i = worst_index(~np.isfinite(a).all(axis=(-2, -1)))
+        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
+    d = a.shape[-1]
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ValueError(
-            f"eigensolver did not converge on a {a.shape[0]}x{a.shape[0]} "
-            f"matrix: {exc}"
+            f"eigensolver did not converge on a {d}x{d} matrix: {exc}"
         ) from exc
     dec = SpectralDecomposition(w, u)
-    scale = max(np.linalg.norm(a), 1e-300)
-    recon_err = np.linalg.norm(dec.reconstruct() - a) / scale
-    unit_err = np.linalg.norm(u.conj().T @ u - np.eye(len(w)))
-    if recon_err > _RECONSTRUCTION_RTOL or unit_err > _RECONSTRUCTION_RTOL:
+    scale = _frobenius(a)
+    recon = _frobenius(dec.reconstruct() - a)
+    unit_err = _frobenius(u.conj().swapaxes(-1, -2) @ u - np.eye(d))
+    tol = _RECONSTRUCTION_RTOL
+    if any_set((recon > tol * scale) | (unit_err > tol)):
+        recon_err = recon / np.maximum(scale, 1e-300)
+        i = worst_index(np.maximum(recon_err, unit_err))
         raise ValueError(
-            f"eigendecomposition failed validation: reconstruction residual "
-            f"{recon_err:.3e}, unitarity residual {unit_err:.3e}"
+            f"{at_index(i)}eigendecomposition failed validation: "
+            f"reconstruction residual {recon_err[i]:.3e}, unitarity residual "
+            f"{unit_err[i]:.3e}"
         )
     return dec
 
@@ -138,10 +184,14 @@ class Kernel:
     diag: Callable[[np.ndarray], np.ndarray]
 
     def matrix(self, p: np.ndarray) -> np.ndarray:
-        """Evaluate k(p_i, p_j) on all eigenvalue pairs, limits included."""
+        """Evaluate k(p_i, p_j) on all eigenvalue pairs, limits included.
+
+        ``p`` may be a stack of spectra, shape (..., d); the result then has
+        shape (..., d, d).
+        """
         p = np.asarray(p, dtype=float)
-        pi = p[:, None]
-        pj = p[None, :]
+        pi = p[..., :, None]
+        pj = p[..., None, :]
         near = np.abs(pi - pj) < CONFLUENT_RTOL * np.maximum(
             np.abs(pi), np.abs(pj)
         )
@@ -183,25 +233,27 @@ def kernel_apply(rho, x: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Scale x entrywise by kernel(p_i, p_j) in the eigenbasis of rho.
 
     ``rho`` is a Hermitian matrix or its decomposition with eigenvalues p.
-    Returns U (K ∘ (U† x U)) U†, which is Hermitian whenever x is.  Raises
-    ``ValueError`` naming the eigenvalue pair if the kernel is non-finite
-    there.
+    Returns U (K ∘ (U† x U)) U†, which is Hermitian whenever x is.  Stacks of
+    states and operands, shapes (..., d, d), are scaled matrix by matrix.
+    Raises ``ValueError`` naming the eigenvalue pair (and, in a stack, the
+    matrix) if the kernel is non-finite there.
     """
     dec = _as_decomposition(rho)
     x = hermitian_part(x)
-    if x.shape[0] != dec.dim:
+    if x.shape[-1] != dec.dim:
         raise ValueError(
-            f"operand dimension {x.shape[0]} != state dimension {dec.dim}"
+            f"operand dimension {x.shape[-1]} != state dimension {dec.dim}"
         )
     k = kernel.matrix(dec.eigenvalues)
     bad = ~np.isfinite(k)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        pi, pj = dec.eigenvalues[i], dec.eigenvalues[j]
+    if any_set(bad):
+        *stack, i, j = np.argwhere(bad)[0]
+        pi, pj = dec.eigenvalues[(*stack, i)], dec.eigenvalues[(*stack, j)]
         raise ValueError(
-            f"kernel {kernel.name!r} non-finite at eigenvalue pair "
-            f"({pi!r}, {pj!r})"
+            f"{at_index(tuple(int(n) for n in stack))}kernel {kernel.name!r} "
+            f"non-finite at eigenvalue pair ({pi!r}, {pj!r})"
         )
     u = dec.eigenvectors
-    xt = u.conj().T @ x @ u
-    return hermitian_part(u @ (k * xt) @ u.conj().T)
+    uh = dagger(u)
+    xt = uh @ x @ u
+    return hermitian_part(u @ (k * xt) @ uh)

@@ -183,6 +183,23 @@ class TestAudit:
         assert cli_doc == json.loads(dump_json(lib_doc))
 
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dim", "3", "--trials", "-2"], "trials must be >= 1, got -2"),
+            (["--dim", "3", "--trials", "0"], "trials must be >= 1, got 0"),
+            (["--dim", "0", "--trials", "5"], "dim must be >= 2 "),
+            (["--dim", "1", "--trials", "5"], "dim must be >= 2 "),
+        ],
+    )
+    def test_bad_size_exits_two(self, capsys, flags, message):
+        argv = ["audit-monotonicity", "--metric", "bkm", "--seed", "1", *flags]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {message}")
+
+
 class TestKuboExpand:
     def test_json_matches_library(self, workdir, capsys):
         rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 import infogeo.kubomori as kubomori
+from infogeo.errors import BoundaryError
 from infogeo.kubomori import (
     PerturbationProblem,
     divided_difference_exp,
@@ -276,6 +277,17 @@ class TestExpandLogZ:
         v = random_hermitian(rng, 3, 30.0)
         rep = expand_log_z(PerturbationProblem(h0, v, max_order=6))
         assert rep.diverged
+
+
+class TestGibbsState:
+    def test_wide_spectrum_names_spread_and_floor(self):
+        with pytest.raises(BoundaryError, match=r"spread over 40, .* floor 1e-14") as info:
+            gibbs_state(np.diag([0.0, 40.0]))
+        assert "allow_boundary" not in str(info.value)
+
+    def test_spread_below_floor_is_faithful(self):
+        rho, log_z = gibbs_state(np.diag([0.0, 30.0]))
+        npt.assert_allclose(rho.eigenvalues[0], np.exp(-30.0 - log_z), rtol=1e-6)
 
 
 class TestMassieuDerivativeCheck:

@@ -8,15 +8,19 @@ from infogeo.classical import (
     mixture_tangent,
     uniform,
 )
+import infogeo.maps as maps
+from infogeo.errors import BoundaryError
 from infogeo.maps import (
     BKM,
     FISHER,
     GNS,
+    METRIC_KERNELS,
     ClassicalStochasticMap,
     QuantumCPUnitalMap,
     audit_family_info,
     audit_metric_contraction,
     compose,
+    mixture_squared_length,
     push_mixture_tangent,
     push_observable,
     push_state,
@@ -188,6 +192,115 @@ class TestContraction:
         assert counts.sum() == 50
 
 
+class TestSweepInput:
+    @pytest.mark.parametrize("metric", [FISHER, GNS, BKM])
+    @pytest.mark.parametrize("dim", [0, 1, -3])
+    def test_dim_below_two_rejected(self, metric, dim):
+        with pytest.raises(ValueError, match=rf"^dim must be >= 2 .*got {dim}$"):
+            run_contraction_audit(metric, dim, trials=5, seed=1)
+
+    @pytest.mark.parametrize("metric", [FISHER, GNS, BKM])
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trials_below_one_rejected(self, metric, trials):
+        with pytest.raises(ValueError, match=rf"^trials must be >= 1, got {trials}$"):
+            run_contraction_audit(metric, 3, trials=trials, seed=1)
+
+    def test_unknown_metric_lists_names(self):
+        known = r"; expected one of \['bkm', 'fisher', 'gns'\]"
+        with pytest.raises(ValueError, match="'bmk'" + known):
+            run_contraction_audit("bmk", 3, trials=5, seed=1)
+        rho = DensityMatrix(np.diag([0.6, 0.4]))
+        with pytest.raises(ValueError, match="'sld'" + known):
+            mixture_squared_length("sld", rho, np.diag([0.1, -0.1]))
+
+    def test_metric_table(self):
+        assert sorted(METRIC_KERNELS) == [BKM, GNS]
+
+
+def reset_channel(dim):
+    """Kraus set |0><k|, k < dim: every state goes to the pure state |0><0|."""
+    ops = np.zeros((dim, dim, dim), dtype=complex)
+    ops[np.arange(dim), 0, np.arange(dim)] = 1.0
+    return ops
+
+
+class TestSweepFloor:
+    """Trials at the faithfulness floor are skipped one by one."""
+
+    def patched(self, monkeypatch, metric, edit):
+        name = "_draw_classical" if metric == FISHER else "_draw_quantum"
+        draw = getattr(maps, name)
+
+        def edited(children, dim):
+            return edit(*draw(children, dim))
+
+        monkeypatch.setattr(maps, name, edited)
+
+    @pytest.mark.parametrize("metric", [FISHER, GNS, BKM])
+    def test_one_pushed_state_at_floor(self, monkeypatch, metric):
+        clean = run_contraction_audit(metric, 3, trials=12, seed=77)
+        assert clean.skipped == 0
+
+        def edit(ops, states, spectra, tangents):
+            ops = ops.copy()
+            if metric == FISHER:
+                ops[4] = np.tile([1.0, 0.0, 0.0], (3, 1))
+            else:
+                ops[4] = reset_channel(3)
+            return ops, states, spectra, tangents
+
+        self.patched(monkeypatch, metric, edit)
+        rep = run_contraction_audit(metric, 3, trials=12, seed=77)
+        assert rep.trials == 12 and rep.skipped == 1
+        npt.assert_array_equal(rep.ratios, np.delete(clean.ratios, 4))
+        assert rep.worst_violation == float((rep.ratios - 1.0).max())
+
+    @pytest.mark.parametrize("metric", [FISHER, BKM])
+    def test_passes_split_the_trials(self, monkeypatch, metric):
+        whole = run_contraction_audit(metric, 3, trials=7, seed=80)
+        monkeypatch.setattr(maps, "_PASS_ENTRIES", 2 * 3 * 3)
+        split = run_contraction_audit(metric, 3, trials=7, seed=80)
+        npt.assert_array_equal(split.ratios, whole.ratios)
+        assert split.worst_violation == whole.worst_violation
+
+    def test_one_state_at_floor(self, monkeypatch):
+        clean = run_contraction_audit(BKM, 3, trials=8, seed=78)
+
+        def edit(ops, states, spectra, tangents):
+            states = states.copy()
+            states[6] = np.diag([1.0, 0.0, 0.0])
+            states, spectra = maps.check_density(states, allow_boundary=True)
+            return ops, states, spectra, tangents
+
+        self.patched(monkeypatch, BKM, edit)
+        rep = run_contraction_audit(BKM, 3, trials=8, seed=78)
+        assert rep.skipped == 1
+        npt.assert_array_equal(rep.ratios, np.delete(clean.ratios, 6))
+
+    def test_zero_tangent_still_raises(self, monkeypatch):
+        def edit(ops, states, spectra, tangents):
+            tangents = tangents.copy()
+            tangents[2] = 0.0
+            return ops, states, spectra, tangents
+
+        self.patched(monkeypatch, GNS, edit)
+        with pytest.raises(ValueError, match="zero input tangent"):
+            run_contraction_audit(GNS, 3, trials=5, seed=79)
+
+    def test_single_audit_raises_at_floor(self):
+        chan = QuantumCPUnitalMap(reset_channel(3))
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        t = mixture_qtangent(np.diag([0.1, -0.05, -0.05]))
+        with pytest.raises(BoundaryError, match="pushed state is not faithful"):
+            audit_metric_contraction(chan, rho, t, BKM)
+        m = ClassicalStochasticMap(np.tile([1.0, 0.0, 0.0], (3, 1)))
+        with pytest.raises(BoundaryError, match="pushed distribution is not faithful"):
+            audit_metric_contraction(
+                m, FiniteDistribution([0.5, 0.3, 0.2]),
+                mixture_tangent([0.1, -0.05, -0.05]), FISHER,
+            )
+
+
 class TestFamilyInfoAudit:
     def test_identity_map_ratio_one(self):
         fam = ParametricFamily.from_map(
@@ -265,6 +378,27 @@ class TestRandomMaps:
             chan = random_cp_unital_map(3, seed=seed)
             total = sum(a.conj().T @ a for a in chan.kraus)
             assert np.linalg.norm(total - np.eye(3)) <= 1e-10
+
+    def test_kraus_is_one_read_only_stack(self):
+        chan = random_cp_unital_map(3, seed=6)
+        assert chan.kraus.shape == (3, 3, 3)
+        assert not chan.kraus.flags.writeable
+        assert all(a.shape == (3, 3) for a in chan.kraus)
+
+    def test_pushes_round_like_per_operator_sums(self):
+        rng = np.random.default_rng(12)
+        chan = random_cp_unital_map(3, seed=7)
+        rho = random_density(rng, 3)
+        t = random_traceless(rng, 3)
+        state = sum(a @ rho.matrix @ a.conj().T for a in chan.kraus)
+        npt.assert_array_equal(push_state(chan, rho).matrix, hermitian_part(state))
+        tangent = sum(a @ t @ a.conj().T for a in chan.kraus)
+        npt.assert_array_equal(
+            push_mixture_tangent(chan, t).matrix, project_traceless(tangent)
+        )
+        m = random_stochastic_map(4, 3, seed=8)
+        p = FiniteDistribution(rng.dirichlet(np.ones(4)))
+        npt.assert_array_equal(push_state(m, p).probs, p.probs @ m.matrix)
 
     def test_rectangular_quantum_map(self):
         chan = random_cp_unital_map(2, dim_out=4, n_kraus=2, seed=9)

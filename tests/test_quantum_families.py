@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from infogeo.classical import ExponentialFamily, fit_mixture_coords, mixture_coords
-from infogeo.errors import FeasibilityError
+from infogeo.errors import BoundaryError, FeasibilityError
 from infogeo.quantum import (
     QuantumExponentialFamily,
     mean_parametrized_path,
@@ -59,6 +59,13 @@ class TestStateFromScore:
         fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
         val = quantum_massieu(fam, [500.0])
         npt.assert_allclose(val, 500.0, atol=1e-9)  # log(e^500 + e^-500)
+
+    def test_wide_spectrum_names_spread(self):
+        fam = QuantumExponentialFamily(np.diag([0.0, 40.0]), [PAULI_Z])
+        with pytest.raises(BoundaryError, match=r"spread over 40, .* floor 1e-14") as info:
+            state_from_score(fam, [0.0])
+        assert "allow_boundary" not in str(info.value)
+        assert quantum_massieu(fam, [0.0]) < 1e-17
 
     def test_rejects_dependent_features(self):
         with pytest.raises(ValueError, match="dependent"):

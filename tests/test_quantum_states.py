@@ -14,6 +14,7 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum.metrics import bkm_metric
+from infogeo.quantum.states import check_density
 from infogeo.spectral import hermitian_part
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,6 +58,54 @@ class TestDensityMatrix:
         rng = np.random.default_rng(0)
         rho = random_density(rng, 4)
         npt.assert_allclose(rho.spectral.reconstruct(), rho.matrix, atol=1e-12)
+
+    def test_one_matrix_messages(self):
+        with pytest.raises(ValueError, match=r"^trace is 2.0, not 1$"):
+            DensityMatrix(np.eye(2))
+        with pytest.raises(ValueError, match=r"^negative eigenvalue -0.5$"):
+            DensityMatrix(np.diag([1.5, -0.5]), allow_boundary=True)
+        with pytest.raises(BoundaryError, match=r"^state is not faithful: min"):
+            DensityMatrix(np.diag([1.0, 0.0]))
+
+    def test_rejects_stacks(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 2, 2\)"):
+            DensityMatrix(np.stack([np.eye(2) / 2] * 2))
+
+
+class TestCheckDensity:
+    def stack(self):
+        return np.stack([np.diag([0.5, 0.5]), np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])
+
+    def test_matches_density_matrix(self):
+        rng = np.random.default_rng(3)
+        mats = np.stack([random_density(rng, 3).matrix for _ in range(4)])
+        m, dec = check_density(mats)
+        for i in range(4):
+            rho = DensityMatrix(mats[i])
+            npt.assert_array_equal(m[i], rho.matrix)
+            npt.assert_array_equal(dec.eigenvalues[i], rho.eigenvalues)
+            npt.assert_array_equal(dec.eigenvectors[i], rho.spectral.eigenvectors)
+
+    def test_trace_error_names_worst_index(self):
+        mats = self.stack()
+        mats[1] *= 1.1
+        mats[2] *= 1.3
+        with pytest.raises(ValueError, match=r"^stack index 2: trace is 1.3"):
+            check_density(mats)
+
+    def test_negative_eigenvalue_names_index(self):
+        mats = self.stack()
+        mats[1] = np.diag([1.2, -0.2])
+        with pytest.raises(ValueError, match=r"^stack index 1: negative eigenvalue"):
+            check_density(mats, allow_boundary=True)
+
+    def test_floor_names_index_unless_boundary_allowed(self):
+        mats = self.stack()
+        mats[0] = np.diag([1.0, 0.0])
+        with pytest.raises(BoundaryError, match=r"^stack index 0: state is not faithful"):
+            check_density(mats)
+        _, dec = check_density(mats, allow_boundary=True)
+        assert dec.eigenvalues[0].min() == 0.0
 
 
 class TestTangentConvert:

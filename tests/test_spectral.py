@@ -199,3 +199,70 @@ class TestLogSumExp:
     def test_no_overflow(self):
         assert log_sum_exp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
         assert log_sum_exp(np.array([-1000.0])) == -1000.0
+
+
+class TestStacks:
+    """Stacks (..., d, d) give bitwise the per-matrix results."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_eigh_matches_per_matrix(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(6)])
+        dec = eigh(stack)
+        assert dec.eigenvalues.shape == (6, dim)
+        assert dec.dim == dim
+        for a, w, u in zip(stack, dec.eigenvalues, dec.eigenvectors):
+            one = eigh(a)
+            npt.assert_array_equal(w, one.eigenvalues)
+            npt.assert_array_equal(u, one.eigenvectors)
+        npt.assert_array_equal(
+            dec.reconstruct()[4], eigh(stack[4]).reconstruct()
+        )
+
+    def test_hermitian_part_matches_per_matrix(self):
+        rng = np.random.default_rng(41)
+        stack = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        out = hermitian_part(stack)
+        npt.assert_array_equal(out[1, 2], hermitian_part(stack[1, 2]))
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [logarithmic_mean_kernel, log_difference_kernel, symmetric_inverse_kernel],
+    )
+    def test_kernels_match_per_matrix(self, kernel):
+        rng = np.random.default_rng(42)
+        states = np.stack([random_density(rng, 4) for _ in range(5)])
+        states[2] = np.diag([0.25, 0.25, 0.3, 0.2])  # confluent pair
+        xs = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+        dec = eigh(states)
+        k = kernel.matrix(dec.eigenvalues)
+        out = kernel_apply(dec, xs, kernel)
+        for i in range(5):
+            npt.assert_array_equal(k[i], kernel.matrix(dec.eigenvalues[i]))
+            npt.assert_array_equal(out[i], kernel_apply(states[i], xs[i], kernel))
+
+    def test_nonfinite_matrix_named_by_index(self):
+        stack = np.stack([np.eye(2)] * 4).astype(complex)
+        stack[3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^stack index 3: matrix has non-finite"):
+            eigh(stack)
+        grid = np.stack([stack[:2], stack[2:]])
+        with pytest.raises(ValueError, match=r"^stack index \(1, 1\): matrix"):
+            eigh(grid)
+
+    def test_nonfinite_kernel_named_by_index(self):
+        states = np.stack([np.diag([0.5, 0.5]), np.diag([0.7, 0.3]), np.diag([1.0, 0.0])])
+        with pytest.raises(
+            ValueError,
+            match=r"^stack index 2: kernel 'log_difference' non-finite at "
+            r"eigenvalue pair \(np.float64\(0.0\)",
+        ):
+            kernel_apply(states, np.stack([PAULI_X] * 3), log_difference_kernel)
+
+    def test_one_matrix_messages_unchanged(self):
+        with pytest.raises(ValueError, match=r"^matrix has non-finite entries$"):
+            eigh(np.array([[np.nan, 0], [0, 1.0]]))
+        with pytest.raises(ValueError, match=r"^kernel 'log_difference' non-finite"):
+            kernel_apply(np.diag([1.0, 0.0]), PAULI_X, log_difference_kernel)
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            hermitian_part(np.ones((2, 3)))
