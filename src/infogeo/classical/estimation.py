@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import BiasedEstimatorError, ConvergenceError, FeasibilityError
+from ..errors import BiasedEstimatorError
 from .distributions import FiniteDistribution
 from .families import (
     CanonicalPoint,
@@ -29,7 +29,6 @@ MIXTURE_COORDS = "mixture"
 _FD_STEP = 1e-5
 _JACOBIAN_ZERO_SUM_TOL = 1e-8
 _UNBIASED_TOL = 1e-6
-_DIVERGENCE_NORM = 1e3
 
 
 @dataclass(frozen=True)
@@ -222,36 +221,13 @@ def maxent_fit(
 ) -> CanonicalPoint:
     """Maximum-entropy member of the family with the given feature means.
 
-    The convex dual is solved by damped Newton iteration; the returned
-    point reproduces the targets to ``tol`` in the max norm.  Targets outside
-    (or on the boundary of) the moment polytope make the canonical
-    coordinates diverge, which is classified and raised as
-    :class:`FeasibilityError` with the direction of escape.
+    The convex dual is solved by :func:`.families.fit_mixture_coords`; the
+    returned point reproduces the targets to ``tol`` in the max norm.
+    Targets outside (or on the boundary of) the moment polytope make the
+    canonical coordinates diverge, which the solver raises as
+    :class:`FeasibilityError` naming the escaping coordinate and its target.
     """
-    target = np.asarray(target_means, dtype=float)
-    try:
-        return fit_mixture_coords(family, target, tol=tol)
-    except ConvergenceError as exc:
-        # Rerun briefly to find the direction in which xi escaped.
-        xi = np.zeros(family.n_features)
-        for _ in range(50):
-            pt = CanonicalPoint(family, xi)
-            grad = target - mixture_coords(pt)
-            try:
-                step = -np.linalg.solve(covariance(pt), grad)
-            except np.linalg.LinAlgError:
-                break
-            xi = xi + np.clip(step, -50, 50)
-            if np.abs(xi).max() > _DIVERGENCE_NORM:
-                break
-        if np.abs(xi).max() > 10.0:
-            j = int(np.abs(xi).argmax())
-            raise FeasibilityError(
-                f"target means appear infeasible: canonical coordinate {j} "
-                f"diverges ({xi[j]:.3e}); violated direction is feature {j} "
-                f"with target {float(target[j])!r}"
-            ) from exc
-        raise
+    return fit_mixture_coords(family, target_means, tol=tol)
 
 
 def sample(rho: FiniteDistribution, m: int, seed) -> np.ndarray:

@@ -17,11 +17,13 @@ moments and entropy from the cached log density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..errors import ConvergenceError
+from ..errors import ConvergenceError, FeasibilityError
 from ..spectral import log_sum_exp
 from .distributions import FiniteDistribution
 
@@ -231,71 +233,119 @@ def fit_mixture_coords(
 ) -> CanonicalPoint:
     """Solve for the member whose feature means equal ``target_means``.
 
-    Damped Newton iteration on the convex dual D(xi) = Psi(xi) + xi . m with
-    Armijo backtracking (factor 0.5, slope 1e-4); the objective decreases
-    monotonically and the gradient m - eta(xi) vanishes at the solution.
-    Convergence is declared when the mean residual drops below ``tol`` in
-    the max norm.
+    Runs :func:`_dual_newton` on Psi(xi) + xi . m, whose Hessian is the
+    feature covariance, from ``xi0`` (default 0).  Convergence is declared
+    when the mean residual drops below ``tol`` in the max norm.
 
     Raises
     ------
+    ValueError
+        If the targets have the wrong shape or are not finite.
+    FeasibilityError
+        If the iteration stops with a canonical coordinate beyond 10 in
+        absolute value: the target lies outside (or on the boundary of) the
+        moment polytope.  The message names that coordinate and its target.
     ConvergenceError
-        If the iteration budget is exhausted.  Diverging ``xi`` with a
-        non-vanishing residual is classified by :func:`..estimation.maxent_fit`
-        as an infeasible target.
+        If the iteration stops anywhere else.
     """
-    m = np.asarray(target_means, dtype=float)
-    if m.shape != (family.n_features,):
-        raise ValueError(
-            f"target means have shape {m.shape}, expected ({family.n_features},)"
-        )
-    xi = np.zeros(family.n_features) if xi0 is None else np.asarray(xi0, float).copy()
+    xi0 = np.zeros(family.n_features) if xi0 is None else xi0
+    xi, _, _ = _dual_newton(
+        partial(_psi_eta_cov, family), target_means, xi0, tol, max_iter
+    )
+    return CanonicalPoint(family, xi)
 
-    psi, eta, cov = _psi_eta_cov(family, xi)
-    obj = psi + xi @ m
-    for _ in range(max_iter):
+
+#: The solver stops once some |xi_j| passes this: the target is escaping.
+_DIVERGENCE_NORM = 1e3
+#: A stop without convergence beyond this |xi_j| is reported as infeasible.
+_INFEASIBLE_NORM = 10.0
+#: Line-search steps longer than this (max norm) are rejected unevaluated:
+#: the oracle could overflow there, and accepting one would only stop the
+#: solver at its next |xi| check.
+_TRIAL_NORM = 1e100
+
+
+def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
+    """Minimise the convex dual D(xi) = log Z(xi) + xi . m by damped Newton.
+
+    ``oracle(xi)`` returns ``(log_z, eta, hessian)``: log Z, the feature
+    means (the gradient of D is m - eta) and the Hessian of log Z, which is
+    the feature covariance of a classical family and the BKM covariance of
+    a quantum one.  Armijo backtracking (factor 0.5, slope 1e-4) makes D
+    decrease monotonically; below a residual of 1e-6 plain Newton steps are
+    taken.  Returns ``(xi, log_z, iterations)`` once max |m - eta| < tol.
+
+    Every stop without convergence (singular Hessian, non-finite step,
+    stalled line search, D failing to decrease, |xi| past 1e3, budget spent)
+    raises :class:`FeasibilityError` when some |xi_j| exceeds 10, else
+    :class:`ConvergenceError`.
+    """
+    xi = np.asarray(xi0, dtype=float).copy()
+    m = np.asarray(m, dtype=float)
+    if m.shape != xi.shape:
+        raise ValueError(f"target means have shape {m.shape}, expected {xi.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"target means must be finite, got {m.tolist()}")
+
+    log_z, eta, hess = oracle(xi)
+    obj = log_z + xi @ m
+    for it in range(max_iter):
         grad = m - eta
         resid = float(np.abs(grad).max())
         if resid < tol:
-            return CanonicalPoint(family, xi)
+            return xi, log_z, it
+        if np.abs(xi).max() > _DIVERGENCE_NORM:
+            raise _stopped(f"|xi| passed {_DIVERGENCE_NORM:g}", xi, m, resid)
         try:
-            step = -np.linalg.solve(cov, grad)
+            step = -np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                f"singular covariance during moment matching at |xi|="
-                f"{np.abs(xi).max():.3e}",
-                residual=resid,
-            ) from exc
+            raise _stopped("singular Hessian", xi, m, resid) from exc
+        far = float(np.abs(step).max())
+        if not math.isfinite(far):
+            # weights lost to underflow can leave nan in a quantum Hessian
+            raise _stopped("non-finite Newton step", xi, m, resid)
         if resid < 1e-6:
             # local quadratic phase: objective decreases are below roundoff,
             # so take plain Newton steps instead of an Armijo search
             xi = xi + step
-            psi, eta, cov = _psi_eta_cov(family, xi)
-            obj = psi + xi @ m
+            log_z, eta, hess = oracle(xi)
+            obj = log_z + xi @ m
             continue
         slope = float(grad @ step)
         t = 1.0
         while t > 1e-14:
+            if t * far > _TRIAL_NORM:
+                t *= 0.5
+                continue
             xi_new = xi + t * step
-            psi_n, eta_n, cov_n = _psi_eta_cov(family, xi_new)
-            obj_n = psi_n + xi_new @ m
+            log_z_n, eta_n, hess_n = oracle(xi_new)
+            obj_n = log_z_n + xi_new @ m
             if obj_n <= obj + 1e-4 * t * slope:
                 break
             t *= 0.5
         else:
-            raise ConvergenceError(
-                "line search stalled during moment matching", residual=resid
-            )
+            raise _stopped("line search stalled", xi, m, resid)
         if obj_n > obj + 1e-12 * max(1.0, abs(obj)):
-            raise ConvergenceError(
-                "dual objective failed to decrease", residual=resid
-            )
-        xi, psi, eta, cov, obj = xi_new, psi_n, eta_n, cov_n, obj_n
-    raise ConvergenceError(
-        f"moment matching did not converge in {max_iter} iterations "
-        f"(residual {float(np.abs(m - eta).max()):.3e}, |xi| "
-        f"{float(np.abs(xi).max()):.3e})",
-        residual=float(np.abs(m - eta).max()),
+            raise _stopped("dual objective failed to decrease", xi, m, resid)
+        xi, log_z, eta, hess, obj = xi_new, log_z_n, eta_n, hess_n, obj_n
+    resid = float(np.abs(m - eta).max())
+    raise _stopped(f"no convergence in {max_iter} iterations", xi, m, resid)
+
+
+def _stopped(reason: str, xi: np.ndarray, m: np.ndarray, resid: float):
+    """The error for a dual-Newton iteration that stopped short at xi."""
+    j = int(np.abs(xi).argmax())
+    if abs(xi[j]) > _INFEASIBLE_NORM:
+        return FeasibilityError(
+            f"target means appear infeasible: canonical coordinate {j} "
+            f"diverges ({xi[j]:.3e}) with residual {resid:.3e}; violated "
+            f"direction is feature {j} with target {float(m[j])!r} ({reason})",
+            residual=resid,
+        )
+    return ConvergenceError(
+        f"moment matching stopped: {reason} (residual {resid:.3e}, "
+        f"|xi| {abs(xi[j]):.3e})",
+        residual=resid,
     )
 
 

@@ -12,16 +12,21 @@ class InfoGeoError(Exception):
     """Base class for domain-level failures of otherwise valid input."""
 
 
-class FeasibilityError(InfoGeoError):
-    """A moment target lies outside (or on the boundary of) the feasible set."""
-
-
 class ConvergenceError(InfoGeoError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver stopped without meeting its tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
+
+
+class FeasibilityError(ConvergenceError):
+    """A moment target lies outside (or on the boundary of) the feasible set.
+
+    Raised by the dual-Newton moment-matching solver when it stops without
+    converging while some canonical coordinate exceeds 10 in absolute value;
+    ``residual`` is the max-norm mean residual where it stopped.
+    """
 
 
 class BiasedEstimatorError(InfoGeoError):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .quantum.states import DensityMatrix, gibbs_density
-from .spectral import eigh, hermitian_part, log_sum_exp
+from .quantum.states import DensityMatrix, gibbs_density, gibbs_spectrum
+from .spectral import hermitian_part
 
 MAX_POINTS = 8
 MAX_ORDER = 6
@@ -131,10 +131,8 @@ class PerturbationProblem:
 
 def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:
     """Normalized exp(-H) and log Tr exp(-H), overflow-safe."""
-    dec = eigh(h)
-    log_z = log_sum_exp(-dec.eigenvalues)
-    p = np.exp(-dec.eigenvalues - log_z)
-    return gibbs_density(dec, p), log_z
+    dec, log_p, log_z = gibbs_spectrum(h)
+    return gibbs_density(dec, np.exp(log_p)), log_z
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,13 @@ class SeriesReport:
 
 def expand_log_z(prob: PerturbationProblem) -> SeriesReport:
     """Kubo-Mori expansion of log Z_V against the exact spectral value."""
-    dec = eigh(prob.h0)
-    log_z0 = log_sum_exp(-dec.eigenvalues)
-    exact = log_sum_exp(-eigh(prob.h0 + prob.v).eigenvalues)
+    dec, log_p, log_z0 = gibbs_spectrum(prob.h0)
+    exact = gibbs_spectrum(prob.h0 + prob.v)[2]
 
     # z[n] = (-1)^n I_n / n: block (0, n) with -V in every slot
     n_max = prob.max_order
     vt = -(dec.eigenvectors.conj().T @ prob.v @ dec.eigenvectors)
-    z = _duhamel_traces(-dec.eigenvalues - log_z0, [vt] * n_max).real
+    z = _duhamel_traces(log_p, [vt] * n_max).real
     c = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         c[n] = z[n] - sum(k * c[k] * z[n - k] for k in range(1, n)) / n
@@ -209,11 +206,10 @@ def massieu_derivative_check(
     Mean and norm are taken in the eigenbasis of H0 from log p = -w - log Z,
     so spectra too wide for a faithful density matrix still check.
     """
-    dec = eigh(prob.h0)
-    log_p = -dec.eigenvalues - log_sum_exp(-dec.eigenvalues)
+    dec, log_p, _ = gibbs_spectrum(prob.h0)
 
     def g(t: float) -> float:
-        return log_sum_exp(-eigh(prob.h0 + t * prob.v).eigenvalues)
+        return gibbs_spectrum(prob.h0 + t * prob.v)[2]
 
     g_m2, g_m1, g_0, g_p1, g_p2 = (g(t) for t in (-2 * h, -h, 0.0, h, 2 * h))
     d1 = (g_m2 - 8 * g_m1 + 8 * g_p1 - g_p2) / (12 * h)

@@ -105,10 +105,12 @@ def micro_step(state, dynamics, dt: float, propagator=None):
         u = dynamics.unitary(dt) if propagator is None else propagator
         return DensityMatrix(u @ state.matrix @ u.conj().T)
     if isinstance(dynamics, QuantumCPUnitalMap):
+        # push_state has validated the pushed state once (boundary allowed);
+        # its spectrum decides faithfulness without a second eigh
         out = push_state(dynamics, state)
         if not out.is_faithful():
             raise BoundaryError("channel step left the faithful interior")
-        return DensityMatrix(out.matrix)
+        return out
     raise ValueError(f"unsupported dynamics {type(dynamics).__name__}")
 
 

@@ -3,22 +3,25 @@
 States have the Gibbs form rho_xi = exp(-(H0 + sum_j xi_j F_j)) / Z with
 Hermitian features F_j.  The Massieu function log Z has gradient -eta
 (minus the feature means) and Hessian equal to the BKM covariance of the
-centered features, so moment matching is again a smooth convex problem and
-the same damped Newton iteration as in the classical case applies.
+centered features, so moment matching is again a smooth convex problem:
+:func:`quantum_maxent_fit` runs the classical solver
+(:func:`..classical.families._dual_newton`) with that BKM covariance as its
+Hessian, and infeasible targets are classified the same way on both sides.
+Every spectrum and log Z comes from :func:`.states.gibbs_spectrum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ..errors import ConvergenceError, FeasibilityError
-from ..spectral import eigh, hermitian_part, log_sum_exp, logarithmic_mean_kernel
-from .states import DensityMatrix, gibbs_density
+from ..classical.families import _dual_newton
+from ..spectral import hermitian_part, logarithmic_mean_kernel
+from .states import DensityMatrix, gibbs_density, gibbs_spectrum
 
 _GRAM_FLOOR = 1e-10
-_DIVERGENCE_NORM = 1e3
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,8 @@ def _check_xi(fam: QuantumExponentialFamily, xi) -> np.ndarray:
 
 def _gibbs(fam: QuantumExponentialFamily, xi):
     """Eigenvalues/vectors of the state and log Z, overflow-safe."""
-    dec = eigh(fam.hamiltonian(xi))
-    log_z = log_sum_exp(-dec.eigenvalues)
-    p = np.exp(-dec.eigenvalues - log_z)
-    return dec, p, log_z
+    dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
+    return dec, np.exp(log_p), log_z
 
 
 def state_from_score(fam: QuantumExponentialFamily, xi) -> DensityMatrix:
@@ -106,6 +107,7 @@ def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
 
 
 def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
+    """log Z, the feature means and their BKM covariance (the Hessian of log Z)."""
     dec, p, log_z = _gibbs(fam, xi)
     u = dec.eigenvectors
     n = fam.n_features
@@ -118,13 +120,12 @@ def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
         for l in range(j, n):
             val = float(np.sum(k * centered[j] * centered[l].conj()).real)
             cov[j, l] = cov[l, j] = val
-    return eta, cov, log_z
+    return log_z, eta, cov
 
 
 def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:
     """Feature means eta_j = Tr[rho_xi F_j]."""
-    eta, _, _ = _means_and_bkm_cov(fam, xi)
-    return eta
+    return _means_and_bkm_cov(fam, xi)[1]
 
 
 @dataclass(frozen=True)
@@ -144,62 +145,16 @@ def quantum_maxent_fit(
 ) -> QuantumFitResult:
     """Member of the family with the prescribed feature means.
 
-    Damped Newton on the convex function log Z(xi) + xi . m; gradient
-    m - eta(xi), Hessian the BKM covariance of the centered features.
-    Diverging coordinates with a stuck residual are reported as an
-    infeasible target.
+    Damped Newton (:func:`..classical.families._dual_newton`) on the convex
+    function log Z(xi) + xi . m from ``xi0`` (default 0); gradient
+    m - eta(xi), Hessian the BKM covariance of the centered features.  Bad
+    targets and stops raise as in :func:`..classical.fit_mixture_coords`.
     """
-    m = np.asarray(target_means, dtype=float)
-    if m.shape != (fam.n_features,):
-        raise ValueError(
-            f"target means have shape {m.shape}, expected ({fam.n_features},)"
-        )
-    xi = np.zeros(fam.n_features) if xi0 is None else np.asarray(xi0, float).copy()
-    eta, cov, log_z = _means_and_bkm_cov(fam, xi)
-    obj = log_z + xi @ m
-    for it in range(max_iter):
-        grad = m - eta
-        resid = float(np.abs(grad).max())
-        if resid < tol:
-            return QuantumFitResult(xi, state_from_score(fam, xi), log_z, it)
-        if np.abs(xi).max() > _DIVERGENCE_NORM:
-            raise FeasibilityError(
-                f"target means appear infeasible: |xi| reached "
-                f"{np.abs(xi).max():.3e} with residual {resid:.3e}"
-            )
-        try:
-            step = -np.linalg.solve(cov, grad)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(
-                "singular BKM covariance during quantum moment matching",
-                residual=resid,
-            ) from exc
-        if resid < 1e-6:
-            # local quadratic phase: skip the line search, whose objective
-            # comparisons sit below roundoff here
-            xi = xi + step
-            eta, cov, log_z = _means_and_bkm_cov(fam, xi)
-            obj = log_z + xi @ m
-            continue
-        slope = float(grad @ step)
-        t = 1.0
-        while t > 1e-14:
-            xi_new = xi + t * step
-            eta_n, cov_n, log_z_n = _means_and_bkm_cov(fam, xi_new)
-            obj_n = log_z_n + xi_new @ m
-            if obj_n <= obj + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceError(
-                "line search stalled during quantum moment matching",
-                residual=resid,
-            )
-        xi, eta, cov, log_z, obj = xi_new, eta_n, cov_n, log_z_n, obj_n
-    raise ConvergenceError(
-        f"quantum moment matching did not converge in {max_iter} iterations",
-        residual=float(np.abs(m - eta).max()),
+    xi0 = np.zeros(fam.n_features) if xi0 is None else xi0
+    xi, log_z, iterations = _dual_newton(
+        partial(_means_and_bkm_cov, fam), target_means, xi0, tol, max_iter
     )
+    return QuantumFitResult(xi, state_from_score(fam, xi), log_z, iterations)
 
 
 def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float:
@@ -218,7 +173,7 @@ def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float
 def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
     """|S_rel - (log Z + xi . eta)| at the given coordinates."""
     xi = _check_xi(fam, xi)
-    eta, _, log_z = _means_and_bkm_cov(fam, xi)
+    log_z, eta, _ = _means_and_bkm_cov(fam, xi)
     s_rel = quantum_entropy_relative_to_base(fam, xi)
     return abs(s_rel - (log_z + float(xi @ eta)))
 

@@ -23,6 +23,7 @@ from ..spectral import (
     hermitian_part,
     kernel_apply,
     log_difference_kernel,
+    log_sum_exp,
     logarithmic_mean_kernel,
     worst_index,
 )
@@ -108,6 +109,19 @@ class DensityMatrix:
 
     def expectation(self, x: np.ndarray) -> float:
         return float(np.trace(self.matrix @ x).real)
+
+
+def gibbs_spectrum(h: np.ndarray):
+    """Spectrum of the Gibbs state exp(-H)/Z: ``(dec, log_p, log_z)``.
+
+    ``dec`` is the decomposition of H with eigenvalues w, log Z is the
+    max-shifted :func:`..spectral.log_sum_exp` of -w, and log p = -w - log Z
+    stays finite where the weights p = exp(log p) underflow.  Every Gibbs
+    normalisation in the package goes through here.
+    """
+    dec = eigh(h)
+    log_z = log_sum_exp(-dec.eigenvalues)
+    return dec, -dec.eigenvalues - log_z, log_z
 
 
 def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:

@@ -72,6 +72,12 @@ class TestFitClassical:
     def test_missing_file_exits_two(self, capsys):
         assert run(["fit-classical", "--family", "nope.json", "--means", "0.5"]) == 2
 
+    @pytest.mark.parametrize("means", ["nan", "inf"])
+    def test_non_finite_target_exits_two(self, workdir, capsys, means):
+        fam = write(workdir / "coin.json", coin_family_doc())
+        assert run(["fit-classical", "--family", fam, "--means", means]) == 2
+        assert "target means must be finite" in capsys.readouterr().err
+
     def test_malformed_json_exits_two(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text("{not json")
@@ -97,6 +103,19 @@ class TestFitQuantum:
         doc = json.loads(capsys.readouterr().out)
         npt.assert_allclose(doc["xi"], [0.0], atol=1e-10)
         npt.assert_allclose(doc["entropy"], np.log(2), atol=1e-10)
+
+    @pytest.mark.parametrize("means", ["nan", "inf"])
+    def test_non_finite_target_exits_two(self, workdir, capsys, means):
+        fam = write(
+            workdir / "qf.json",
+            {
+                "dim": 2,
+                "H0": {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]]},
+                "features": [{"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}],
+            },
+        )
+        assert run(["fit-quantum", "--family", fam, "--means", means]) == 2
+        assert "target means must be finite" in capsys.readouterr().err
 
 
 class TestCramerRao:

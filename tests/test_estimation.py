@@ -269,3 +269,25 @@ class TestEstimateFromData:
         fitted = estimate_from_data(fam, hist)
         se = np.sqrt(np.diag(np.linalg.inv(covariance(truth))) / m)
         assert np.all(np.abs(fitted.xi - truth.xi) <= 3 * se)
+
+
+def test_infeasible_maxent_fit_normalises_only_inside_the_solver(monkeypatch):
+    import infogeo.classical.families as families
+
+    calls = []
+    original = families.log_sum_exp
+
+    def counting(x):
+        calls.append(1)
+        return original(x)
+
+    monkeypatch.setattr(families, "log_sum_exp", counting)
+    fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+    with pytest.raises(FeasibilityError, match="feature 0 with target 2.5"):
+        fit_mixture_coords(fam, [2.5])
+    solver_calls = len(calls)
+    calls.clear()
+    with pytest.raises(FeasibilityError, match="feature 0 with target 2.5"):
+        maxent_fit(fam, [2.5])
+    assert solver_calls > 0
+    assert len(calls) == solver_calls

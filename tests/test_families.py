@@ -14,7 +14,7 @@ from infogeo.classical import (
     massieu,
     mixture_coords,
 )
-from infogeo.errors import ConvergenceError
+from infogeo.errors import ConvergenceError, FeasibilityError
 
 
 def coin_family():
@@ -189,3 +189,33 @@ class TestFitMixtureCoords:
         target = np.array([0.1, 0.2, 0.4])
         pt = fit_mixture_coords(fam, target)
         npt.assert_allclose(pt.probs(), [0.3, 0.1, 0.2, 0.4], atol=1e-10)
+
+
+class TestDualNewtonStops:
+    @pytest.mark.parametrize("target", [2.5, -0.1])
+    def test_infeasible_target_names_feature_and_target(self, target):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        with pytest.raises(FeasibilityError) as info:
+            fit_mixture_coords(fam, [target])
+        assert f"feature 0 with target {target!r}" in str(info.value)
+        assert isinstance(info.value, ConvergenceError)
+        npt.assert_allclose(info.value.residual, abs(target - np.clip(target, 0, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        fam = random_family(np.random.default_rng(0), 5, 2)
+        with pytest.raises(ValueError, match="target means must be finite"):
+            fit_mixture_coords(fam, [0.1, bad])
+
+    def test_wrong_target_shape_rejected(self):
+        fam = random_family(np.random.default_rng(0), 5, 2)
+        with pytest.raises(ValueError, match=r"shape \(3,\), expected \(2,\)"):
+            fit_mixture_coords(fam, [0.1, 0.2, 0.3])
+
+    def test_budget_exhausted_near_origin_is_convergence_error(self):
+        fam = random_family(np.random.default_rng(1), 5, 2)
+        target = mixture_coords(fam.point([0.5, -0.5]))
+        with pytest.raises(ConvergenceError) as info:
+            fit_mixture_coords(fam, target, max_iter=1)
+        assert not isinstance(info.value, FeasibilityError)
+        assert "no convergence in 1 iterations" in str(info.value)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,8 @@ from infogeo.classical import (
     full_simplex_family,
     uniform,
 )
-from infogeo.maps import QuantumCPUnitalMap
+from infogeo.errors import BoundaryError
+from infogeo.maps import QuantumCPUnitalMap, push_state
 from infogeo.projection import (
     HamiltonianStep,
     MarkovGenerator,
@@ -19,6 +22,7 @@ from infogeo.projection import (
     roll,
 )
 from infogeo.quantum import DensityMatrix, QuantumExponentialFamily
+from infogeo.spectral import eigh
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -238,3 +242,33 @@ class TestEntropyProduction:
         for t, s in zip(run.times, entropy_production(run)):
             exact = expm(t * gen.rates) @ rho0.probs
             npt.assert_allclose(s, entropy(exact), atol=1e-9)
+
+
+def test_channel_step_decomposes_once(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(1)
+        return eigh(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("infogeo") and vars(mod).get("eigh") is eigh:
+            monkeypatch.setattr(mod, "eigh", counting)
+    q = 0.2
+    chan = QuantumCPUnitalMap(
+        [np.sqrt(1 - q) * np.eye(2)]
+        + [np.sqrt(q / 3) * PAULI[k] for k in ("x", "y", "z")]
+    )
+    rho = DensityMatrix(np.diag([0.9, 0.1]))
+    calls.clear()
+    out = micro_step(rho, chan, 1.0)
+    assert len(calls) == 1
+    assert out.is_faithful()
+    assert np.array_equal(out.matrix, push_state(chan, rho).matrix)
+
+
+def test_channel_step_to_the_boundary_raises():
+    rho = DensityMatrix(np.diag([1.0, 0.0]), allow_boundary=True)
+    identity = QuantumCPUnitalMap([np.eye(2)])
+    with pytest.raises(BoundaryError, match="channel step left the faithful interior"):
+        micro_step(rho, identity, 1.0)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from infogeo.classical import ExponentialFamily, fit_mixture_coords, mixture_coords
-from infogeo.errors import BoundaryError, FeasibilityError
+from infogeo.errors import BoundaryError, ConvergenceError, FeasibilityError
 from infogeo.quantum import (
     QuantumExponentialFamily,
     mean_parametrized_path,
@@ -178,3 +178,48 @@ class TestMeanParametrizedPath:
         for eta in (-0.3, 0.0, 0.4):
             rho = path(eta)
             npt.assert_allclose(rho.expectation(fam.features[0]), eta, atol=1e-10)
+
+
+class TestDualNewtonStops:
+    def test_singular_hessian_far_out_is_infeasible(self):
+        # At xi = (-69, 69) the middle weight is 1e-30 of the others, below
+        # rounding, so both centered features have the same BKM covariance
+        # entries and the Hessian is exactly singular; the target (0.4, 0.4)
+        # asks for that weight to be zero.
+        fam = QuantumExponentialFamily(
+            np.zeros((3, 3)), [np.diag([1.0, 0.0, 0.0]), np.diag([1.0, 1.0, 0.0])]
+        )
+        with pytest.raises(FeasibilityError, match="singular Hessian") as info:
+            quantum_maxent_fit(fam, [0.4, 0.4], xi0=[-69.0, 69.0])
+        assert isinstance(info.value, ConvergenceError)
+        assert "target 0.4" in str(info.value)
+        npt.assert_allclose(info.value.residual, 0.1, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spectrum, target, reason",
+        [
+            ([1.0, -1.0], 1.5, "|xi| passed 1000"),
+            # the full Newton step reaches |xi| ~ 1e260, where the
+            # Hamiltonian's norm overflows; the line search skips such points
+            ([1.0, -1.0], 3.0, "line search stalled"),
+            # an underflowed weight leaves nan in the BKM covariance
+            ([1.0, 0.0, -1.0], 1.5, "non-finite Newton step"),
+        ],
+    )
+    def test_infeasible_target_names_feature_and_target(self, spectrum, target, reason):
+        d = len(spectrum)
+        fam = QuantumExponentialFamily(np.zeros((d, d)), [np.diag(spectrum)])
+        with pytest.raises(FeasibilityError) as info:
+            quantum_maxent_fit(fam, [target])
+        assert f"feature 0 with target {target!r} ({reason}" in str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        with pytest.raises(ValueError, match="target means must be finite"):
+            quantum_maxent_fit(fam, [bad])
+
+    def test_wrong_target_shape_rejected(self):
+        fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        with pytest.raises(ValueError, match=r"shape \(2,\), expected \(1,\)"):
+            quantum_maxent_fit(fam, [0.1, 0.2])
