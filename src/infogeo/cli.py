@@ -29,7 +29,7 @@ from .classical.estimation import (
 from .classical.families import mixture_coords
 from .errors import InfoGeoError
 from .kubomori import PerturbationProblem, expand_log_z
-from .maps import run_contraction_audit
+from .maps import FISHER, METRIC_KERNELS, run_contraction_audit
 from .projection import HamiltonianStep, MarkovGenerator, roll
 from .quantum.families import (
     mean_parametrized_path,
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_transport)
 
     p = sub.add_parser("audit-monotonicity", help="metric contraction sweep")
-    p.add_argument("--metric", choices=["fisher", "gns", "bkm"], required=True)
+    p.add_argument("--metric", choices=[FISHER, *METRIC_KERNELS], required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -7,16 +7,12 @@ and therefore trace preserving on the state side.
 
 A contraction audit pushes a state together with a tangent in the mixture
 representation (state perturbations push linearly through the map) and
-compares the squared tangent length before and after.  Each metric measures
-a mixture tangent through its own kernel inverse in the state eigenbasis:
-
-* fisher (classical):  sum v^2 / p
-* gns:                 kernel 2/(p+q)         (Lyapunov inverse)
-* bkm:                 kernel (log p - log q)/(p - q)
-
-All three reduce to sum v^2/p for commuting inputs, and all three are
-monotone under the respective stochastic maps, so every audited ratio is
-at most 1 up to roundoff.
+compares the squared tangent length before and after: sum v^2/p for the
+classical fisher metric, Tr[D K(D)] for the monotone quantum metrics of
+:data:`.quantum.metrics.METRIC_KERNELS` (gns, f(x) = (1 + x)/2, and bkm,
+f(x) = (x - 1)/log x), re-exported here.  Each reduces to sum v^2/p for
+commuting inputs and is monotone, so every audited ratio is at most 1 up to
+roundoff.
 
 The audit helpers work on stacks: maps, states and tangents carry a leading
 trial axis, so a seeded sweep validates and evaluates all of its trials in
@@ -37,6 +33,7 @@ from .classical.distributions import (
     mixture_tangent,
 )
 from .errors import BoundaryError
+from .quantum.metrics import METRIC_KERNELS, _kernel_lengths, _metric_kernel
 from .quantum.states import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
@@ -46,24 +43,16 @@ from .quantum.states import (
     project_traceless,
 )
 from .spectral import (
-    Kernel,
     SpectralDecomposition,
     at_index,
     dagger,
     hermitian_part,
-    kernel_apply,
-    log_difference_kernel,
-    symmetric_inverse_kernel,
     worst_index,
 )
 
 FISHER = "fisher"
 GNS = "gns"
 BKM = "bkm"
-
-#: Kernel of each quantum metric in the state eigenbasis; a mixture tangent
-#: d has squared length Tr(d K(d)).
-METRIC_KERNELS = {GNS: symmetric_inverse_kernel, BKM: log_difference_kernel}
 
 # Matrix entries (trials x dim^2) per stack in one pass of a sweep.  A pass
 # then holds about 2 MB of transient arrays whatever the dimension and trial
@@ -72,14 +61,6 @@ _PASS_ENTRIES = 8192
 
 _UNITALITY_TOL = 1e-10
 _ROW_SUM_TOL = 1e-12
-
-
-def _metric_kernel(metric: str, *other_names: str) -> Kernel:
-    """Kernel of a quantum metric; other names raise, listing the known ones."""
-    if metric not in METRIC_KERNELS:
-        known = sorted([*METRIC_KERNELS, *other_names])
-        raise ValueError(f"unknown metric {metric!r}; expected one of {known}")
-    return METRIC_KERNELS[metric]
 
 
 def _check_stochastic(m: np.ndarray) -> np.ndarray:
@@ -217,16 +198,12 @@ def push_mixture_tangent(mapping, t):
 
 
 def _squared_lengths(metric: str, spectra, tangents) -> np.ndarray:
-    """Squared lengths of mixture tangents at faithful states, stack-shaped.
-
-    fisher: ``spectra`` are probability vectors (..., n), tangents (..., n).
-    gns/bkm: ``spectra`` is the decomposition of the states, eigenvalues
-    (..., d), and tangents are (..., d, d).
-    """
+    """Squared lengths of mixture tangents at faithful states, stack-shaped:
+    probabilities (..., n) and tangents (..., n) for fisher, decompositions
+    and tangents (..., d, d) for a quantum metric."""
     if metric == FISHER:
         return (tangents * tangents / spectra).sum(axis=-1)
-    score = kernel_apply(spectra, tangents, _metric_kernel(metric, FISHER))
-    return np.trace(tangents @ score, axis1=-2, axis2=-1).real
+    return _kernel_lengths(spectra, tangents, _metric_kernel(metric, FISHER))
 
 
 def _faithful(spectra) -> np.ndarray:
@@ -246,7 +223,7 @@ def _take(x, mask):
 def _contraction_ratios(metric: str, ops, states, spectra, tangents):
     """Contraction ratios of stacked (map, faithful state, mixture tangent) triples.
 
-    ``ops`` are row-stochastic matrices (fisher) or Kraus stacks (gns, bkm),
+    ``ops`` are row-stochastic matrices (fisher) or Kraus stacks (quantum),
     one per triple; ``spectra`` are the states' probabilities or
     decompositions.  Raises on a zero tangent and on a pushed state with a
     trace error or a negative eigenvalue.  A triple whose pushed state sits at
@@ -287,12 +264,8 @@ def _one_pair(metric: str, state, tangent):
 
 
 def mixture_squared_length(metric: str, state, tangent) -> float:
-    """Squared length of a mixture-representation tangent at a state.
-
-    Evaluates the named metric through its own correspondence between state
-    perturbations and scores, so each value is the metric's information
-    content of the perturbation.
-    """
+    """Squared length of a mixture-representation tangent at a state:
+    sum v^2/p for fisher, Tr[D K(D)] with the kernel of a quantum metric."""
     _, spectra, tangents = _one_pair(metric, state, tangent)
     return float(_squared_lengths(metric, spectra, tangents)[0])
 
@@ -322,29 +295,23 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
 
     Classical families use the Fisher information; quantum paths, given as
     (state, derivative) at the parameter point, the BKM (default) or GNS
-    information; other names raise.  Degenerate families report a ratio of 0.
+    information; other names raise.  This is :func:`audit_metric_contraction`
+    on the family's mixture tangent, except that degenerate families report 0.
     """
     metric = BKM if metric is None else metric
     _metric_kernel(metric)
     if isinstance(mapping, ClassicalStochasticMap):
-        rho = fam.distribution(np.asarray(theta, dtype=float))
-        scores = fam.scores(np.asarray(theta, dtype=float))
         if fam.param_dim != 1:
             raise ValueError("information audit supports one-parameter families")
-        dp = scores[0] * rho.probs
-        before = float(_squared_lengths(FISHER, rho.probs, dp))
-        if before == 0.0:
-            return 0.0
-        pushed_p = push_state(mapping, rho)
-        pushed_dp = dp @ mapping.matrix
-        return float(_squared_lengths(FISHER, pushed_p.probs, pushed_dp)) / before
-    rho, drho = fam
-    before = float(_squared_lengths(metric, rho.spectral, drho))
-    if before == 0.0:
+        theta = np.asarray(theta, dtype=float)
+        state = fam.distribution(theta)
+        tangent = fam.scores(theta)[0] * state.probs
+        metric = FISHER
+    else:
+        state, tangent = fam
+    if not np.any(tangent):
         return 0.0
-    pushed_rho = push_state(mapping, rho)
-    pushed_d = push_mixture_tangent(mapping, drho).matrix
-    return float(_squared_lengths(metric, pushed_rho.spectral, pushed_d)) / before
+    return audit_metric_contraction(mapping, state, tangent, metric)
 
 
 def random_stochastic_map(n_in: int, n_out: int, seed) -> ClassicalStochasticMap:
@@ -479,6 +446,11 @@ def run_contraction_audit(
     counted, never silently dropped.  The worst violation max(ratio - 1)
     should sit at roundoff level; anything materially above 0 falsifies
     monotonicity.
+
+    The sweep is blind to the kernel 1/sqrt((p^2 + q^2)/2) of the r = 2
+    power mean, which is not operator monotone: near-unitary qubit channels
+    push its ratios above 1, but the sweep finds no violation at d = 2...32
+    (seed 7, 50 trials, worst -0.17 to -0.75).
     """
     if metric != FISHER:
         _metric_kernel(metric, FISHER)

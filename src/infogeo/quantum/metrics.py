@@ -1,16 +1,13 @@
-"""GNS and BKM metrics, logarithmic derivatives, and quantum variance bounds.
+"""Petz monotone metrics, logarithmic derivatives and quantum variance bounds.
 
-For a differentiable path of states with derivative D = d rho/d t (traceless
-Hermitian), three logarithmic derivatives are computed in the eigenbasis of
-the state:
-
-* right:      L_r = rho^{-1} D, generally non-Hermitian;
-* symmetric:  L_s solving D = (rho L_s + L_s rho)/2, kernel 2/(p+q);
-* BKM:        L_B with kernel (log p - log q)/(p - q), the closed form of
-              the resolvent integral and also the derivative of log rho.
-
-Each gives a Fisher-type information number and a variance bound for
-locally unbiased estimators of the path parameter.
+A monotone metric is fixed by an operator-monotone f (Petz, Linear Algebra
+Appl. 244, 1996): its kernel 1/(q f(p/q)) maps a mixture tangent D to the
+score K(D) in the state eigenbasis, and Tr[D K(D)] is the squared length.
+:data:`METRIC_KERNELS` is the one table of them: gns, f(x) = (1 + x)/2,
+whose score is the symmetric logarithmic derivative L_s, and bkm,
+f(x) = (x - 1)/log x, whose score L_B is the derivative of log rho.  The
+right derivative L_r = rho^{-1} D belongs to no monotone metric.  Each gives
+an information number and a variance bound for locally unbiased estimators.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ import numpy as np
 
 from ..errors import BiasedEstimatorError
 from ..spectral import (
+    Kernel,
     hermitian_part,
     kernel_apply,
     log_difference_kernel,
@@ -37,6 +35,33 @@ RIGHT = "RIGHT"
 _DRHO_TRACE_TOL = 1e-8
 _UNBIASED_TOL = 1e-6
 _FD_STEP = 1e-5
+
+
+#: The monotone quantum metrics by the names the audits and the CLI use:
+#: (mixture-to-score kernel, key of the information in Cramer-Rao reports).
+METRIC_KERNELS = {
+    "gns": (symmetric_inverse_kernel, GNS_SLD),
+    "bkm": (log_difference_kernel, BKM),
+}
+
+
+def _known(table: dict, name: str, kind: str, *other_names: str):
+    """``table[name]``; other names raise, listing the known ones."""
+    if name not in table:
+        known = sorted([*table, *other_names])
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {known}")
+    return table[name]
+
+
+def _metric_kernel(metric: str, *other_names: str) -> Kernel:
+    """Kernel of a metric of the table; ``other_names`` are known elsewhere."""
+    return _known(METRIC_KERNELS, metric, "metric", *other_names)[0]
+
+
+def _kernel_lengths(spectra, tangents: np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Tr[D K(D)] of mixture tangents (..., d, d) at states or decompositions."""
+    score = kernel_apply(spectra, tangents, kernel)
+    return np.trace(tangents @ score, axis1=-2, axis2=-1).real
 
 
 def _as_score(rho: DensityMatrix, x) -> np.ndarray:
@@ -124,9 +149,22 @@ def log_derivatives(
     r_inv = np.linalg.inv(rho.matrix)
     l_right = r_inv @ d
     herm = bool(np.linalg.norm(l_right - l_right.conj().T) < 1e-8)
-    l_sym = kernel_apply(rho.spectral, d, symmetric_inverse_kernel)
-    l_bkm = kernel_apply(rho.spectral, d, log_difference_kernel)
-    return LogDerivatives(l_right, herm, l_sym, l_bkm, d)
+    score = {
+        key: kernel_apply(rho.spectral, d, k) for k, key in METRIC_KERNELS.values()
+    }
+    return LogDerivatives(l_right, herm, score[GNS_SLD], score[BKM], d)
+
+
+def _info_kernels() -> dict:
+    """Kernel of each information kind by report key; RIGHT has none."""
+    return {**{key: k for k, key in METRIC_KERNELS.values()}, RIGHT: None}
+
+
+def _info(rho: DensityMatrix, d: np.ndarray, kernel: Kernel | None) -> float:
+    if kernel is None:  # RIGHT: Tr[rho L_r* L_r]
+        l = np.linalg.inv(rho.matrix) @ d
+        return float(np.trace(rho.matrix @ l.conj().T @ l).real)
+    return float(_kernel_lengths(rho.spectral, d, kernel))
 
 
 def quantum_fisher_info(
@@ -134,21 +172,13 @@ def quantum_fisher_info(
 ) -> float:
     """Information number of the path for the chosen pairing.
 
-    GNS_SLD: Re Tr[rho L_s^2]; BKM: Tr[D L_B]; RIGHT: Tr[rho L_r* L_r].
+    GNS_SLD and BKM, the report keys of the table's metrics: Tr[D K(D)];
+    RIGHT: Tr[rho L_r* L_r]; other kinds raise, listing the known ones.
     All three coincide with the classical Fisher information when the path
     commutes with its derivative.
     """
-    rho, d = _resolve_drho(path, t0, drho)
-    if which == GNS_SLD:
-        l = kernel_apply(rho.spectral, d, symmetric_inverse_kernel)
-        return float(np.trace(rho.matrix @ l @ l).real)
-    if which == BKM:
-        l = kernel_apply(rho.spectral, d, log_difference_kernel)
-        return float(np.trace(d @ l).real)
-    if which == RIGHT:
-        l = np.linalg.inv(rho.matrix) @ d
-        return float(np.trace(rho.matrix @ l.conj().T @ l).real)
-    raise ValueError(f"unknown information kind {which!r}")
+    kernel = _known(_info_kernels(), which, "information kind")
+    return _info(*_resolve_drho(path, t0, drho), kernel)
 
 
 @dataclass(frozen=True)
@@ -197,11 +227,7 @@ def quantum_cramer_rao(
     x0 = x - mean * np.eye(rho.dim)
     variance = float(np.trace(rho.matrix @ x0 @ x0).real)
     bkm_var = bkm_metric(rho, x0, x0)
-    info = {
-        GNS_SLD: quantum_fisher_info(path, t0, GNS_SLD, drho=d),
-        BKM: quantum_fisher_info(path, t0, BKM, drho=d),
-        RIGHT: quantum_fisher_info(path, t0, RIGHT, drho=d),
-    }
+    info = {k: _info(rho, d, kernel) for k, kernel in _info_kernels().items()}
     bound = {k: 1.0 / v for k, v in info.items()}
     slack = {k: variance - b for k, b in bound.items()}
     return QuantumCramerRaoReport(

@@ -175,8 +175,8 @@ class Kernel:
     """Two-argument scalar kernel with its confluent (p == q) limit.
 
     ``fn(p, q)`` must be symmetric and vectorized; ``diag(p)`` supplies the
-    limit value used whenever |p - q| < CONFLUENT_RTOL * max(p, q), avoiding
-    0/0 without branch noise.
+    limit value used whenever |p - q| <= CONFLUENT_RTOL * max(|p|, |q|),
+    p = q = 0 included, avoiding 0/0 without branch noise.
     """
 
     name: str
@@ -192,7 +192,7 @@ class Kernel:
         p = np.asarray(p, dtype=float)
         pi = p[..., :, None]
         pj = p[..., None, :]
-        near = np.abs(pi - pj) < CONFLUENT_RTOL * np.maximum(
+        near = np.abs(pi - pj) <= CONFLUENT_RTOL * np.maximum(
             np.abs(pi), np.abs(pj)
         )
         with np.errstate(all="ignore"):

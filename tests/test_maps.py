@@ -160,9 +160,11 @@ class TestContraction:
         cmap = ClassicalStochasticMap(perm.T)  # rows: i -> perm(i)
         rho_q = DensityMatrix(np.diag(p))
         rho_c = FiniteDistribution(p)
-        rq = audit_metric_contraction(chan, rho_q, mixture_qtangent(np.diag(v)), BKM)
         rc = audit_metric_contraction(cmap, rho_c, mixture_tangent(v), FISHER)
-        npt.assert_allclose(rq, rc, atol=1e-10)
+        t = mixture_qtangent(np.diag(v))
+        for metric in METRIC_KERNELS:
+            rq = audit_metric_contraction(chan, rho_q, t, metric)
+            npt.assert_allclose(rq, rc, atol=1e-10)
 
     def test_sweeps_never_exceed_one(self):
         for metric, dim in ((FISHER, 4), (GNS, 3), (BKM, 3)):
@@ -358,9 +360,39 @@ class TestFamilyInfoAudit:
             audit_family_info(chan, (rho, drho), None, "bmk")
 
     def test_degenerate_family_reports_zero(self):
+        # also through maps whose pushed state is not faithful
         fam = ParametricFamily.from_map(lambda th: uniform(3), 1, 3)
-        m = ClassicalStochasticMap(np.eye(3))
-        assert audit_family_info(m, fam, [0.2]) == 0.0
+        for matrix in (np.eye(3), np.tile([1.0, 0.0, 0.0], (3, 1))):
+            m = ClassicalStochasticMap(matrix)
+            assert audit_family_info(m, fam, [0.2]) == 0.0
+        chan = QuantumCPUnitalMap(reset_channel(3))
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        for metric in (None, *METRIC_KERNELS):
+            assert audit_family_info(chan, (rho, np.zeros((3, 3))), None, metric) == 0.0
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.tile([1.0, 0.0, 0.0], (3, 1)),
+            # no input reaches the last output
+            [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0], [1.0, 0.0, 0.0]],
+        ],
+    )
+    def test_non_faithful_pushed_distribution_raises(self, matrix):
+        fam = ParametricFamily.from_map(
+            lambda th: FiniteDistribution([0.5 + th[0], 0.3 - th[0], 0.2]), 1, 3
+        )
+        m = ClassicalStochasticMap(matrix)
+        with pytest.raises(BoundaryError, match="pushed distribution is not faithful"):
+            audit_family_info(m, fam, [0.0])
+
+    @pytest.mark.parametrize("metric", [None, GNS, BKM])
+    def test_non_faithful_pushed_state_raises(self, metric):
+        chan = QuantumCPUnitalMap(reset_channel(3))
+        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        drho = np.diag([0.1, -0.05, -0.05])
+        with pytest.raises(BoundaryError, match="pushed state is not faithful"):
+            audit_family_info(chan, (rho, drho), None, metric)
 
 
 class TestRandomMaps:

@@ -15,6 +15,7 @@ from infogeo.quantum import (
     state_from_score,
     von_neumann_entropy,
 )
+from infogeo.quantum import families as qfamilies
 from infogeo.spectral import hermitian_part
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -202,8 +203,9 @@ class TestDualNewtonStops:
             # the full Newton step reaches |xi| ~ 1e260, where the
             # Hamiltonian's norm overflows; the line search skips such points
             ([1.0, -1.0], 3.0, "line search stalled"),
-            # an underflowed weight leaves nan in the BKM covariance
-            ([1.0, 0.0, -1.0], 1.5, "non-finite Newton step"),
+            # two underflowed weights give a zero block in the BKM
+            # covariance kernel, and the covariance is exactly singular
+            ([1.0, 0.0, -1.0], 1.5, "singular Hessian"),
         ],
     )
     def test_infeasible_target_names_feature_and_target(self, spectrum, target, reason):
@@ -212,6 +214,19 @@ class TestDualNewtonStops:
         with pytest.raises(FeasibilityError) as info:
             quantum_maxent_fit(fam, [target])
         assert f"feature 0 with target {target!r} ({reason}" in str(info.value)
+
+    def test_non_finite_hessian_stops(self, monkeypatch):
+        # the guard for a Hessian that a future oracle leaves non-finite
+        means_and_cov = qfamilies._means_and_bkm_cov
+
+        def nan_cov(fam, xi):
+            log_z, eta, cov = means_and_cov(fam, xi)
+            return log_z, eta, np.full_like(cov, np.nan)
+
+        monkeypatch.setattr(qfamilies, "_means_and_bkm_cov", nan_cov)
+        fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        with pytest.raises(ConvergenceError, match="non-finite Newton step"):
+            quantum_maxent_fit(fam, [0.3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_rejected(self, bad):

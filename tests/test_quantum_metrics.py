@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+import infogeo.maps as maps
 from infogeo.classical import FiniteDistribution, ParametricFamily, fisher_information_matrix
 from infogeo.errors import BiasedEstimatorError
 from infogeo.quantum import (
@@ -288,6 +289,15 @@ class TestQuantumFisherInfo:
         npt.assert_allclose(drho, 0.4 * PAULI_X, atol=1e-14)
         info = quantum_fisher_info(path, 0.0, GNS_SLD, drho=drho)
         npt.assert_allclose(info, 0.64, atol=1e-10)
+
+    def test_unknown_kind_lists_known_kinds(self):
+        # the metric names of infogeo.maps are not report keys
+        def path(t):
+            raise AssertionError("path evaluated before the kind was checked")
+
+        known = r"\['BKM', 'GNS_SLD', 'RIGHT'\]"
+        with pytest.raises(ValueError, match=rf"kind 'bkm'; expected one of {known}$"):
+            quantum_fisher_info(path, 0.0, maps.BKM, drho=np.diag([0.1, -0.1]))
 
     def test_info_ordering(self):
         # BKM info >= SLD info (reciprocal kernels order the other way)

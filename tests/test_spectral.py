@@ -186,6 +186,14 @@ class TestKernelApply:
             out = kernel_apply(rho, PAULI_X, logarithmic_mean_kernel)
             npt.assert_allclose(out, 0.5 * PAULI_X, atol=1e-8)
 
+    def test_zero_eigenvalue_pair_takes_the_limit(self):
+        # p = q = 0 is confluent: the log mean is 0 there (and against any
+        # q > 0), where the off-diagonal formula gives 0/0
+        k = logarithmic_mean_kernel.matrix([0.0, 0.0, 0.5])
+        npt.assert_array_equal(k, np.diag([0.0, 0.0, 0.5]))
+        stacked = logarithmic_mean_kernel.matrix(np.array([[0.0, 0.0, 0.5]] * 2))
+        npt.assert_array_equal(stacked, [k, k])
+
 
 class TestLogSumExp:
     def test_rounds_like_scipy(self):
