@@ -230,12 +230,17 @@ def fit_mixture_coords(
     xi0=None,
     tol: float = 1e-10,
     max_iter: int = 200,
+    *,
+    _warm=None,
 ) -> CanonicalPoint:
     """Solve for the member whose feature means equal ``target_means``.
 
     Runs :func:`_dual_newton` on Psi(xi) + xi . m, whose Hessian is the
     feature covariance, from ``xi0`` (default 0).  Convergence is declared
     when the mean residual drops below ``tol`` in the max norm.
+
+    ``_warm`` is private: a :class:`_WarmStart` that
+    :func:`..projection.roll` threads through its solves of one family.
 
     Raises
     ------
@@ -250,7 +255,7 @@ def fit_mixture_coords(
     """
     xi0 = np.zeros(family.n_features) if xi0 is None else xi0
     xi, _, _ = _dual_newton(
-        partial(_psi_eta_cov, family), target_means, xi0, tol, max_iter
+        partial(_psi_eta_cov, family), target_means, xi0, tol, max_iter, _warm
     )
     return CanonicalPoint(family, xi)
 
@@ -265,7 +270,22 @@ _INFEASIBLE_NORM = 10.0
 _TRIAL_NORM = 1e100
 
 
-def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
+class _WarmStart:
+    """The last xi a solve returned and the oracle's value there.
+
+    A solve handed one reads the value instead of evaluating the oracle again
+    when it starts at exactly that xi, and leaves its own final xi and value
+    in it.  One instance serves a chain of solves with the same oracle, such
+    as the projections of one :func:`..projection.roll`.
+    """
+
+    __slots__ = ("xi", "value")
+
+    def __init__(self):
+        self.xi = self.value = None
+
+
+def _dual_newton(oracle, m, xi0, tol: float, max_iter: int, warm=None):
     """Minimise the convex dual D(xi) = log Z(xi) + xi . m by damped Newton.
 
     ``oracle(xi)`` returns ``(log_z, eta, hessian)``: log Z, the feature
@@ -273,7 +293,10 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
     the feature covariance of a classical family and the BKM covariance of
     a quantum one.  Armijo backtracking (factor 0.5, slope 1e-4) makes D
     decrease monotonically; below a residual of 1e-6 plain Newton steps are
-    taken.  Returns ``(xi, log_z, iterations)`` once max |m - eta| < tol.
+    taken.  Returns ``(xi, value, iterations)`` once max |m - eta| < tol,
+    where ``value`` is what the oracle returned at that xi.  A
+    :class:`_WarmStart` ``warm`` supplies the value at ``xi0`` when it holds
+    one for exactly that point, and receives the returned xi and value.
 
     Every stop without convergence (singular Hessian, non-finite step,
     stalled line search, D failing to decrease, |xi| past 1e3, budget spent)
@@ -287,13 +310,19 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
     if not np.isfinite(m).all():
         raise ValueError(f"target means must be finite, got {m.tolist()}")
 
-    log_z, eta, hess = oracle(xi)
-    obj = log_z + xi @ m
+    if warm is not None and np.array_equal(warm.xi, xi):
+        value = warm.value
+    else:
+        value = oracle(xi)
     for it in range(max_iter):
+        log_z, eta, hess = value
+        obj = log_z + xi @ m
         grad = m - eta
         resid = float(np.abs(grad).max())
         if resid < tol:
-            return xi, log_z, it
+            if warm is not None:
+                warm.xi, warm.value = xi, value
+            return xi, value, it
         if np.abs(xi).max() > _DIVERGENCE_NORM:
             raise _stopped(f"|xi| passed {_DIVERGENCE_NORM:g}", xi, m, resid)
         try:
@@ -308,8 +337,7 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
             # local quadratic phase: objective decreases are below roundoff,
             # so take plain Newton steps instead of an Armijo search
             xi = xi + step
-            log_z, eta, hess = oracle(xi)
-            obj = log_z + xi @ m
+            value = oracle(xi)
             continue
         slope = float(grad @ step)
         t = 1.0
@@ -318,8 +346,8 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
                 t *= 0.5
                 continue
             xi_new = xi + t * step
-            log_z_n, eta_n, hess_n = oracle(xi_new)
-            obj_n = log_z_n + xi_new @ m
+            value_n = oracle(xi_new)
+            obj_n = value_n[0] + xi_new @ m
             if obj_n <= obj + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -327,8 +355,8 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int):
             raise _stopped("line search stalled", xi, m, resid)
         if obj_n > obj + 1e-12 * max(1.0, abs(obj)):
             raise _stopped("dual objective failed to decrease", xi, m, resid)
-        xi, log_z, eta, hess, obj = xi_new, log_z_n, eta_n, hess_n, obj_n
-    resid = float(np.abs(m - eta).max())
+        xi, value = xi_new, value_n
+    resid = float(np.abs(m - value[1]).max())
     raise _stopped(f"no convergence in {max_iter} iterations", xi, m, resid)
 
 

@@ -293,14 +293,16 @@ def audit_metric_contraction(mapping, state, tangent, metric: str) -> float:
 def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
     """Information of the pushed parametric family over the original.
 
-    Classical families use the Fisher information; quantum paths, given as
-    (state, derivative) at the parameter point, the BKM (default) or GNS
-    information; other names raise.  This is :func:`audit_metric_contraction`
-    on the family's mixture tangent, except that degenerate families report 0.
+    Classical families use the Fisher information, whichever of ``fisher``
+    or a quantum name is passed; quantum paths, given as (state, derivative)
+    at the parameter point, the BKM (default) or GNS information; other
+    names raise.  This is :func:`audit_metric_contraction` on the family's
+    mixture tangent, except that degenerate families report 0.
     """
     metric = BKM if metric is None else metric
-    _metric_kernel(metric)
     if isinstance(mapping, ClassicalStochasticMap):
+        if metric != FISHER:
+            _metric_kernel(metric, FISHER)
         if fam.param_dim != 1:
             raise ValueError("information audit supports one-parameter families")
         theta = np.asarray(theta, dtype=float)
@@ -308,6 +310,7 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
         tangent = fam.scores(theta)[0] * state.probs
         metric = FISHER
     else:
+        _metric_kernel(metric)
         state, tangent = fam
     if not np.any(tangent):
         return 0.0

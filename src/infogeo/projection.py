@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .classical.distributions import FAITHFULNESS_FLOOR, FiniteDistribution, entropy
-from .classical.families import ExponentialFamily, fit_mixture_coords
+from .classical.families import ExponentialFamily, _WarmStart, fit_mixture_coords
 from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
@@ -89,6 +89,14 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     :class:`HamiltonianStep`, or a :class:`QuantumCPUnitalMap` applied once
     per step.  Probability (or trace) is conserved to 1e-12; a state that
     falls below the faithfulness floor raises :class:`BoundaryError`.
+
+    A unitary step keeps the spectrum and is not re-diagonalised: the
+    stepped state's eigenvectors are U V, carried over from the input
+    state's decomposition (V, p).  Chaining steps on their own outputs
+    therefore accumulates rounding in U^k V, and once U^k V fails the 1e-10
+    unitarity check of :meth:`DensityMatrix.from_spectrum` the step raises
+    ``ValueError``.  :func:`roll` steps a freshly decomposed projected state
+    each time and is not affected.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -103,7 +111,9 @@ def micro_step(state, dynamics, dt: float, propagator=None):
         return FiniteDistribution(out)
     if isinstance(dynamics, HamiltonianStep):
         u = dynamics.unitary(dt) if propagator is None else propagator
-        return DensityMatrix(u @ state.matrix @ u.conj().T)
+        return DensityMatrix.from_spectrum(
+            state.eigenvalues, u @ state.spectral.eigenvectors
+        )
     if isinstance(dynamics, QuantumCPUnitalMap):
         # push_state has validated the pushed state once (boundary allowed);
         # its spectrum decides faithfulness without a second eigh
@@ -144,17 +154,17 @@ class ProjectionRun:
         return len(self.times) - 1
 
 
-def _project_classical(family, state, xi0):
+def _project_classical(family, state, xi0, warm):
     means = family.features @ state.probs
-    pt = fit_mixture_coords(family, means, xi0=xi0)
+    pt = fit_mixture_coords(family, means, xi0=xi0, _warm=warm)
     return pt.xi, means, pt.distribution(), entropy(state)
 
 
-def _project_quantum(family, state, xi0):
+def _project_quantum(family, state, xi0, warm):
     means = np.array(
         [float(np.trace(state.matrix @ f).real) for f in family.features]
     )
-    fit = quantum_maxent_fit(family, means, xi0=xi0)
+    fit = quantum_maxent_fit(family, means, xi0=xi0, _warm=warm)
     return fit.xi, means, fit.state, von_neumann_entropy(state)
 
 
@@ -166,6 +176,10 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     those exact means (warm-starting each moment-matching solve from the
     previous coordinates).  The initial record is the projection of the
     initial state itself.
+
+    Each solve starts where the previous one stopped, and it reuses that
+    solve's last evaluation (log Z, means, Hessian and, for a quantum
+    family, the Gibbs spectrum) instead of evaluating there again.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -185,6 +199,7 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     truncated = False
     diagnostic = None
     xi = np.zeros(family.n_features, dtype=float)
+    warm = _WarmStart()
     state = initial_state
     for k in range(steps + 1):
         if k > 0:
@@ -194,7 +209,7 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
                 truncated, diagnostic = True, f"micro step {k}: {exc}"
                 break
         try:
-            xi, means, projected, micro_entropy = project(family, state, xi)
+            xi, means, projected, micro_entropy = project(family, state, xi, warm)
         except InfoGeoError as exc:
             truncated, diagnostic = True, f"projection at step {k}: {exc}"
             break

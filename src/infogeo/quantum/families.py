@@ -7,7 +7,9 @@ centered features, so moment matching is again a smooth convex problem:
 :func:`quantum_maxent_fit` runs the classical solver
 (:func:`..classical.families._dual_newton`) with that BKM covariance as its
 Hessian, and infeasible targets are classified the same way on both sides.
-Every spectrum and log Z comes from :func:`.states.gibbs_spectrum`.
+Every spectrum and log Z comes from :func:`.states.gibbs_spectrum`, and each
+is computed once per point: the fitted state is built from the spectrum of
+the solver's last evaluation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from ..classical.families import _dual_newton
-from ..spectral import hermitian_part, logarithmic_mean_kernel
+from ..spectral import dagger, hermitian_part, logarithmic_mean_kernel
 from .states import DensityMatrix, gibbs_density, gibbs_spectrum
 
 _GRAM_FLOOR = 1e-10
@@ -30,6 +32,8 @@ class QuantumExponentialFamily:
 
     Features must be linearly independent modulo multiples of the identity
     (Gram matrix of the traceless parts has min eigenvalue above 1e-10).
+    They are kept as one read-only (n, d, d) stack; ``features`` holds its
+    matrices.
     """
 
     h0: np.ndarray
@@ -45,7 +49,6 @@ class QuantumExponentialFamily:
                 raise ValueError(
                     f"feature has shape {f.shape}, expected ({d}, {d})"
                 )
-            f.setflags(write=False)
             feats.append(f)
         if not feats:
             raise ValueError("need at least one feature")
@@ -59,9 +62,12 @@ class QuantumExponentialFamily:
                 f"features are linearly dependent modulo the identity "
                 f"(Gram min eigenvalue {min_eig:.3e})"
             )
+        stack = np.stack(feats)
         h0.setflags(write=False)
+        stack.setflags(write=False)
         object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "features", tuple(feats))
+        object.__setattr__(self, "features", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @property
     def dim(self) -> int:
@@ -73,8 +79,8 @@ class QuantumExponentialFamily:
 
     def hamiltonian(self, xi) -> np.ndarray:
         xi = _check_xi(self, xi)
-        h = self.h0.copy()
-        for c, f in zip(xi, self.features):
+        h = self.h0
+        for c, f in zip(xi, self._stack):
             h = h + c * f
         return h
 
@@ -106,21 +112,32 @@ def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
     return log_z
 
 
+class _Moments(tuple):
+    """``(log_z, eta, cov)`` with the Gibbs spectrum ``(dec, p)`` they were
+    computed from, so the state at that point needs no second one."""
+
+    def __new__(cls, log_z, eta, cov, gibbs):
+        out = super().__new__(cls, (log_z, eta, cov))
+        out.gibbs = gibbs
+        return out
+
+
 def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
-    """log Z, the feature means and their BKM covariance (the Hessian of log Z)."""
+    """log Z, the feature means and their BKM covariance (the Hessian of log Z).
+
+    With the centered features C_j = U†F_jU - eta_j in the eigenbasis of the
+    state and K the logarithmic-mean kernel of its spectrum, the covariance
+    is sum_ab K_ab C_j,ab conj(C_l,ab), one product over the whole stack.
+    """
     dec, p, log_z = _gibbs(fam, xi)
     u = dec.eigenvectors
     n = fam.n_features
-    ft = [u.conj().T @ f @ u for f in fam.features]
-    eta = np.array([float((p * np.diagonal(f).real).sum()) for f in ft])
-    k = logarithmic_mean_kernel.matrix(p)
-    cov = np.zeros((n, n))
-    centered = [ft[j] - eta[j] * np.eye(fam.dim) for j in range(n)]
-    for j in range(n):
-        for l in range(j, n):
-            val = float(np.sum(k * centered[j] * centered[l].conj()).real)
-            cov[j, l] = cov[l, j] = val
-    return log_z, eta, cov
+    ft = dagger(u) @ fam._stack @ u
+    eta = (p * np.diagonal(ft, axis1=-2, axis2=-1).real).sum(axis=-1)
+    centered = (ft - eta[:, None, None] * np.eye(fam.dim)).reshape(n, -1)
+    k = logarithmic_mean_kernel.matrix(p).reshape(-1)
+    cov = ((k * centered) @ centered.conj().T).real
+    return _Moments(log_z, eta, 0.5 * (cov + cov.T), (dec, p))
 
 
 def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:
@@ -142,6 +159,8 @@ def quantum_maxent_fit(
     xi0=None,
     tol: float = 1e-10,
     max_iter: int = 200,
+    *,
+    _warm=None,
 ) -> QuantumFitResult:
     """Member of the family with the prescribed feature means.
 
@@ -149,12 +168,17 @@ def quantum_maxent_fit(
     function log Z(xi) + xi . m from ``xi0`` (default 0); gradient
     m - eta(xi), Hessian the BKM covariance of the centered features.  Bad
     targets and stops raise as in :func:`..classical.fit_mixture_coords`.
+    The state is built from the Gibbs spectrum of the solver's evaluation at
+    the returned xi, without decomposing the Hamiltonian or the state again.
+
+    ``_warm`` is private: a ``_WarmStart`` that :func:`..projection.roll`
+    threads through its solves of one family (see ``_dual_newton``).
     """
     xi0 = np.zeros(fam.n_features) if xi0 is None else xi0
-    xi, log_z, iterations = _dual_newton(
-        partial(_means_and_bkm_cov, fam), target_means, xi0, tol, max_iter
+    xi, value, iterations = _dual_newton(
+        partial(_means_and_bkm_cov, fam), target_means, xi0, tol, max_iter, _warm
     )
-    return QuantumFitResult(xi, state_from_score(fam, xi), log_z, iterations)
+    return QuantumFitResult(xi, gibbs_density(*value.gibbs), value[0], iterations)
 
 
 def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float:

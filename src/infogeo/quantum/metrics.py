@@ -111,10 +111,12 @@ def path_derivative(
     return project_traceless(d)
 
 
-def _resolve_drho(path, t0, drho) -> tuple[DensityMatrix, np.ndarray]:
+def _resolve_drho(
+    path, t0, drho, h: float = _FD_STEP
+) -> tuple[DensityMatrix, np.ndarray]:
     rho = path(t0)
     if drho is None:
-        d = path_derivative(path, t0)
+        d = path_derivative(path, t0, h)
     else:
         d = drho(t0) if callable(drho) else np.asarray(drho)
         d = hermitian_part(d)
@@ -212,9 +214,10 @@ def quantum_cramer_rao(
     """Cramer-Rao report for an observable estimating the path parameter.
 
     Precondition (checked): the observable is locally unbiased, i.e.
-    Tr[rho_t X] = t and its derivative equals 1 to 1e-6.
+    Tr[rho_t X] = t and its derivative equals 1 to 1e-6.  Without ``drho``
+    the derivative is a central difference with step ``h``.
     """
-    rho, d = _resolve_drho(path, t0, drho)
+    rho, d = _resolve_drho(path, t0, drho, h)
     x = hermitian_part(observable)
     mean = rho.expectation(x)
     dmean = float(np.trace(d @ x).real)

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import BoundaryError
 from ..spectral import (
+    _RECONSTRUCTION_RTOL,
     SpectralDecomposition,
     any_set,
     at_index,
@@ -25,6 +26,7 @@ from ..spectral import (
     log_difference_kernel,
     log_sum_exp,
     logarithmic_mean_kernel,
+    unitarity_residual,
     worst_index,
 )
 
@@ -43,22 +45,15 @@ def _check_one_matrix(matrix):
         raise ValueError(f"expected a square matrix, got shape {np.shape(matrix)}")
 
 
-def check_density(matrix, allow_boundary: bool = False):
-    """Validate a density matrix, or a stack of them, and decompose it.
-
-    Returns the Hermitian part and its :class:`SpectralDecomposition`.  Every
-    matrix must have unit trace (ValueError).  With ``allow_boundary`` an
-    eigenvalue below -1e-12 raises ValueError; without it, one at or below
-    :data:`EIGENVALUE_FLOOR` raises :class:`BoundaryError`.  In a stack the
-    message names the index of the worst matrix.
-    """
-    m = hermitian_part(matrix)
+def _check_trace(m):
     tr = np.trace(m, axis1=-2, axis2=-1).real
     if any_set(abs(tr - 1.0) > _TRACE_TOL):
         i = worst_index(abs(tr - 1.0))
         raise ValueError(f"{at_index(i)}trace is {float(tr[i])!r}, not 1")
-    dec = eigh(m)
-    lo = dec.eigenvalues.min(axis=-1)
+
+
+def _check_floor(lo, allow_boundary: bool):
+    """Reject least eigenvalues ``lo`` (one per matrix) below what is allowed."""
     if allow_boundary:
         if any_set(lo < -1e-12):
             i = worst_index(-lo)
@@ -70,6 +65,21 @@ def check_density(matrix, allow_boundary: bool = False):
             f"{float(lo[i])!r} <= {EIGENVALUE_FLOOR}; pass allow_boundary=True "
             f"where supported"
         )
+
+
+def check_density(matrix, allow_boundary: bool = False):
+    """Validate a density matrix, or a stack of them, and decompose it.
+
+    Returns the Hermitian part and its :class:`SpectralDecomposition`.  Every
+    matrix must have unit trace (ValueError).  With ``allow_boundary`` an
+    eigenvalue below -1e-12 raises ValueError; without it, one at or below
+    :data:`EIGENVALUE_FLOOR` raises :class:`BoundaryError`.  In a stack the
+    message names the index of the worst matrix.
+    """
+    m = hermitian_part(matrix)
+    _check_trace(m)
+    dec = eigh(m)
+    _check_floor(dec.eigenvalues.min(axis=-1), allow_boundary)
     return m, dec
 
 
@@ -88,9 +98,45 @@ class DensityMatrix:
     def __post_init__(self):
         _check_one_matrix(self.matrix)
         m, dec = check_density(self.matrix, self.allow_boundary)
+        self._set(m, dec)
+
+    def _set(self, m, dec):
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectral", dec)
+
+    @classmethod
+    def from_spectrum(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
+        """The state sum_i p_i |u_i><u_i| of a spectrum already in hand.
+
+        Builds the Hermitian part of (u p) u† and keeps (p, u), sorted
+        ascending, as its decomposition instead of decomposing it again.  The
+        checks are the constructor's: unit trace and the floor (or, with
+        ``allow_boundary``, the sign) on p, plus u unitary to the 1e-10 that
+        :func:`..spectral.eigh` demands, so the kept decomposition is a
+        validated one.
+        """
+        p = np.asarray(p, dtype=float)
+        u = np.asarray(u, dtype=complex)
+        if p.ndim != 1 or u.shape != (p.size, p.size):
+            raise ValueError(
+                f"expected d weights and d x d vectors, got shapes {p.shape} "
+                f"and {u.shape}"
+            )
+        m = hermitian_part((u * p) @ u.conj().T)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
+        _check_trace(m)
+        unit_err = unitarity_residual(u)
+        if unit_err > _RECONSTRUCTION_RTOL:
+            raise ValueError(f"eigenvectors are not unitary: residual {unit_err:.3e}")
+        order = np.argsort(p, kind="stable")
+        dec = SpectralDecomposition(p[order], u[:, order])
+        _check_floor(dec.eigenvalues[0], allow_boundary)
+        state = object.__new__(cls)
+        object.__setattr__(state, "allow_boundary", allow_boundary)
+        state._set(m, dec)
+        return state
 
     @property
     def dim(self) -> int:
@@ -128,12 +174,13 @@ def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
     """The state sum_i p_i |u_i><u_i| for Gibbs weights p in the eigenbasis of H.
 
     ``dec`` is the decomposition of H and p = exp(-w)/Z its normalised
-    weights.  A spectrum so wide that the smallest weight reaches the
+    weights.  The state keeps (p, u) as its decomposition
+    (:meth:`DensityMatrix.from_spectrum`): H has been decomposed, so the
+    state is not.  A spectrum so wide that the smallest weight reaches the
     faithfulness floor raises :class:`BoundaryError` naming the spread.
     """
-    u = dec.eigenvectors
     try:
-        return DensityMatrix((u * p) @ u.conj().T)
+        return DensityMatrix.from_spectrum(p, dec.eigenvectors)
     except BoundaryError as exc:
         w = dec.eigenvalues
         raise BoundaryError(

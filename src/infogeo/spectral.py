@@ -25,6 +25,10 @@ CONFLUENT_RTOL = 1e-12
 
 _RECONSTRUCTION_RTOL = 1e-10
 
+# Up to this bound on |entries| the squares summed by the validation norms
+# cannot overflow.
+_NORM_SAFE = 1e150
+
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (a + a†)/2 as a complex array, for one matrix or a stack.
@@ -93,6 +97,11 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x) if x.ndim == 2 else np.linalg.norm(x, axis=(-2, -1))
 
 
+def unitarity_residual(u: np.ndarray) -> np.ndarray:
+    """Frobenius norm of U†U - I, for one matrix or per matrix of a stack."""
+    return _frobenius(dagger(u) @ u - np.eye(u.shape[-1]))
+
+
 def eigh(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix or a stack of them.
 
@@ -100,7 +109,8 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     round-off) is tolerated.  Every decomposition is validated: unitarity of
     the eigenvector matrix and the reconstruction error must both be below
     1e-10 relative to the Frobenius norm.  A failing stack names the index
-    of its worst matrix.
+    of its worst matrix.  Matrices with an entry above 1e150 in magnitude
+    are validated through a / max|a|, whose norms cannot overflow.
     """
     a = hermitian_part(a)
     if not np.isfinite(a).all():
@@ -114,9 +124,16 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
             f"eigensolver did not converge on a {d}x{d} matrix: {exc}"
         ) from exc
     dec = SpectralDecomposition(w, u)
+    largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
+    if any_set(largest > _NORM_SAFE):
+        s = np.maximum(largest, np.finfo(float).tiny)  # a zero matrix of the stack
+        a = a / s[..., None, None]
+        scaled = SpectralDecomposition(w / s[..., None], u)
+    else:
+        scaled = dec
     scale = _frobenius(a)
-    recon = _frobenius(dec.reconstruct() - a)
-    unit_err = _frobenius(u.conj().swapaxes(-1, -2) @ u - np.eye(d))
+    recon = _frobenius(scaled.reconstruct() - a)
+    unit_err = unitarity_residual(u)
     tol = _RECONSTRUCTION_RTOL
     if any_set((recon > tol * scale) | (unit_err > tol)):
         recon_err = recon / np.maximum(scale, 1e-300)

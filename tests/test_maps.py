@@ -359,6 +359,26 @@ class TestFamilyInfoAudit:
         with pytest.raises(ValueError, match="unknown metric 'bmk'.*bkm.*gns"):
             audit_family_info(chan, (rho, drho), None, "bmk")
 
+    def test_fisher_accepted_on_classical_maps(self):
+        fam = ParametricFamily.from_map(
+            lambda th: FiniteDistribution([1 - th[0], th[0]]), 1, 2
+        )
+        m = ClassicalStochasticMap(np.eye(2))
+        # a classical family is audited with the Fisher information whatever
+        # the name, so every known name gives the same ratio
+        ratios = [audit_family_info(m, fam, [0.3], metric)
+                  for metric in (FISHER, None, BKM, GNS)]
+        assert len(set(ratios)) == 1
+        npt.assert_allclose(ratios[0], 1.0, atol=1e-8)
+        known = r"\['bkm', 'fisher', 'gns'\]"
+        with pytest.raises(ValueError, match=f"unknown metric 'fishr'.*{known}"):
+            audit_family_info(m, fam, [0.3], "fishr")
+        # a quantum path has no Fisher information to audit
+        rho = DensityMatrix(np.diag([0.6, 0.4]))
+        chan = QuantumCPUnitalMap([np.eye(2)])
+        with pytest.raises(ValueError, match="unknown metric 'fisher'"):
+            audit_family_info(chan, (rho, np.diag([0.1, -0.1])), None, FISHER)
+
     def test_degenerate_family_reports_zero(self):
         # also through maps whose pushed state is not faithful
         fam = ParametricFamily.from_map(lambda th: uniform(3), 1, 3)

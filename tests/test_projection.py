@@ -22,7 +22,7 @@ from infogeo.projection import (
     roll,
 )
 from infogeo.quantum import DensityMatrix, QuantumExponentialFamily
-from infogeo.spectral import eigh
+from infogeo.spectral import eigh, hermitian_part
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -272,3 +272,98 @@ def test_channel_step_to_the_boundary_raises():
     identity = QuantumCPUnitalMap([np.eye(2)])
     with pytest.raises(BoundaryError, match="channel step left the faithful interior"):
         micro_step(rho, identity, 1.0)
+
+
+def _series_input(seed, d=4):
+    """A quantum-series-style roll: zero base Hamiltonian, two random
+    features, a Gibbs initial state and a random Hamiltonian step."""
+    rng = np.random.default_rng(seed)
+
+    def rand_h(scale=1.0):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return scale * hermitian_part(a)
+
+    fam = QuantumExponentialFamily(np.zeros((d, d)), [rand_h(), rand_h()])
+    rho0 = expm(-rand_h(2.0))
+    return fam, DensityMatrix(rho0 / np.trace(rho0).real), HamiltonianStep(rand_h(2.0))
+
+
+def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
+    import infogeo.quantum.families as qfamilies
+
+    fam, rho0, step = _series_input(21)
+    steps = 12
+    oracle = qfamilies._means_and_bkm_cov
+    calls = {"oracle": 0, "eigh": 0, "eigh_outside": 0}
+    inside = []
+
+    def counting_oracle(fam, xi):
+        calls["oracle"] += 1
+        inside.append(1)
+        try:
+            return oracle(fam, xi)
+        finally:
+            inside.pop()
+
+    def counting_eigh(a):
+        calls["eigh"] += 1
+        calls["eigh_outside"] += not inside
+        return eigh(a)
+
+    monkeypatch.setattr(qfamilies, "_means_and_bkm_cov", counting_oracle)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("infogeo") and vars(mod).get("eigh") is eigh:
+            monkeypatch.setattr(mod, "eigh", counting_eigh)
+    run = roll(rho0, step, fam, dt=0.1, steps=steps)
+    assert run.steps_completed == steps
+    assert calls["eigh_outside"] == 0
+    assert calls["eigh"] == calls["oracle"]
+    rolled = calls["oracle"]
+
+    # the same solves one by one, each evaluating its start again: N more calls
+    from infogeo.quantum import quantum_maxent_fit
+
+    calls["oracle"] = 0
+    starts = [np.zeros(2), *run.xis[:-1]]
+    for xi0, means, xi in zip(starts, run.etas, run.xis):
+        assert np.array_equal(quantum_maxent_fit(fam, means, xi0=xi0).xi, xi)
+    assert calls["oracle"] == rolled + steps
+
+
+@pytest.mark.parametrize("dynamics", ["hamiltonian", "channel"])
+def test_quantum_roll_matches_state_from_score_reference(dynamics):
+    from infogeo.quantum import (
+        quantum_maxent_fit,
+        state_from_score,
+        von_neumann_entropy,
+    )
+
+    fam, rho0, step = _series_input(22)
+    if dynamics == "channel":
+        q = 0.2
+        rng = np.random.default_rng(23)
+        g = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+        iso, _ = np.linalg.qr(g)
+        step = QuantumCPUnitalMap(
+            [np.sqrt(1 - q) * np.eye(4)]
+            + [np.sqrt(q) * iso[4 * k:4 * k + 4] for k in range(3)]
+        )
+    dt, steps = 0.1, 20
+    run = roll(rho0, step, fam, dt=dt, steps=steps)
+    assert run.steps_completed == steps
+
+    # every state decomposed afresh: the parent's path through the roll
+    u = step.unitary(dt) if dynamics == "hamiltonian" else None
+    xi, state, ref = np.zeros(2), rho0, []
+    for k in range(steps + 1):
+        if k > 0:
+            state = (DensityMatrix(u @ state.matrix @ u.conj().T) if u is not None
+                     else push_state(step, state))
+        means = np.array([np.trace(state.matrix @ f).real for f in fam.features])
+        xi = quantum_maxent_fit(fam, means, xi0=xi).xi
+        projected = state_from_score(fam, xi)
+        s = von_neumann_entropy(projected)
+        ref.append((xi, means, s, s - von_neumann_entropy(state)))
+        state = projected
+    for got, want in zip((run.xis, run.etas, run.entropies, run.defects), zip(*ref)):
+        npt.assert_allclose(got, np.asarray(want), rtol=0, atol=1e-12)

@@ -16,7 +16,8 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum import families as qfamilies
-from infogeo.spectral import hermitian_part
+from infogeo.quantum.states import gibbs_spectrum
+from infogeo.spectral import hermitian_part, logarithmic_mean_kernel
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -88,6 +89,40 @@ class TestMassieuDerivatives:
         h = 1e-5
         fd = (quantum_massieu(fam, xi + h) - quantum_massieu(fam, xi - h)) / (2 * h)
         npt.assert_allclose(fd, -eta[0], rtol=1e-6, atol=1e-8)
+
+
+def loop_means_and_bkm_cov(fam, xi):
+    """Feature by feature and pair by pair: the reference for the stacked oracle."""
+    dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
+    p, u = np.exp(log_p), dec.eigenvectors
+    ft = [u.conj().T @ f @ u for f in fam.features]
+    eta = np.array([float((p * np.diagonal(f).real).sum()) for f in ft])
+    k = logarithmic_mean_kernel.matrix(p)
+    centered = [f - e * np.eye(fam.dim) for f, e in zip(ft, eta)]
+    cov = np.array(
+        [[np.sum(k * a * b.conj()).real for b in centered] for a in centered]
+    )
+    return log_z, eta, cov
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("dim, n", [(2, 1), (3, 2), (5, 3), (8, 2)])
+    def test_matches_the_loop(self, dim, n):
+        rng = np.random.default_rng(dim * 10 + n)
+        fam = QuantumExponentialFamily(
+            random_hermitian(rng, dim), [random_hermitian(rng, dim) for _ in range(n)]
+        )
+        for _ in range(5):
+            xi = rng.normal(size=n)
+            log_z, eta, cov = qfamilies._means_and_bkm_cov(fam, xi)
+            ref_log_z, ref_eta, ref_cov = loop_means_and_bkm_cov(fam, xi)
+            # the same sums in the same order: equal to the bit
+            assert log_z == ref_log_z
+            assert np.array_equal(eta, ref_eta)
+            # one matrix product instead of n^2 sums: rounding of the sum
+            atol = 1e-13 * np.abs(ref_cov).max()
+            npt.assert_allclose(cov, ref_cov, rtol=0, atol=atol)
+            npt.assert_array_equal(cov, cov.T)
 
 
 class TestQuantumMaxent:

@@ -354,6 +354,30 @@ class TestQuantumCramerRao:
         with pytest.raises(BiasedEstimatorError):
             quantum_cramer_rao(path, 0.0, np.eye(2) * 0.3)
 
+    def test_difference_step_is_the_given_h(self):
+        rng = np.random.default_rng(12)
+        rho0 = random_density(rng, 3, min_eig=0.05)
+        d = random_hermitian(rng, 3) * 0.05
+        d = d - (np.trace(d).real / 3) * np.eye(3)
+        line = mixture_line_path(rho0, d)
+        evaluated = []
+
+        def path(t):
+            evaluated.append(t)
+            return line(t)
+
+        y = random_hermitian(rng, 3)
+        y = y / np.trace(d @ y).real
+        x = y - np.trace(rho0.matrix @ y).real * np.eye(3)
+        t0, h = 0.01, 1e-3  # along the line, Tr[rho_t x] = t
+        quantum_cramer_rao(path, t0, x, h=h)
+        assert sorted(evaluated) == [t0 - h, t0, t0 + h]
+        # the default step is the documented 1e-5
+        evaluated.clear()
+        default = quantum_cramer_rao(path, t0, x)
+        assert sorted(evaluated) == [t0 - 1e-5, t0, t0 + 1e-5]
+        assert default == quantum_cramer_rao(path, t0, x, h=1e-5)
+
     def test_slack_sweep(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -72,6 +72,48 @@ class TestDensityMatrix:
             DensityMatrix(np.stack([np.eye(2) / 2] * 2))
 
 
+class TestFromSpectrum:
+    def test_keeps_the_spectrum_ascending(self):
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        p = np.array([0.5, 0.3, 0.2])  # Gibbs weights arrive descending
+        rho = DensityMatrix.from_spectrum(p, q)
+        npt.assert_array_equal(rho.eigenvalues, [0.2, 0.3, 0.5])
+        npt.assert_array_equal(rho.spectral.eigenvectors, q[:, ::-1])
+        npt.assert_array_equal(rho.matrix, hermitian_part((q * p) @ q.conj().T))
+        assert not rho.matrix.flags.writeable
+        assert not rho.allow_boundary
+
+    def test_messages_match_the_constructor(self):
+        u = np.eye(2)
+        cases = [
+            ([0.7, 0.4], {}, ValueError, "trace is"),
+            ([1.0, 0.0], {}, BoundaryError, "state is not faithful"),
+            ([1.1, -0.1], {"allow_boundary": True}, ValueError, "negative eigenvalue"),
+        ]
+        for p, kw, err, msg in cases:
+            for build in (
+                lambda: DensityMatrix.from_spectrum(p, u, **kw),
+                lambda: DensityMatrix(np.diag(p), **kw),
+            ):
+                with pytest.raises(err, match=msg):
+                    build()
+        assert DensityMatrix.from_spectrum([1.0, 0.0], u, allow_boundary=True).dim == 2
+
+    def test_rejects_non_unitary_vectors(self):
+        # unit columns that are not orthogonal: the matrix is a state, but
+        # (p, u) is not its decomposition
+        u = np.array([[1.0, np.sqrt(0.5)], [0.0, np.sqrt(0.5)]])
+        with pytest.raises(ValueError, match="not unitary"):
+            DensityMatrix.from_spectrum([0.5, 0.5], u)
+
+    def test_rejects_bad_shapes_and_non_finite_weights(self):
+        with pytest.raises(ValueError, match="shapes"):
+            DensityMatrix.from_spectrum([0.5, 0.5], np.eye(3))
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix.from_spectrum([np.nan, 1.0], np.eye(2))
+
+
 class TestCheckDensity:
     def stack(self):
         return np.stack([np.diag([0.5, 0.5]), np.diag([0.9, 0.1]), np.diag([0.2, 0.8])])

@@ -72,6 +72,41 @@ class TestEigh:
         with pytest.raises(ValueError, match="finite"):
             eigh(np.array([[np.nan, 0], [0, 1.0]]))
 
+    def test_huge_entries_validate_without_overflow(self):
+        # squared entries of 1e200 overflow; the norms of a / max|a| do not
+        dec = eigh(np.diag([1e200, -1e200]))
+        npt.assert_array_equal(dec.eigenvalues, [-1e200, 1e200])
+        stack = eigh(np.stack([1e200 * PAULI_X, np.eye(2), np.zeros((2, 2))]))
+        npt.assert_allclose(
+            stack.eigenvalues, [[-1e200, 1e200], [1.0, 1.0], [0.0, 0.0]]
+        )
+
+    def test_huge_entries_still_validated(self, monkeypatch):
+        solve = np.linalg.eigh
+
+        def wrong(a):
+            w, u = solve(a)
+            return 2.0 * w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(ValueError, match="reconstruction residual"):
+            eigh(np.diag([1e200, -1e200]))
+
+    def test_huge_entries_validated_against_small_wrong_spectrum(self, monkeypatch):
+        # the rescaling is chosen from the input, not from the spectrum that
+        # is being validated, so a wrong spectrum far below 1e150 is caught
+        solve = np.linalg.eigh
+
+        def wrong(a):
+            w, u = solve(a)
+            return 1e-200 * w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(ValueError, match="reconstruction residual"):
+            eigh(np.diag([1e200, -1e200]))
+        with pytest.raises(ValueError, match="reconstruction residual"):
+            eigh(np.stack([np.eye(2), np.diag([1e200, -1e200])]))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eigh(np.ones((2, 3)))
