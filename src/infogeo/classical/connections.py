@@ -21,7 +21,7 @@ acceleration contracts the skewness with the velocity directly,
     T(v, v)_k = sum_w p_w c_kw (v . c_w)^2,   xi'' = (1 - alpha)/2 V^-1 T(v, v),
 
 with c the centered features, at O(n omega) per stage from one
-normalisation of the point.
+normalisation of the raw xi array; a stage builds no :class:`CanonicalPoint`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import families
 from .families import CanonicalPoint, ExponentialFamily, _centered, mixture_coords
 
 
@@ -49,7 +50,8 @@ def _solve_covariance(p: np.ndarray, centered: np.ndarray, rhs: np.ndarray):
 
 def skewness_tensor(pt: CanonicalPoint) -> np.ndarray:
     """Third central moment of the features, fully symmetric, shape (n,n,n)."""
-    return _skewness(*_centered(pt))
+    p = pt.probs()
+    return _skewness(p, _centered(pt.family.features, p))
 
 
 def christoffel(pt: CanonicalPoint, alpha: float) -> np.ndarray:
@@ -61,7 +63,8 @@ def christoffel(pt: CanonicalPoint, alpha: float) -> np.ndarray:
     n = pt.family.n_features
     if alpha == 1.0:
         return np.zeros((n, n, n))
-    p, centered = _centered(pt)
+    p = pt.probs()
+    centered = _centered(pt.family.features, p)
     # T is symmetric, so its last index can be solved against as its first
     lowered = -0.5 * (1.0 - alpha) * _skewness(p, centered)
     return _solve_covariance(p, centered, lowered.reshape(n, n * n)).reshape(n, n, n)
@@ -75,7 +78,12 @@ def geodesic_acceleration(pt: CanonicalPoint, v, alpha: float) -> np.ndarray:
     """
     if alpha == 1.0:
         return np.zeros(pt.family.n_features)
-    p, centered = _centered(pt)
+    return _acceleration(pt.family.features, pt.probs(), v, alpha)
+
+
+def _acceleration(features, p, v, alpha: float) -> np.ndarray:
+    """(1 - alpha)/2 V^-1 T(v, v) under the probabilities p."""
+    centered = _centered(features, p)
     tvv = centered @ (p * (v @ centered) ** 2)
     return 0.5 * (1.0 - alpha) * _solve_covariance(p, centered, tvv)
 
@@ -111,8 +119,10 @@ def geodesic(
     Fixed-step classical RK4 on the first-order system (xi, v); samples are
     returned at multiples of dt.  For alpha = +1 the Christoffel symbols
     vanish and RK4 reproduces the straight line xi_0 + t v_0 exactly.
-    Each RK4 stage normalises one point and takes its acceleration from
-    :func:`geodesic_acceleration`, so an N-step path costs 4N normalisations.
+    Each RK4 stage checks and normalises its raw xi array, builds no
+    :class:`CanonicalPoint` and shares its acceleration kernel with
+    :func:`geodesic_acceleration`; an N-step path costs 4N normalisations,
+    none at alpha = +1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -126,7 +136,12 @@ def geodesic(
         )
 
     def acceleration(xi, v):
-        return geodesic_acceleration(CanonicalPoint(family, xi), v, alpha)
+        families._check_xi(family, xi)
+        if alpha == 1.0:
+            return np.zeros(family.n_features)
+        # looked up on the module, so that rebinding it there reaches stages
+        s, psi = families._log_normalize(family, xi)
+        return _acceleration(family.features, np.exp(s - psi), v, alpha)
 
     n_steps = int(round(t_max / dt))
     times = [0.0]

@@ -107,7 +107,7 @@ def _check_xi(family: ExponentialFamily, xi) -> np.ndarray:
         raise ValueError(
             f"xi has shape {xi.shape}, expected ({family.n_features},)"
         )
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ValueError("xi must be finite")
     return xi
 
@@ -155,11 +155,9 @@ def mixture_coords(pt: CanonicalPoint) -> np.ndarray:
     return pt.family.features @ pt.probs()
 
 
-def _centered(pt: CanonicalPoint):
-    """Probabilities p and the features centered at their means under p."""
-    p = pt.probs()
-    f = pt.family.features
-    return p, f - (f @ p)[:, None]
+def _centered(features: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The features centered at their means under the probabilities p."""
+    return features - (features @ p)[:, None]
 
 
 def covariance(pt: CanonicalPoint) -> np.ndarray:
@@ -169,7 +167,8 @@ def covariance(pt: CanonicalPoint) -> np.ndarray:
     the Fisher information matrix of the family in canonical coordinates,
     and the inverse of the Fisher matrix in mixture coordinates.
     """
-    p, centered = _centered(pt)
+    p = pt.probs()
+    centered = _centered(pt.family.features, p)
     return (centered * p) @ centered.T
 
 

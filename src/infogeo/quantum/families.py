@@ -187,7 +187,11 @@ def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float
     Coincides with the von Neumann entropy when H0 = 0; in general
     S = log Z + xi . eta + Tr[rho H0].
     """
-    dec, p, log_z = _gibbs(fam, xi)
+    return _entropy_relative_to_base(fam, *_gibbs(fam, xi)[:2])
+
+
+def _entropy_relative_to_base(fam: QuantumExponentialFamily, dec, p) -> float:
+    """S - Tr[rho H0] of the Gibbs state with weights p in the basis of dec."""
     u = dec.eigenvectors
     rho = (u * p) @ u.conj().T
     s = float(-(p[p > 0] * np.log(p[p > 0])).sum())
@@ -195,10 +199,11 @@ def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float
 
 
 def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
-    """|S_rel - (log Z + xi . eta)| at the given coordinates."""
+    """|S_rel - (log Z + xi . eta)| at xi, from one decomposition of H(xi)."""
     xi = _check_xi(fam, xi)
-    log_z, eta, _ = _means_and_bkm_cov(fam, xi)
-    s_rel = quantum_entropy_relative_to_base(fam, xi)
+    moments = _means_and_bkm_cov(fam, xi)
+    log_z, eta, _ = moments
+    s_rel = _entropy_relative_to_base(fam, *moments.gibbs)
     return abs(s_rel - (log_z + float(xi @ eta)))
 
 

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical.connections import GeodesicPath, geodesic_mixture_coords
+from .classical.connections import GeodesicPath
 from .classical.distributions import ClassicalTangent, FiniteDistribution, entropy
-from .classical.families import CanonicalPoint, ExponentialFamily
+from .classical.families import CanonicalPoint, ExponentialFamily, mixture_coords
 from .kubomori import SERIES_CONVENTION, SeriesReport
 from .maps import ContractionReport, QuantumCPUnitalMap
 from .projection import ProjectionRun
@@ -261,14 +261,13 @@ def geodesic_to_csv(path: GeodesicPath) -> str:
         + [f"eta_{j + 1}" for j in range(n)]
         + ["psi", "entropy"]
     )
-    etas = geodesic_mixture_coords(path)
     lines = [",".join(header)]
-    for i, t in enumerate(path.times):
-        pt = CanonicalPoint(path.family, path.xis[i])
+    for t, xi in zip(path.times, path.xis):
+        pt = CanonicalPoint(path.family, xi)
         row = (
             [t]
-            + list(path.xis[i])
-            + list(etas[i])
+            + list(xi)
+            + list(mixture_coords(pt))
             + [pt.psi, entropy(pt.distribution())]
         )
         lines.append(",".join(format_float(v) for v in row))

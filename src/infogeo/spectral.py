@@ -160,6 +160,9 @@ def log_sum_exp(x: np.ndarray) -> float:
     k = np.count_nonzero(top)
     w = np.exp(x - m)
     w[top] = 0.0
+    if k == 1:
+        # w / 1 and + log(1) = 0.0 are exact: the general formula, bitwise
+        return float(np.log1p(w.sum()) + m)
     return float(np.log1p(w.sum() / k) + np.log(k) + m)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -17,7 +19,7 @@ from infogeo.quantum import (
 )
 from infogeo.quantum import families as qfamilies
 from infogeo.quantum.states import gibbs_spectrum
-from infogeo.spectral import hermitian_part, logarithmic_mean_kernel
+from infogeo.spectral import eigh, hermitian_part, logarithmic_mean_kernel
 
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -273,3 +275,29 @@ class TestDualNewtonStops:
         fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
         with pytest.raises(ValueError, match=r"shape \(2,\), expected \(1,\)"):
             quantum_maxent_fit(fam, [0.1, 0.2])
+
+
+class TestLegendreResidualWork:
+    def test_one_decomposition_per_call(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        for d in (2, 3, 5):
+            fam = QuantumExponentialFamily(
+                random_hermitian(rng, d), [random_hermitian(rng, d) for _ in range(2)]
+            )
+            xi = rng.normal(size=2)
+            # the composition the residual used to make: two decompositions
+            log_z, eta, _ = qfamilies._means_and_bkm_cov(fam, xi)
+            old = abs(quantum_entropy_relative_to_base(fam, xi) - (log_z + float(xi @ eta)))
+            calls = []
+
+            def counting(a):
+                calls.append(1)
+                return eigh(a)
+
+            with monkeypatch.context() as m:
+                for name, mod in list(sys.modules.items()):
+                    if name.startswith("infogeo") and vars(mod).get("eigh") is eigh:
+                        m.setattr(mod, "eigh", counting)
+                got = quantum_legendre_residual(fam, xi)
+            assert len(calls) == 1
+            assert got.hex() == old.hex()

@@ -4,10 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import infogeo.classical.families as families
 from infogeo.classical import (
+    CanonicalPoint,
     ExponentialFamily,
     FiniteDistribution,
+    entropy,
+    full_simplex_family,
     geodesic,
+    geodesic_mixture_coords,
     mixture_tangent,
 )
 from infogeo.kubomori import PerturbationProblem, expand_log_z
@@ -134,6 +139,37 @@ class TestReportAndCsv:
         lines = csv.strip().split("\n")
         assert lines[0] == "t,xi_1,eta_1,psi,entropy"
         assert len(lines) == 1 + len(path.times)
+
+    def test_geodesic_csv_normalises_each_sample_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for fam in (full_simplex_family(5), ExponentialFamily(rng.normal(size=(2, 7)))):
+            n = fam.n_features
+            path = geodesic(fam.point(rng.normal(scale=0.3, size=n)),
+                            rng.normal(size=n), 0.5, t_max=0.3, dt=0.05)
+            # the table as built before: eta through geodesic_mixture_coords,
+            # then a second point per sample for psi and the entropy
+            etas = geodesic_mixture_coords(path)
+            rows = ["t," + ",".join([f"xi_{j + 1}" for j in range(n)]
+                                    + [f"eta_{j + 1}" for j in range(n)])
+                    + ",psi,entropy"]
+            for i, t in enumerate(path.times):
+                pt = CanonicalPoint(fam, path.xis[i])
+                row = [t, *path.xis[i], *etas[i], pt.psi, entropy(pt.distribution())]
+                rows.append(",".join(format_float(v) for v in row))
+            expected = "\n".join(rows) + "\n"
+
+            calls = []
+            log_normalize = families._log_normalize
+
+            def counting(family, xi):
+                calls.append(1)
+                return log_normalize(family, xi)
+
+            with monkeypatch.context() as m:
+                m.setattr(families, "_log_normalize", counting)
+                csv = geodesic_to_csv(path)
+            assert len(calls) == len(path.times)
+            assert csv.encode() == expected.encode()
 
     def test_run_csv_deterministic(self):
         q = np.array([[-1.0, 1.0], [1.0, -1.0]])

@@ -243,6 +243,24 @@ class TestLogSumExp:
         assert log_sum_exp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
         assert log_sum_exp(np.array([-1000.0])) == -1000.0
 
+    def test_unique_maximum_is_the_general_formula(self):
+        def general(x):
+            m = x.max()
+            top = x == m
+            k = np.count_nonzero(top)
+            w = np.exp(x - m)
+            w[top] = 0.0
+            return float(np.log1p(w.sum() / k) + np.log(k) + m)
+
+        rng = np.random.default_rng(31)
+        for scale in (1e-12, 1e-3, 1.0, 50.0, 900.0):
+            for n in (1, 2, 3, 16, 300):
+                x = rng.normal(scale=scale, size=n)
+                tied = x.copy()
+                tied[rng.permutation(n)[: max(2, n // 4)]] = x.max()
+                for case in (x, tied, -x, np.round(x)):
+                    assert log_sum_exp(case).hex() == general(case).hex()
+
 
 class TestStacks:
     """Stacks (..., d, d) give bitwise the per-matrix results."""
