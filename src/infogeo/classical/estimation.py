@@ -253,13 +253,20 @@ class EmpiricalDistribution:
     smoothing_epsilon: float | None
 
 
-def empirical_distribution(hist) -> EmpiricalDistribution:
+def _check_histogram(hist):
+    """The counts as a float array and their total; they must form a 1-d
+    vector of finite nonnegative numbers with a positive sum."""
     h = np.asarray(hist, dtype=float)
-    if h.ndim != 1 or np.any(h < 0):
-        raise ValueError("histogram must be a 1-d nonnegative vector")
+    if h.ndim != 1 or not np.isfinite(h).all() or np.any(h < 0):
+        raise ValueError("histogram must be a 1-d finite nonnegative vector")
     m = h.sum()
     if m <= 0:
         raise ValueError("histogram is empty")
+    return h, m
+
+
+def empirical_distribution(hist) -> EmpiricalDistribution:
+    h, m = _check_histogram(hist)
     if h.min() > 0:
         return EmpiricalDistribution(FiniteDistribution(h / m), h, None)
     eps = 1.0 / (m * h.size)
@@ -275,12 +282,9 @@ def estimate_from_data(family: ExponentialFamily, hist) -> CanonicalPoint:
     Fits the max-entropy member whose feature means equal the empirical
     feature means of the raw histogram.
     """
-    h = np.asarray(hist, dtype=float)
-    if h.ndim != 1 or h.size != family.omega_size:
+    h, m = _check_histogram(hist)
+    if h.size != family.omega_size:
         raise ValueError(
             f"histogram has shape {h.shape}, expected ({family.omega_size},)"
         )
-    m = h.sum()
-    if m <= 0:
-        raise ValueError("histogram is empty")
     return maxent_fit(family, family.features @ (h / m))

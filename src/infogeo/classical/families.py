@@ -57,14 +57,7 @@ class ExponentialFamily:
             raise ValueError(
                 f"{n} features over {omega} points overdetermine the simplex"
             )
-        centered = f - f.mean(axis=1, keepdims=True)
-        gram = centered @ centered.T
-        min_eig = float(np.linalg.eigvalsh(gram).min())
-        if min_eig <= _GRAM_FLOOR:
-            raise ValueError(
-                f"features are linearly dependent modulo constants "
-                f"(Gram min eigenvalue {min_eig:.3e})"
-            )
+        _check_independent(f - f.mean(axis=1, keepdims=True), "constants")
         if self.base_log_density is None:
             b = np.zeros(omega)
         else:
@@ -101,7 +94,19 @@ class ExponentialFamily:
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
 
 
-def _check_xi(family: ExponentialFamily, xi) -> np.ndarray:
+def _check_independent(rows: np.ndarray, modulo: str) -> None:
+    """Reject feature rows, already stripped of their part along ``modulo``
+    (constants, or the identity), whose Gram min eigenvalue is <= 1e-10."""
+    min_eig = float(np.linalg.eigvalsh((rows.conj() @ rows.T).real).min())
+    if min_eig <= _GRAM_FLOOR:
+        raise ValueError(
+            f"features are linearly dependent modulo {modulo} "
+            f"(Gram min eigenvalue {min_eig:.3e})"
+        )
+
+
+def _check_xi(family, xi) -> np.ndarray:
+    """xi as a finite vector, one entry per feature (classical or quantum)."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (family.n_features,):
         raise ValueError(

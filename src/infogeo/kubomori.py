@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .quantum.states import DensityMatrix, gibbs_density, gibbs_spectrum
+# gibbs_state (the H0 state of a series) is re-exported from quantum.states
+from .quantum.states import DensityMatrix, gibbs_spectrum, gibbs_state
 from .spectral import hermitian_part
 
 MAX_POINTS = 8
@@ -129,12 +130,6 @@ class PerturbationProblem:
         return self.h0.shape[0]
 
 
-def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:
-    """Normalized exp(-H) and log Tr exp(-H), overflow-safe."""
-    dec, log_p, log_z = gibbs_spectrum(h)
-    return gibbs_density(dec, np.exp(log_p)), log_z
-
-
 @dataclass(frozen=True)
 class SeriesReport:
     """Per-order contributions to log Z_V with exact truncation errors.
@@ -206,12 +201,12 @@ def massieu_derivative_check(
     Mean and norm are taken in the eigenbasis of H0 from log p = -w - log Z,
     so spectra too wide for a faithful density matrix still check.
     """
-    dec, log_p, _ = gibbs_spectrum(prob.h0)
+    dec, log_p, g_0 = gibbs_spectrum(prob.h0)
 
     def g(t: float) -> float:
         return gibbs_spectrum(prob.h0 + t * prob.v)[2]
 
-    g_m2, g_m1, g_0, g_p1, g_p2 = (g(t) for t in (-2 * h, -h, 0.0, h, 2 * h))
+    g_m2, g_m1, g_p1, g_p2 = (g(t) for t in (-2 * h, -h, h, 2 * h))
     d1 = (g_m2 - 8 * g_m1 + 8 * g_p1 - g_p2) / (12 * h)
     d2 = (-g_m2 + 16 * g_m1 - 30 * g_0 + 16 * g_p1 - g_p2) / (12 * h * h)
 

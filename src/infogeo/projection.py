@@ -157,7 +157,8 @@ class ProjectionRun:
 def _project_classical(family, state, xi0, warm):
     means = family.features @ state.probs
     pt = fit_mixture_coords(family, means, xi0=xi0, _warm=warm)
-    return pt.xi, means, pt.distribution(), entropy(state)
+    projected = pt.distribution()
+    return pt.xi, means, projected, entropy(projected), entropy(state)
 
 
 def _project_quantum(family, state, xi0, warm):
@@ -165,7 +166,8 @@ def _project_quantum(family, state, xi0, warm):
         [float(np.trace(state.matrix @ f).real) for f in family.features]
     )
     fit = quantum_maxent_fit(family, means, xi0=xi0, _warm=warm)
-    return fit.xi, means, fit.state, von_neumann_entropy(state)
+    rho = fit.state
+    return fit.xi, means, rho, von_neumann_entropy(rho), von_neumann_entropy(state)
 
 
 def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRun:
@@ -209,19 +211,17 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
                 truncated, diagnostic = True, f"micro step {k}: {exc}"
                 break
         try:
-            xi, means, projected, micro_entropy = project(family, state, xi, warm)
+            xi, means, state, proj_entropy, micro_entropy = project(
+                family, state, xi, warm
+            )
         except InfoGeoError as exc:
             truncated, diagnostic = True, f"projection at step {k}: {exc}"
             break
-        proj_entropy = (
-            entropy(projected) if classical else von_neumann_entropy(projected)
-        )
         times.append(k * dt)
         xis.append(np.asarray(xi, dtype=float))
         etas.append(means)
         entropies.append(proj_entropy)
         defects.append(proj_entropy - micro_entropy)
-        state = projected
     return ProjectionRun(
         family,
         dt,

@@ -7,6 +7,7 @@ centered features, so moment matching is again a smooth convex problem:
 :func:`quantum_maxent_fit` runs the classical solver
 (:func:`..classical.families._dual_newton`) with that BKM covariance as its
 Hessian, and infeasible targets are classified the same way on both sides.
+The xi check and the feature independence check are the classical ones.
 Every spectrum and log Z comes from :func:`.states.gibbs_spectrum`, and each
 is computed once per point: the fitted state is built from the spectrum of
 the solver's last evaluation.
@@ -19,11 +20,16 @@ from functools import partial
 
 import numpy as np
 
-from ..classical.families import _dual_newton
-from ..spectral import dagger, hermitian_part, logarithmic_mean_kernel
-from .states import DensityMatrix, gibbs_density, gibbs_spectrum
-
-_GRAM_FLOOR = 1e-10
+from ..classical.distributions import entropy
+from ..classical.families import _check_independent, _check_xi, _dual_newton
+from ..spectral import dagger, hermitian_part, kernel_apply, logarithmic_mean_kernel
+from .states import (
+    DensityMatrix,
+    gibbs_density,
+    gibbs_spectrum,
+    gibbs_state,
+    project_traceless,
+)
 
 
 @dataclass(frozen=True)
@@ -32,12 +38,11 @@ class QuantumExponentialFamily:
 
     Features must be linearly independent modulo multiples of the identity
     (Gram matrix of the traceless parts has min eigenvalue above 1e-10).
-    They are kept as one read-only (n, d, d) stack; ``features`` holds its
-    matrices.
+    ``features`` is one read-only (n, d, d) array of their Hermitian parts.
     """
 
     h0: np.ndarray
-    features: tuple
+    features: np.ndarray
 
     def __init__(self, h0, features):
         h0 = hermitian_part(h0)
@@ -52,22 +57,14 @@ class QuantumExponentialFamily:
             feats.append(f)
         if not feats:
             raise ValueError("need at least one feature")
-        traceless = [f - (np.trace(f).real / d) * np.eye(d) for f in feats]
-        gram = np.array(
-            [[np.trace(a.conj().T @ b).real for b in traceless] for a in traceless]
-        )
-        min_eig = float(np.linalg.eigvalsh(gram).min())
-        if min_eig <= _GRAM_FLOOR:
-            raise ValueError(
-                f"features are linearly dependent modulo the identity "
-                f"(Gram min eigenvalue {min_eig:.3e})"
-            )
         stack = np.stack(feats)
+        _check_independent(
+            project_traceless(stack).reshape(len(feats), -1), "the identity"
+        )
         h0.setflags(write=False)
         stack.setflags(write=False)
         object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "features", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "features", stack)
 
     @property
     def dim(self) -> int:
@@ -80,36 +77,19 @@ class QuantumExponentialFamily:
     def hamiltonian(self, xi) -> np.ndarray:
         xi = _check_xi(self, xi)
         h = self.h0
-        for c, f in zip(xi, self._stack):
+        for c, f in zip(xi, self.features):
             h = h + c * f
         return h
 
 
-def _check_xi(fam: QuantumExponentialFamily, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (fam.n_features,):
-        raise ValueError(f"xi has shape {xi.shape}, expected ({fam.n_features},)")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
-    return xi
-
-
-def _gibbs(fam: QuantumExponentialFamily, xi):
-    """Eigenvalues/vectors of the state and log Z, overflow-safe."""
-    dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
-    return dec, np.exp(log_p), log_z
-
-
 def state_from_score(fam: QuantumExponentialFamily, xi) -> DensityMatrix:
     """The family member exp(-(H0 + xi . F))/Z."""
-    dec, p, _ = _gibbs(fam, xi)
-    return gibbs_density(dec, p)
+    return gibbs_state(fam.hamiltonian(xi))[0]
 
 
 def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
     """log Z at xi, evaluated through the spectrum with a stabilizing shift."""
-    _, _, log_z = _gibbs(fam, xi)
-    return log_z
+    return gibbs_spectrum(fam.hamiltonian(xi))[2]
 
 
 class _Moments(tuple):
@@ -129,10 +109,11 @@ def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
     state and K the logarithmic-mean kernel of its spectrum, the covariance
     is sum_ab K_ab C_j,ab conj(C_l,ab), one product over the whole stack.
     """
-    dec, p, log_z = _gibbs(fam, xi)
+    dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
+    p = np.exp(log_p)
     u = dec.eigenvectors
     n = fam.n_features
-    ft = dagger(u) @ fam._stack @ u
+    ft = dagger(u) @ fam.features @ u
     eta = (p * np.diagonal(ft, axis1=-2, axis2=-1).real).sum(axis=-1)
     centered = (ft - eta[:, None, None] * np.eye(fam.dim)).reshape(n, -1)
     k = logarithmic_mean_kernel.matrix(p).reshape(-1)
@@ -187,15 +168,15 @@ def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float
     Coincides with the von Neumann entropy when H0 = 0; in general
     S = log Z + xi . eta + Tr[rho H0].
     """
-    return _entropy_relative_to_base(fam, *_gibbs(fam, xi)[:2])
+    dec, log_p, _ = gibbs_spectrum(fam.hamiltonian(xi))
+    return _entropy_relative_to_base(fam, dec, np.exp(log_p))
 
 
 def _entropy_relative_to_base(fam: QuantumExponentialFamily, dec, p) -> float:
     """S - Tr[rho H0] of the Gibbs state with weights p in the basis of dec."""
     u = dec.eigenvectors
     rho = (u * p) @ u.conj().T
-    s = float(-(p[p > 0] * np.log(p[p > 0])).sum())
-    return s - float(np.trace(rho @ fam.h0).real)
+    return entropy(p) - float(np.trace(rho @ fam.h0).real)
 
 
 def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
@@ -235,8 +216,6 @@ def mean_path_derivative(fam: QuantumExponentialFamily, eta: float) -> np.ndarra
     Jacobian d eta / d xi (minus the BKM variance) gives the mean derivative
     directly, with Tr[(d rho/d eta) F] = 1 exactly.
     """
-    from ..spectral import kernel_apply
-
     if fam.n_features != 1:
         raise ValueError("mean parametrization needs exactly one feature")
     fit = quantum_maxent_fit(fam, [eta], tol=1e-12)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..classical.distributions import entropy
 from ..errors import BoundaryError
 from ..spectral import (
     _RECONSTRUCTION_RTOL,
@@ -192,6 +193,12 @@ def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
         ) from exc
 
 
+def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:
+    """Normalized exp(-H) and log Tr exp(-H), overflow-safe."""
+    dec, log_p, log_z = gibbs_spectrum(h)
+    return gibbs_density(dec, np.exp(log_p)), log_z
+
+
 def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim)
 
@@ -282,9 +289,7 @@ def von_neumann_entropy(rho) -> float:
         w = rho.eigenvalues
     else:
         w = eigh(rho).eigenvalues
-    w = np.clip(w, 0.0, None)
-    mask = w > 0
-    return float(-(w[mask] * np.log(w[mask])).sum())
+    return entropy(np.clip(w, 0.0, None))
 
 
 def binary_entropy(lam: float) -> float:

@@ -182,6 +182,8 @@ def qfamily_from_json(doc: dict) -> QuantumExponentialFamily:
     if "features" not in doc:
         raise ValueError("quantum family document needs a 'features' list")
     feats = [matrix_from_json(d) for d in doc["features"]]
+    if not feats:
+        raise ValueError("quantum family document has an empty 'features' list")
     dim = int(doc.get("dim", feats[0].shape[0]))
     h0 = matrix_from_json(doc["H0"]) if "H0" in doc else np.zeros((dim, dim))
     if h0.shape[0] != dim:
@@ -268,7 +270,7 @@ def geodesic_to_csv(path: GeodesicPath) -> str:
             [t]
             + list(xi)
             + list(mixture_coords(pt))
-            + [pt.psi, entropy(pt.distribution())]
+            + [pt.psi, entropy(pt.probs())]
         )
         lines.append(",".join(format_float(v) for v in row))
     return "\n".join(lines) + "\n"

@@ -117,6 +117,11 @@ class TestFitQuantum:
         assert run(["fit-quantum", "--family", fam, "--means", means]) == 2
         assert "target means must be finite" in capsys.readouterr().err
 
+    def test_empty_feature_list_exits_two(self, workdir, capsys):
+        fam = write(workdir / "qf.json", {"features": []})
+        assert run(["fit-quantum", "--family", fam, "--means", "0.0"]) == 2
+        assert "empty 'features' list" in capsys.readouterr().err
+
 
 class TestCramerRao:
     def test_feature_estimators_saturate(self, workdir, capsys):
@@ -167,6 +172,25 @@ class TestGeodesicAndTransport:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "t,xi_1,eta_1,psi,entropy"
         assert len(lines) == 7  # header + 6 samples
+
+    def test_geodesic_csv_near_the_boundary(self, workdir, capsys):
+        # the path passes probabilities below the faithfulness floor (1e-14);
+        # its entropy column needs no faithful distribution
+        fam = write(
+            workdir / "f.json", {"omega": 3, "features": [[0, 1, 0], [0, 0, 1]]}
+        )
+        code = run(
+            [
+                "geodesic", "--family", fam, "--xi0=0,0", "--v0=40,0",
+                "--alpha", "1", "--t-max", "1", "--dt", "0.1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+        assert len(rows) == 11
+        assert float(rows[-1][2]) < 1e-14  # eta_1 = p_1 at xi = (40, 0)
+        npt.assert_allclose(float(rows[-1][-1]), np.log(2), atol=1e-12)
 
     def test_transport_duality_via_cli(self, workdir, capsys):
         rho = write(workdir / "rho.json", {"omega": 2, "probs": [0.6, 0.4]})

@@ -270,6 +270,28 @@ class TestEstimateFromData:
         se = np.sqrt(np.diag(np.linalg.inv(covariance(truth))) / m)
         assert np.all(np.abs(fitted.xi - truth.xi) <= 3 * se)
 
+    @pytest.mark.parametrize(
+        "hist, message",
+        [
+            ([1.0, -1.0, 2.0], "1-d finite nonnegative"),
+            ([1.0, np.nan, 2.0], "1-d finite nonnegative"),
+            ([1.0, np.inf, 2.0], "1-d finite nonnegative"),
+            ([[1.0, 1.0, 2.0]], "1-d finite nonnegative"),
+            ([0.0, 0.0, 0.0], "histogram is empty"),
+        ],
+    )
+    def test_rejects_what_empirical_distribution_rejects(self, hist, message):
+        fam = ExponentialFamily([[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match=message):
+            empirical_distribution(hist)
+        with pytest.raises(ValueError, match=message):
+            estimate_from_data(fam, hist)
+
+    def test_histogram_of_the_wrong_size(self):
+        fam = ExponentialFamily([[0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match=r"shape \(4,\), expected \(3,\)"):
+            estimate_from_data(fam, [1.0, 1.0, 1.0, 1.0])
+
 
 def test_infeasible_maxent_fit_normalises_only_inside_the_solver(monkeypatch):
     import infogeo.classical.families as families

@@ -1,0 +1,53 @@
+"""Every ``infogeo`` module imports cleanly when it is the first one run.
+
+Each check runs in a fresh interpreter.  The packages above the module are
+registered without running their ``__init__``, so the module's own body is
+the first ``infogeo`` code executed; then those ``__init__`` files run, and
+every other module is imported.  An import cycle that the package's fixed
+import order would hide (it always starts from ``infogeo/__init__.py``)
+fails here.
+"""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import infogeo
+
+MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(infogeo.__path__, prefix="infogeo.")
+)
+
+IMPORT_FIRST = """
+import importlib, importlib.util, sys
+first, rest = sys.argv[1], sys.argv[2:]
+parts = first.split(".")
+parents = []
+for i in range(1, len(parts)):
+    spec = importlib.util.find_spec(".".join(parts[:i]))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    parents.append(module)
+importlib.import_module(first)
+for module in reversed(parents):
+    module.__spec__.loader.exec_module(module)
+for name in rest:
+    importlib.import_module(name)
+"""
+
+
+@pytest.mark.parametrize("first", MODULES)
+def test_module_imports_first(first):
+    src = str(Path(infogeo.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FIRST, first, *MODULES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -361,6 +361,24 @@ class TestMassieuDerivativeCheck:
         assert chk.first <= 1e-6
         assert chk.second <= 1e-6
 
+    def test_five_decompositions_per_check(self, monkeypatch):
+        # H0 once (mean, metric and the t = 0 stencil point), then H0 + tV at
+        # the four stencil points t != 0
+        import infogeo.quantum.states as states
+
+        calls = []
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(states, "eigh", counting_eigh)
+        rng = np.random.default_rng(20)
+        massieu_derivative_check(
+            PerturbationProblem(random_hermitian(rng, 4), random_hermitian(rng, 4))
+        )
+        assert calls == [(4, 4)] * 5
+
     def test_maximally_mixed_second_derivative(self):
         # centered V at rho = I/d: second derivative is Tr[V^2]/d
         rng = np.random.default_rng(17)

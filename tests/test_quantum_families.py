@@ -301,3 +301,27 @@ class TestLegendreResidualWork:
                 got = quantum_legendre_residual(fam, xi)
             assert len(calls) == 1
             assert got.hex() == old.hex()
+
+
+class TestSharedWithClassical:
+    def test_features_are_one_read_only_array(self):
+        rng = np.random.default_rng(31)
+        raw = [random_hermitian(rng, 3) + 0.1j * rng.normal(size=(3, 3)) for _ in range(2)]
+        fam = QuantumExponentialFamily(np.zeros((3, 3)), raw)
+        assert isinstance(fam.features, np.ndarray)
+        assert fam.features.shape == (2, 3, 3)
+        assert not fam.features.flags.writeable
+        for j in range(2):
+            npt.assert_array_equal(fam.features[j], hermitian_part(raw[j]))
+
+    @pytest.mark.parametrize(
+        "xi, message",
+        [([0.1, 0.2], r"xi has shape \(2,\), expected \(1,\)"),
+         ([np.nan], "xi must be finite")],
+    )
+    def test_xi_errors_match_the_classical_family(self, xi, message):
+        qfam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        cfam = ExponentialFamily([[0.0, 1.0]])
+        for call in (lambda: qfam.hamiltonian(xi), lambda: cfam.massieu(xi)):
+            with pytest.raises(ValueError, match=message):
+                call()
