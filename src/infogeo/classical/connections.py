@@ -31,17 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families
-from .families import CanonicalPoint, ExponentialFamily, _centered, mixture_coords
+from .families import CanonicalPoint, ExponentialFamily, _moments, mixture_coords
 
 
 def _skewness(p: np.ndarray, centered: np.ndarray) -> np.ndarray:
     return np.einsum("iw,jw,kw,w->ijk", centered, centered, centered, p)
 
 
-def _solve_covariance(p: np.ndarray, centered: np.ndarray, rhs: np.ndarray):
+def _solve_covariance(cov: np.ndarray, rhs: np.ndarray):
     """V^-1 rhs with V the feature covariance; singular V is a ValueError."""
     try:
-        return np.linalg.solve((centered * p) @ centered.T, rhs)
+        return np.linalg.solve(cov, rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "singular covariance matrix; features degenerate at this point"
@@ -51,7 +51,7 @@ def _solve_covariance(p: np.ndarray, centered: np.ndarray, rhs: np.ndarray):
 def skewness_tensor(pt: CanonicalPoint) -> np.ndarray:
     """Third central moment of the features, fully symmetric, shape (n,n,n)."""
     p = pt.probs()
-    return _skewness(p, _centered(pt.family.features, p))
+    return _skewness(p, _moments(pt.family.features, p)[1])
 
 
 def christoffel(pt: CanonicalPoint, alpha: float) -> np.ndarray:
@@ -64,10 +64,10 @@ def christoffel(pt: CanonicalPoint, alpha: float) -> np.ndarray:
     if alpha == 1.0:
         return np.zeros((n, n, n))
     p = pt.probs()
-    centered = _centered(pt.family.features, p)
+    _, centered, cov = _moments(pt.family.features, p)
     # T is symmetric, so its last index can be solved against as its first
     lowered = -0.5 * (1.0 - alpha) * _skewness(p, centered)
-    return _solve_covariance(p, centered, lowered.reshape(n, n * n)).reshape(n, n, n)
+    return _solve_covariance(cov, lowered.reshape(n, n * n)).reshape(n, n, n)
 
 
 def geodesic_acceleration(pt: CanonicalPoint, v, alpha: float) -> np.ndarray:
@@ -83,9 +83,9 @@ def geodesic_acceleration(pt: CanonicalPoint, v, alpha: float) -> np.ndarray:
 
 def _acceleration(features, p, v, alpha: float) -> np.ndarray:
     """(1 - alpha)/2 V^-1 T(v, v) under the probabilities p."""
-    centered = _centered(features, p)
+    _, centered, cov = _moments(features, p)
     tvv = centered @ (p * (v @ centered) ** 2)
-    return 0.5 * (1.0 - alpha) * _solve_covariance(p, centered, tvv)
+    return 0.5 * (1.0 - alpha) * _solve_covariance(cov, tvv)
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,11 @@ def check_probabilities(p, allow_boundary: bool = False) -> np.ndarray:
     if any_set(p < 0):
         lo = p.min(axis=-1)
         i = worst_index(-lo)
-        raise ValueError(f"{at_index(i)}negative probability {lo[i]!r}")
+        raise ValueError(f"{at_index(i)}negative probability {float(lo[i])!r}")
     error = abs(p.sum(axis=-1) - 1.0)
     if any_set(error > _NORMALIZATION_TOL):
         i = worst_index(error)
-        total = p[i].sum()
+        total = float(p[i].sum())
         raise ValueError(f"{at_index(i)}probabilities sum to {total!r}, not 1")
     if not allow_boundary:
         lo = p.min(axis=-1)
@@ -53,7 +53,7 @@ def check_probabilities(p, allow_boundary: bool = False) -> np.ndarray:
             i = worst_index(-lo)
             raise BoundaryError(
                 f"{at_index(i)}distribution is not faithful: min probability "
-                f"{lo[i]!r} <= {FAITHFULNESS_FLOOR}; pass allow_boundary=True "
+                f"{float(lo[i])!r} <= {FAITHFULNESS_FLOOR}; pass allow_boundary=True "
                 f"where the operation supports it"
             )
     return p
@@ -120,7 +120,8 @@ class ClassicalTangent:
         if self.rep == MIXTURE and abs(v.sum()) > _ZERO_SUM_TOL * max(
             1.0, np.abs(v).max()
         ):
-            raise ValueError(f"mixture tangent must be zero-sum, sum={v.sum()!r}")
+            total = float(v.sum())
+            raise ValueError(f"mixture tangent must be zero-sum, sum={total!r}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vec", v)

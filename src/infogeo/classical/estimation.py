@@ -15,13 +15,7 @@ import numpy as np
 
 from ..errors import BiasedEstimatorError
 from .distributions import FiniteDistribution
-from .families import (
-    CanonicalPoint,
-    ExponentialFamily,
-    covariance,
-    fit_mixture_coords,
-    mixture_coords,
-)
+from .families import CanonicalPoint, ExponentialFamily, _moments, fit_mixture_coords
 
 CANONICAL = "canonical"
 MIXTURE_COORDS = "mixture"
@@ -36,7 +30,8 @@ class ParametricFamily:
     """Map from an n-dimensional parameter to distributions on Omega.
 
     Build one with :meth:`from_exponential` (exact scores) or
-    :meth:`from_map` (finite-difference scores).
+    :meth:`from_map` (finite-difference scores).  Scores are taken at a
+    state already in hand, so each parameter point is evaluated once.
     """
 
     param_dim: int
@@ -51,31 +46,27 @@ class ParametricFamily:
     ) -> "ParametricFamily":
         """Wrap an exponential family, parametrized by xi or by the means.
 
-        Scores are exact: d log rho / d xi_j = -(f_j - eta_j) in canonical
-        coordinates, and the covariance-inverse contraction of the same
-        centered features in mixture coordinates.
+        Scores are exact, read from the state's probabilities: -(f_j - eta_j)
+        in canonical coordinates, and the covariance-inverse contraction of the
+        same centered features in mixture coordinates.
         """
         if parametrization == CANONICAL:
 
             def dist(theta):
                 return CanonicalPoint(family, theta).distribution()
 
-            def scores(theta):
-                pt = CanonicalPoint(family, theta)
-                eta = mixture_coords(pt)
-                return -(family.features - eta[:, None])
+            def scores(p):
+                return -_moments(family.features, p)[1]
 
         elif parametrization == MIXTURE_COORDS:
 
             def dist(theta):
                 return fit_mixture_coords(family, theta).distribution()
 
-            def scores(theta):
-                pt = fit_mixture_coords(family, theta)
-                eta = mixture_coords(pt)
-                centered = family.features - eta[:, None]
+            def scores(p):
+                _, centered, cov = _moments(family.features, p)
                 # d log rho / d eta = V^{-1} (f - eta)
-                return np.linalg.solve(covariance(pt), centered)
+                return np.linalg.solve(cov, centered)
 
         else:
             raise ValueError(f"unknown parametrization {parametrization!r}")
@@ -105,10 +96,13 @@ class ParametricFamily:
     def scores(self, theta) -> np.ndarray:
         """Score vectors d log rho/d theta_j as rows, zero mean under rho."""
         theta = self._check_theta(theta)
+        return self._scores_at(theta, self.distribution(theta))
+
+    def _scores_at(self, theta: np.ndarray, rho: FiniteDistribution) -> np.ndarray:
+        """The scores at a checked theta whose state rho is already in hand."""
         if self._scores is not None:
-            return self._scores(theta)
+            return self._scores(rho.probs)
         out = np.zeros((self.param_dim, self.omega_size))
-        p = self.distribution(theta).probs
         for j in range(self.param_dim):
             h = self.fd_step * max(1.0, abs(theta[j]))
             e = np.zeros_like(theta)
@@ -119,9 +113,9 @@ class ParametricFamily:
             if abs(dp.sum()) > _JACOBIAN_ZERO_SUM_TOL:
                 raise ValueError(
                     f"family does not conserve probability: Jacobian column "
-                    f"{j} sums to {dp.sum()!r}"
+                    f"{j} sums to {float(dp.sum())!r}"
                 )
-            out[j] = dp / p
+            out[j] = dp / rho.probs
         return out
 
     def _check_theta(self, theta) -> np.ndarray:
@@ -139,22 +133,30 @@ def fisher_information_matrix(fam: ParametricFamily, theta) -> np.ndarray:
     Symmetric positive semidefinite; raises with a diagnostic when the state
     sits too close to the boundary for the scores to be reliable.
     """
-    rho = fam.distribution(theta)
+    theta = fam._check_theta(theta)
+    return _information(fam, theta, fam.distribution(theta))
+
+
+def _information(fam: ParametricFamily, theta, rho) -> np.ndarray:
+    """The Fisher information at theta from its state rho, which must be faithful."""
     if not rho.is_faithful():
         raise ValueError(
-            f"state at theta has min probability {rho.probs.min()!r}; "
+            f"state at theta has min probability {float(rho.probs.min())!r}; "
             f"Fisher information is singular at the boundary"
         )
-    s = fam.scores(theta)
-    s = s - (s @ rho.probs)[:, None]
-    return (s * rho.probs) @ s.T
+    return _moments(fam._scores_at(theta, rho), rho.probs)[2]
 
 
-def estimator_matrix(estimators, omega_size: int) -> np.ndarray:
+def _check_estimators(fam: ParametricFamily, estimators) -> np.ndarray:
+    """The estimators as rows, one per parameter, on the family's points."""
     est = np.atleast_2d(np.asarray(estimators, dtype=float))
-    if est.shape[1] != omega_size:
+    if est.shape[1] != fam.omega_size:
         raise ValueError(
-            f"estimators defined on {est.shape[1]} points, expected {omega_size}"
+            f"estimators defined on {est.shape[1]} points, expected {fam.omega_size}"
+        )
+    if est.shape[0] != fam.param_dim:
+        raise ValueError(
+            f"{est.shape[0]} estimators for {fam.param_dim} parameters"
         )
     return est
 
@@ -162,13 +164,8 @@ def estimator_matrix(estimators, omega_size: int) -> np.ndarray:
 def check_unbiased(fam: ParametricFamily, theta, estimators) -> np.ndarray:
     """Residual E_theta[f_i] - theta_i per estimator."""
     theta = np.asarray(theta, dtype=float)
-    est = estimator_matrix(estimators, fam.omega_size)
-    if est.shape[0] != fam.param_dim:
-        raise ValueError(
-            f"{est.shape[0]} estimators for {fam.param_dim} parameters"
-        )
-    p = fam.distribution(theta).probs
-    return est @ p - theta
+    est = _check_estimators(fam, estimators)
+    return est @ fam.distribution(theta).probs - theta
 
 
 @dataclass(frozen=True)
@@ -193,19 +190,19 @@ def cramer_rao_report(fam: ParametricFamily, theta, estimators) -> CramerRaoRepo
     :class:`BiasedEstimatorError` carrying the residual is raised.  The gap
     V - G^{-1} is positive semidefinite for (locally) unbiased estimators
     and vanishes exactly on exponential families estimated by their own
-    features in mixture coordinates.
+    features in mixture coordinates.  The state at theta is evaluated once.
     """
-    resid = check_unbiased(fam, theta, estimators)
+    theta = np.asarray(theta, dtype=float)
+    est = _check_estimators(fam, estimators)
+    rho = fam.distribution(theta)
+    mean, _, v = _moments(est, rho.probs)
+    resid = mean - theta
     if np.abs(resid).max() > _UNBIASED_TOL:
         raise BiasedEstimatorError(
             f"estimators biased at theta: max residual {np.abs(resid).max():.3e}",
             residual=resid,
         )
-    est = estimator_matrix(estimators, fam.omega_size)
-    p = fam.distribution(np.asarray(theta, float)).probs
-    centered = est - (est @ p)[:, None]
-    v = (centered * p) @ centered.T
-    g = fisher_information_matrix(fam, theta)
+    g = _information(fam, theta, rho)
     try:
         g_inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:

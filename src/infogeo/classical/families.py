@@ -50,6 +50,8 @@ class ExponentialFamily:
 
     def __post_init__(self):
         f = np.atleast_2d(np.asarray(self.features, dtype=float))
+        if f.size == 0:
+            raise ValueError("need at least one feature")
         if not np.all(np.isfinite(f)):
             raise ValueError("features must be finite")
         n, omega = f.shape
@@ -160,9 +162,11 @@ def mixture_coords(pt: CanonicalPoint) -> np.ndarray:
     return pt.family.features @ pt.probs()
 
 
-def _centered(features: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The features centered at their means under the probabilities p."""
-    return features - (features @ p)[:, None]
+def _moments(x: np.ndarray, p: np.ndarray):
+    """Means x @ p of the rows of x under p, the centered rows, their covariance."""
+    mean = x @ p
+    centered = x - mean[:, None]
+    return mean, centered, (centered * p) @ centered.T
 
 
 def covariance(pt: CanonicalPoint) -> np.ndarray:
@@ -172,9 +176,7 @@ def covariance(pt: CanonicalPoint) -> np.ndarray:
     the Fisher information matrix of the family in canonical coordinates,
     and the inverse of the Fisher matrix in mixture coordinates.
     """
-    p = pt.probs()
-    centered = _centered(pt.family.features, p)
-    return (centered * p) @ centered.T
+    return _moments(pt.family.features, pt.probs())[2]
 
 
 def entropy_relative_to_base(pt: CanonicalPoint) -> float:
@@ -221,10 +223,7 @@ def _psi_eta_cov(family: ExponentialFamily, xi):
     s, psi = _log_normalize(family, xi)
     # dividing the shifted weights by their sum makes p sum to 1 to rounding
     w = np.exp(s - s.max())
-    p = w / w.sum()
-    eta = family.features @ p
-    centered = family.features - eta[:, None]
-    cov = (centered * p) @ centered.T
+    eta, _, cov = _moments(family.features, w / w.sum())
     return psi, eta, cov
 
 

@@ -71,7 +71,7 @@ def _cmd_fit_classical(args) -> int:
         "xi": pt.xi.tolist(),
         "means": mixture_coords(pt).tolist(),
         "psi": pt.psi,
-        "entropy": entropy(pt.distribution()),
+        "entropy": entropy(pt.probs()),
         "tolerance": args.tol,
         "tolerance_overridden": args.tol != _DEFAULT_FIT_TOL,
     }

@@ -68,7 +68,7 @@ def _check_stochastic(m: np.ndarray) -> np.ndarray:
     if np.any(m < -1e-15):
         lo = m.min(axis=(-2, -1))
         i = worst_index(-lo)
-        raise ValueError(f"{at_index(i)}negative transition rate {lo[i]!r}")
+        raise ValueError(f"{at_index(i)}negative transition rate {float(lo[i])!r}")
     row_err = np.abs(m.sum(axis=-1) - 1.0).max(axis=-1)
     if np.any(row_err > _ROW_SUM_TOL):
         i = worst_index(row_err)
@@ -185,7 +185,7 @@ def push_observable(mapping, x):
     if isinstance(mapping, ClassicalStochasticMap):
         return mapping.matrix @ np.asarray(x, dtype=float)
     x = hermitian_part(x)
-    return hermitian_part(sum(a.conj().T @ x @ a for a in mapping.kraus))
+    return hermitian_part(_kraus_push(dagger(mapping.kraus), x))
 
 
 def push_mixture_tangent(mapping, t):
@@ -307,7 +307,7 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
             raise ValueError("information audit supports one-parameter families")
         theta = np.asarray(theta, dtype=float)
         state = fam.distribution(theta)
-        tangent = fam.scores(theta)[0] * state.probs
+        tangent = fam._scores_at(theta, state)[0] * state.probs
         metric = FISHER
     else:
         _metric_kernel(metric)

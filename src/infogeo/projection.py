@@ -43,7 +43,7 @@ class MarkovGenerator:
             raise ValueError(f"generator must be square, got shape {q.shape}")
         off = q - np.diag(np.diag(q))
         if off.min() < -1e-15:
-            raise ValueError(f"negative off-diagonal rate {off.min()!r}")
+            raise ValueError(f"negative off-diagonal rate {float(off.min())!r}")
         col_err = np.abs(q.sum(axis=0)).max()
         if col_err > 1e-12:
             raise ValueError(f"columns must sum to 0 (max deviation {col_err:.3e})")
@@ -105,7 +105,7 @@ def micro_step(state, dynamics, dt: float, propagator=None):
         prop = dynamics.propagator(dt) if propagator is None else propagator
         out = prop @ p
         if abs(out.sum() - 1.0) > 1e-12:
-            raise InfoGeoError(f"probability drifted to {out.sum()!r}")
+            raise InfoGeoError(f"probability drifted to {float(out.sum())!r}")
         if out.min() <= FAITHFULNESS_FLOOR:
             raise BoundaryError("microdynamics left the faithful interior")
         return FiniteDistribution(out)

@@ -239,7 +239,7 @@ class QuantumTangent:
         _check_one_matrix(self.matrix)
         m = hermitian_part(self.matrix)
         if self.rep == MIXTURE:
-            tr = abs(np.trace(m).real)
+            tr = float(abs(np.trace(m).real))
             scale = max(1.0, float(np.abs(m).max()))
             if tr > _TRACE_TOL * scale:
                 raise ValueError(f"mixture tangent must be traceless, trace {tr!r}")

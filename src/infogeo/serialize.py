@@ -141,11 +141,12 @@ def family_from_json(doc: dict) -> ExponentialFamily:
         raise ValueError("family document needs a 'features' block")
     features = np.asarray(doc["features"], dtype=float)
     base = doc.get("base_log_density")
-    if "omega" in doc and int(doc["omega"]) != features.shape[1]:
+    family = ExponentialFamily(features, None if base is None else np.asarray(base))
+    if "omega" in doc and int(doc["omega"]) != family.omega_size:
         raise ValueError(
-            f"declared omega {doc['omega']} != feature length {features.shape[1]}"
+            f"declared omega {doc['omega']} != feature length {family.omega_size}"
         )
-    return ExponentialFamily(features, None if base is None else np.asarray(base))
+    return family
 
 
 def point_from_json(doc: dict) -> CanonicalPoint:

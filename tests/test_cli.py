@@ -88,6 +88,24 @@ class TestFitClassical:
         code = run(["fit-classical", "--family", fam, "--means", "0.5", "--bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "doc", [{"omega": 3, "features": []}, {"features": []}]
+    )
+    def test_empty_feature_list_exits_two(self, workdir, capsys, doc):
+        fam = write(workdir / "f.json", doc)
+        assert run(["fit-classical", "--family", fam, "--means", "0.0"]) == 2
+        assert capsys.readouterr().err == "input error: need at least one feature\n"
+
+    def test_near_boundary_interior_target_exits_zero(self, workdir, capsys):
+        # the fit converges with a least probability below 1e-14
+        fam = write(workdir / "f.json", {"omega": 3, "features": [[0.0, 1.0, 2.0]]})
+        assert run(["fit-classical", "--family", fam, "--means", "1.99999995"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        pt = maxent_fit(ExponentialFamily(np.array([[0.0, 1.0, 2.0]])), [1.99999995])
+        assert pt.probs().min() < 1e-14
+        assert doc["xi"] == pt.xi.tolist()
+        assert doc["entropy"] == -float((pt.probs() * np.log(pt.probs())).sum())
+
 
 class TestFitQuantum:
     def test_qubit_symmetric(self, workdir, capsys):
@@ -362,6 +380,12 @@ class TestEntropyBoundAndSample:
         assert capsys.readouterr().out == first
         hist = json.loads(first)
         assert sum(hist) == 100
+
+    def test_sample_message_prints_plain_numbers(self, workdir, capsys):
+        d = write(workdir / "d.json", {"omega": 3, "probs": [0.5, 0.3, 0.3]})
+        assert run(["sample", "--dist", d, "--count", "10", "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: probabilities sum to 1.1, not 1\n"
 
 
 class TestModuleEntryPoint:

@@ -33,6 +33,11 @@ class TestExponentialFamily:
         with pytest.raises(ValueError, match="overdetermine"):
             ExponentialFamily(np.eye(3))
 
+    @pytest.mark.parametrize("features", [[], [[]], np.zeros((0, 3))])
+    def test_rejects_no_features(self, features):
+        with pytest.raises(ValueError, match="^need at least one feature$"):
+            ExponentialFamily(features)
+
     def test_rejects_dependent_features(self):
         f = np.array([[1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]])
         with pytest.raises(ValueError, match="dependent"):

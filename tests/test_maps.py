@@ -113,6 +113,17 @@ class TestPush:
         chan = random_cp_unital_map(3, seed=4)
         npt.assert_allclose(push_observable(chan, np.eye(3)), np.eye(3), atol=1e-10)
 
+    @pytest.mark.parametrize("d, n_kraus", [(2, 1), (3, 3), (5, 2), (8, 4)])
+    def test_observable_side_is_the_kraus_sum(self, d, n_kraus):
+        rng = np.random.default_rng(d)
+        chan = random_cp_unital_map(d, n_kraus=n_kraus, seed=d)
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = 0.5 * (x + x.conj().T)
+        expected = sum(a.conj().T @ h @ a for a in chan.kraus)
+        npt.assert_array_equal(
+            push_observable(chan, x), 0.5 * (expected + expected.conj().T)
+        )
+
 
 class TestContraction:
     def test_unitary_conjugation_preserves_all(self):
