@@ -191,9 +191,6 @@ class LegendreReport:
     identity_residual: float
     gradient_residual: np.ndarray
 
-    def max_residual(self) -> float:
-        return max(self.identity_residual, float(np.abs(self.gradient_residual).max()))
-
 
 def legendre_check(pt: CanonicalPoint, step: float = 1e-5) -> LegendreReport:
     """Check S_rel = Psi + xi . eta and dS_rel/deta_j = xi_j at the point.

@@ -162,9 +162,7 @@ def _project_classical(family, state, xi0, warm):
 
 
 def _project_quantum(family, state, xi0, warm):
-    means = np.array(
-        [float(np.trace(state.matrix @ f).real) for f in family.features]
-    )
+    means = np.trace(state.matrix @ family.features, axis1=1, axis2=2).real
     fit = quantum_maxent_fit(family, means, xi0=xi0, _warm=warm)
     rho = fit.state
     return fit.xi, means, rho, von_neumann_entropy(rho), von_neumann_entropy(state)

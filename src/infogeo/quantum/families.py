@@ -113,9 +113,10 @@ def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
     p = np.exp(log_p)
     u = dec.eigenvectors
     n = fam.n_features
-    ft = dagger(u) @ fam.features @ u
-    eta = (p * np.diagonal(ft, axis1=-2, axis2=-1).real).sum(axis=-1)
-    centered = (ft - eta[:, None, None] * np.eye(fam.dim)).reshape(n, -1)
+    centered = (dagger(u) @ fam.features @ u).reshape(n, -1)
+    diagonals = centered[:, :: fam.dim + 1]
+    eta = (p * diagonals.real).sum(axis=-1)
+    diagonals -= eta[:, None]
     k = logarithmic_mean_kernel.matrix(p).reshape(-1)
     cov = ((k * centered) @ centered.conj().T).real
     return _Moments(log_z, eta, 0.5 * (cov + cov.T), (dec, p))

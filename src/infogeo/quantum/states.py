@@ -112,10 +112,10 @@ class DensityMatrix:
 
         Builds the Hermitian part of (u p) u† and keeps (p, u), sorted
         ascending, as its decomposition instead of decomposing it again.  The
-        checks are the constructor's: unit trace and the floor (or, with
-        ``allow_boundary``, the sign) on p, plus u unitary to the 1e-10 that
-        :func:`..spectral.eigh` demands, so the kept decomposition is a
-        validated one.
+        checks are the constructor's, each run once: u unitary to the 1e-10
+        that :func:`..spectral.eigh` demands, so the kept decomposition is a
+        validated one, then finite entries, unit trace and the floor (or,
+        with ``allow_boundary``, the sign) on p.
         """
         p = np.asarray(p, dtype=float)
         u = np.asarray(u, dtype=complex)
@@ -124,13 +124,20 @@ class DensityMatrix:
                 f"expected d weights and d x d vectors, got shapes {p.shape} "
                 f"and {u.shape}"
             )
+        unit_err = unitarity_residual(u)
+        if unit_err > _RECONSTRUCTION_RTOL:
+            raise ValueError(f"eigenvectors are not unitary: residual {unit_err:.3e}")
+        return cls._from_unitary(p, u, allow_boundary)
+
+    @classmethod
+    def _from_unitary(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
+        """:meth:`from_spectrum` for d weights p and a d x d complex u that
+        is already known to be unitary, such as the eigenvectors that
+        :func:`..spectral.eigh` has just validated; every other check runs."""
         m = hermitian_part((u * p) @ u.conj().T)
         if not np.isfinite(m).all():
             raise ValueError("matrix has non-finite entries")
         _check_trace(m)
-        unit_err = unitarity_residual(u)
-        if unit_err > _RECONSTRUCTION_RTOL:
-            raise ValueError(f"eigenvectors are not unitary: residual {unit_err:.3e}")
         order = np.argsort(p, kind="stable")
         dec = SpectralDecomposition(p[order], u[:, order])
         _check_floor(dec.eigenvalues[0], allow_boundary)
@@ -174,14 +181,16 @@ def gibbs_spectrum(h: np.ndarray):
 def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
     """The state sum_i p_i |u_i><u_i| for Gibbs weights p in the eigenbasis of H.
 
-    ``dec`` is the decomposition of H and p = exp(-w)/Z its normalised
-    weights.  The state keeps (p, u) as its decomposition
-    (:meth:`DensityMatrix.from_spectrum`): H has been decomposed, so the
-    state is not.  A spectrum so wide that the smallest weight reaches the
+    ``dec`` is the decomposition of H that :func:`gibbs_spectrum` returned
+    and p = exp(-w)/Z its normalised weights.  The state keeps (p, u) as its
+    decomposition: H has been decomposed, so the state is not.  The
+    finiteness, trace and floor checks of :meth:`DensityMatrix.from_spectrum`
+    run; the unitarity of u does not, because :func:`..spectral.eigh` has
+    just checked it.  A spectrum so wide that the smallest weight reaches the
     faithfulness floor raises :class:`BoundaryError` naming the spread.
     """
     try:
-        return DensityMatrix.from_spectrum(p, dec.eigenvectors)
+        return DensityMatrix._from_unitary(p, dec.eigenvectors)
     except BoundaryError as exc:
         w = dec.eigenvalues
         raise BoundaryError(

@@ -29,7 +29,7 @@ def format_float(x: float) -> str:
     if isinstance(x, bool):
         raise TypeError("bool is not a float")
     if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
+        raise ValueError(f"cannot serialize non-finite value {float(x)!r}")
     return format(float(x), ".17g")
 
 

@@ -92,14 +92,27 @@ class SpectralDecomposition(NamedTuple):
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    # One matrix takes norm's BLAS-dot path: faster, and the rounding the
-    # one-matrix check has always had.
-    return np.linalg.norm(x) if x.ndim == 2 else np.linalg.norm(x, axis=(-2, -1))
+    """Frobenius norm of one matrix, or of every matrix of a stack.
+
+    One matrix takes a single BLAS dot, sqrt(Re <x, x>), without the
+    argument handling of ``np.linalg.norm``; a stack reduces over its last
+    two axes.  The result has ``ndim`` 0 for one matrix either way.
+    """
+    if x.ndim == 2:
+        return np.sqrt(np.vdot(x, x).real)
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _identity_residual(g: np.ndarray) -> np.ndarray:
+    """Frobenius norm of g - I per matrix; g is a fresh product, overwritten."""
+    d = g.shape[-1]
+    g.reshape(*g.shape[:-2], d * d)[..., :: d + 1] -= 1.0
+    return _frobenius(g)
 
 
 def unitarity_residual(u: np.ndarray) -> np.ndarray:
     """Frobenius norm of U†U - I, for one matrix or per matrix of a stack."""
-    return _frobenius(dagger(u) @ u - np.eye(u.shape[-1]))
+    return _identity_residual(dagger(u) @ u)
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
@@ -111,29 +124,36 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     1e-10 relative to the Frobenius norm.  A failing stack names the index
     of its worst matrix.  Matrices with an entry above 1e150 in magnitude
     are validated through a / max|a|, whose norms cannot overflow.
+
+    Each check runs once, in one pass over the result: the largest |entry|
+    per matrix decides both finiteness (it is nan or inf exactly when some
+    entry is) and the rescaling, U† is formed once for the reconstruction
+    and for U†U - I, and the identity is subtracted on the diagonal in
+    place.  A decomposition returned here needs no second unitarity check.
     """
     a = hermitian_part(a)
-    if not np.isfinite(a).all():
-        i = worst_index(~np.isfinite(a).all(axis=(-2, -1)))
-        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
     d = a.shape[-1]
+    largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
+    # one comparison passes every finite matrix below the rescaling bound
+    rescale = any_set(~(largest <= _NORM_SAFE))
+    if rescale and any_set(~np.isfinite(largest)):
+        i = worst_index(~np.isfinite(largest))
+        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ValueError(
             f"eigensolver did not converge on a {d}x{d} matrix: {exc}"
         ) from exc
-    dec = SpectralDecomposition(w, u)
-    largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
-    if any_set(largest > _NORM_SAFE):
+    w_check = w
+    if rescale:
         s = np.maximum(largest, np.finfo(float).tiny)  # a zero matrix of the stack
         a = a / s[..., None, None]
-        scaled = SpectralDecomposition(w / s[..., None], u)
-    else:
-        scaled = dec
+        w_check = w / s[..., None]
+    uh = dagger(u)
     scale = _frobenius(a)
-    recon = _frobenius(scaled.reconstruct() - a)
-    unit_err = unitarity_residual(u)
+    recon = _frobenius((u * w_check[..., None, :]) @ uh - a)
+    unit_err = _identity_residual(uh @ u)
     tol = _RECONSTRUCTION_RTOL
     if any_set((recon > tol * scale) | (unit_err > tol)):
         recon_err = recon / np.maximum(scale, 1e-300)
@@ -143,7 +163,7 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
             f"reconstruction residual {recon_err[i]:.3e}, unitarity residual "
             f"{unit_err[i]:.3e}"
         )
-    return dec
+    return SpectralDecomposition(w, u)
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -184,7 +204,7 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         fw = np.asarray(f(dec.eigenvalues), dtype=float)
     bad = ~np.isfinite(fw)
     if np.any(bad):
-        ev = dec.eigenvalues[bad][0]
+        ev = float(dec.eigenvalues[bad][0])
         raise ValueError(f"scalar function undefined on eigenvalue {ev!r}")
     u = dec.eigenvectors
     return hermitian_part((u * fw) @ u.conj().T)
@@ -212,9 +232,10 @@ class Kernel:
         p = np.asarray(p, dtype=float)
         pi = p[..., :, None]
         pj = p[..., None, :]
-        near = np.abs(pi - pj) <= CONFLUENT_RTOL * np.maximum(
-            np.abs(pi), np.abs(pj)
-        )
+        # rounding is monotone, so scaling |p| before the pairwise maximum
+        # gives bitwise the scaled maximum, with d products instead of d^2
+        t = CONFLUENT_RTOL * np.abs(p)
+        near = np.abs(pi - pj) <= np.maximum(t[..., :, None], t[..., None, :])
         with np.errstate(all="ignore"):
             k = np.where(near, self.diag(0.5 * (pi + pj)), self.fn(pi, pj))
         return k

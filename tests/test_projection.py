@@ -98,6 +98,13 @@ class TestMicroStep:
         out = micro_step(rho, step, 0.5)
         npt.assert_allclose(np.sort(out.eigenvalues), [0.3, 0.7], atol=1e-12)
 
+    def test_unitary_step_checks_the_propagator(self):
+        # micro_step trusts no propagator: U @ V is checked before it is kept
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        step = HamiltonianStep(PAULI["y"])
+        with pytest.raises(ValueError, match="not unitary"):
+            micro_step(rho, step, 0.5, propagator=1.5 * step.unitary(0.5))
+
     def test_channel_step(self):
         q = 0.2
         chan = QuantumCPUnitalMap(

@@ -14,7 +14,7 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum.metrics import bkm_metric
-from infogeo.quantum.states import check_density
+from infogeo.quantum.states import check_density, gibbs_spectrum, gibbs_state
 from infogeo.spectral import hermitian_part
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -106,6 +106,23 @@ class TestFromSpectrum:
         u = np.array([[1.0, np.sqrt(0.5)], [0.0, np.sqrt(0.5)]])
         with pytest.raises(ValueError, match="not unitary"):
             DensityMatrix.from_spectrum([0.5, 0.5], u)
+
+    def test_gibbs_state_is_the_checked_state_of_its_spectrum(self):
+        # gibbs_state skips only the second unitarity check of the vectors
+        # that eigh has validated: same matrix, eigenvalues and eigenvectors
+        rng = np.random.default_rng(5)
+        for dim in (2, 3, 6):
+            h = 3.0 * random_hermitian(rng, dim)
+            rho, log_z = gibbs_state(h)
+            dec, log_p, log_z2 = gibbs_spectrum(h)
+            ref = DensityMatrix.from_spectrum(np.exp(log_p), dec.eigenvectors)
+            assert log_z == log_z2
+            for got, want in (
+                (rho.matrix, ref.matrix),
+                (rho.eigenvalues, ref.eigenvalues),
+                (rho.spectral.eigenvectors, ref.spectral.eigenvectors),
+            ):
+                assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_shapes_and_non_finite_weights(self):
         with pytest.raises(ValueError, match="shapes"):

@@ -50,6 +50,12 @@ class TestFloats:
         with pytest.raises(ValueError):
             format_float(float("nan"))
 
+    def test_nonfinite_message_prints_a_plain_float(self):
+        with pytest.raises(ValueError, match=r"^cannot serialize non-finite value nan$"):
+            format_float(np.float64("nan"))
+        with pytest.raises(ValueError, match=r"non-finite value -inf$"):
+            format_float(np.float32("-inf"))
+
     def test_dump_json_is_valid_json(self):
         doc = {"a": [1, 2.5, None, True], "b": {"c": "x\"y"}}
         parsed = json.loads(dump_json(doc))

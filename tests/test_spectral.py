@@ -107,6 +107,32 @@ class TestEigh:
         with pytest.raises(ValueError, match="reconstruction residual"):
             eigh(np.stack([np.eye(2), np.diag([1e200, -1e200])]))
 
+    def test_non_unitary_vectors_caught(self, monkeypatch):
+        # (w/4, 2u) reconstructs a exactly, since powers of two scale
+        # exactly, but U†U = 4I: only the unitarity check can catch it.
+        # In a stack only the last decomposition is scaled.
+        solve = np.linalg.eigh
+
+        def scaled(a):
+            w, u = solve(a)
+            if a.ndim == 2:
+                return w / 4.0, 2.0 * u
+            w[-1] /= 4.0
+            u[-1] *= 2.0
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", scaled)
+        with pytest.raises(
+            ValueError,
+            match=r"^eigendecomposition failed validation: reconstruction "
+            r"residual 0\.000e\+00, unitarity residual 4\.243e\+00$",
+        ):
+            eigh(np.diag([1.0, 2.0]))
+        with pytest.raises(
+            ValueError, match=r"^stack index 1: .*unitarity residual 4\.243e\+00$"
+        ):
+            eigh(np.stack([np.eye(2), np.diag([1.0, 2.0])]))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eigh(np.ones((2, 3)))
@@ -131,6 +157,12 @@ class TestMatrixFunction:
     def test_domain_error_names_eigenvalue(self):
         with pytest.raises(ValueError, match="undefined on eigenvalue"):
             matrix_function(np.diag([1.0, -2.0]), np.log)
+
+    def test_domain_error_prints_a_plain_float(self):
+        with pytest.raises(
+            ValueError, match=r"^scalar function undefined on eigenvalue -1\.0$"
+        ):
+            matrix_function(np.diag([1.0, -1.0]), np.log)
 
     def test_exp_trace_floor(self):
         # sum of exp(eigenvalues) >= dim * exp(min eigenvalue)
