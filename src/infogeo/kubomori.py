@@ -29,11 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 # gibbs_state (the H0 state of a series) is re-exported from quantum.states
 from .quantum.states import DensityMatrix, gibbs_spectrum, gibbs_state
-from .spectral import hermitian_part
+# _duhamel_traces looks expm up in this module, so a test or a profiler can
+# count the exponentials by rebinding kubomori.expm
+from .spectral import expm, hermitian_part
 
 MAX_POINTS = 8
 MAX_ORDER = 6
@@ -44,22 +45,6 @@ SERIES_CONVENTION = (
     "Z_V/Z_0 = 1 + sum_{n>=1} (-1)^n I_n / n with I_n the simplex-averaged "
     "n-point trace; log collected order by order (connected parts)"
 )
-
-
-def divided_difference_exp(nodes) -> float:
-    """Divided difference of exp over a multiset of real nodes.
-
-    Uses the Opitz representation: exp of the upper bidiagonal matrix with
-    the nodes on the diagonal and ones above it; the corner entry is the
-    divided difference.  Exact at confluent nodes (it reduces to
-    exp(x)/k! there) and free of subtractive cancellation.
-    """
-    x = np.asarray(nodes, dtype=float)
-    n = x.size
-    if n == 1:
-        return float(np.exp(x[0]))
-    j = np.diag(x) + np.diag(np.ones(n - 1), 1)
-    return float(expm(j)[0, n - 1].real)
 
 
 def _duhamel_traces(log_p: np.ndarray, vt) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .classical.distributions import FAITHFULNESS_FLOOR, FiniteDistribution, entropy
 from .classical.families import ExponentialFamily, _WarmStart, fit_mixture_coords
@@ -24,7 +23,7 @@ from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
 from .quantum.states import DensityMatrix, von_neumann_entropy
-from .spectral import hermitian_part
+from .spectral import expm, hermitian_part
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ class MarkovGenerator:
         q = np.asarray(self.rates, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"generator must be square, got shape {q.shape}")
+        if not np.isfinite(q).all():
+            raise ValueError("generator has non-finite rates")
         off = q - np.diag(np.diag(q))
         if off.min() < -1e-15:
             raise ValueError(f"negative off-diagonal rate {float(off.min())!r}")
@@ -73,6 +74,8 @@ class HamiltonianStep:
     hamiltonian: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.hamiltonian).all():
+            raise ValueError("hamiltonian has non-finite entries")
         h = hermitian_part(self.hamiltonian)
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)

@@ -298,7 +298,7 @@ def von_neumann_entropy(rho) -> float:
         w = rho.eigenvalues
     else:
         w = eigh(rho).eigenvalues
-    return entropy(np.clip(w, 0.0, None))
+    return entropy(np.maximum(w, 0.0))
 
 
 def binary_entropy(lam: float) -> float:

@@ -8,12 +8,16 @@ inverse arithmetic mean, which realize respectively the noncommutative
 analogue of multiplication by the state, the derivative of the matrix
 logarithm, and the symmetric (Lyapunov) division by the state.
 
+The library's one matrix exponential, ``expm``, lives here too: the
+Kubo-Mori series and the Markov propagators take it from this module.
+
 All functions are pure; decompositions are plain named tuples and can be
 shared freely between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -184,6 +188,104 @@ def log_sum_exp(x: np.ndarray) -> float:
         # w / 1 and + log(1) = 0.0 are exact: the general formula, bitwise
         return float(np.log1p(w.sum()) + m)
     return float(np.log1p(w.sum() / k) + np.log(k) + m)
+
+
+def _pade_degree(m: int, theta: float) -> tuple:
+    """theta_m, the leading backward-error coefficient (m!)^2/((2m)!(2m+1)!)
+    and the numerator coefficients (2m-k)!/(k!(m-k)!), k = 0..m."""
+    f = math.factorial
+    b = [float(f(2 * m - k) // (f(k) * f(m - k))) for k in range(m + 1)]
+    return theta, f(m) ** 2 / (f(2 * m) * f(2 * m + 1)), b
+
+
+# Largest scaled norm theta_m at which the degree-m Padé approximant of exp
+# meets double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005);
+# theta_13 = 4.25 is the value of Al-Mohy & Higham, same journal, 31, 2009.
+_PADE = {m: _pade_degree(m, theta) for m, theta in (
+    (3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+    (7, 9.504178996162932e-1), (9, 2.097847961257068), (13, 4.25))}
+_UNIT_ROUNDOFF = 2.0**-53
+# Below this 1-norm the powers up to a^10 that choose the degree cannot
+# overflow.
+_NORM_MAX = 1e30
+
+
+def _norm1(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=0).max())
+
+
+def _ell(a: np.ndarray, m: int) -> int:
+    """Extra squarings that keep the degree-m backward error of a at unit
+    roundoff, from ||abs(a)^(2m+1)||_1; nonzero only for strongly nonnormal
+    a (Al-Mohy & Higham 2009).  The power is taken of abs(a) / ||a||_1,
+    whose powers cannot overflow, and the norm enters through its log."""
+    norm, p = _norm1(a), 2 * m + 1
+    power = _norm1(np.linalg.matrix_power(np.abs(a) / norm, p))
+    if power == 0.0:
+        return 0
+    log_alpha = math.log2(_PADE[m][1] * power) + (p - 1) * math.log2(norm)
+    return max(math.ceil((log_alpha - math.log2(_UNIT_ROUNDOFF)) / (2 * m)), 0)
+
+
+def _pade(a: np.ndarray, powers: list, m: int) -> np.ndarray:
+    """The degree-m Padé approximant of exp(a), (V - U)^-1 (V + U).
+
+    ``powers`` is [I, a^2, a^4, ...].  U and V sum the odd and even terms
+    of the numerator; terms beyond the powers given take one product with
+    a^6, as Higham (2005) evaluates degree 13.
+    """
+
+    def even(c):
+        head = sum(ck * p for ck, p in zip(c, powers))
+        if len(c) <= len(powers):
+            return head
+        return head + powers[3] @ sum(ck * p for ck, p in zip(c[4:], powers[1:]))
+
+    b = _PADE[m][2]
+    u = a @ even(b[1::2])
+    v = even(b[0::2])
+    return np.linalg.solve(v - u, v + u)
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a real or complex square matrix.
+
+    Padé scaling and squaring of degree 3, 5, 7, 9 or 13, the degree and
+    the scaling chosen from the 1-norms of the even powers of a, computed
+    exactly (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  A
+    diagonal matrix, 1x1 or zero, maps exactly to the exponentials of its
+    diagonal.  Raises ``ValueError`` on non-finite entries and, unless a is
+    diagonal, on a 1-norm above 1e30.
+    """
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, 1.0), copy=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix exponential of a matrix with non-finite entries")
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        return np.diag(np.exp(np.diagonal(a)))
+    norm = _norm1(a)
+    if norm > _NORM_MAX:
+        raise ValueError(
+            f"matrix exponential needs a 1-norm at most {_NORM_MAX:.0e}, got {norm:.3e}"
+        )
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    a8 = a4 @ a4
+    d4, d6, d8 = (_norm1(p) ** (1 / k) for k, p in ((4, a4), (6, a6), (8, a8)))
+    powers = [np.eye(a.shape[0], dtype=a.dtype), a2, a4, a6, a8]
+    for m, eta in ((3, max(d4, d6)), (5, max(d4, d6)), (7, max(d6, d8)), (9, max(d6, d8))):
+        if eta < _PADE[m][0] and _ell(a, m) == 0:
+            return _pade(a, powers, m)
+    eta = min(max(d6, d8), max(d8, _norm1(a4 @ a6) ** (1 / 10)))
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0 else 0
+    s += _ell(a * 2.0**-s, 13)
+    x = _pade(a * 2.0**-s, [p * 2.0 ** (-2 * k * s) for k, p in enumerate(powers[:4])], 13)
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def _as_decomposition(a) -> SpectralDecomposition:

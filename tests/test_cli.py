@@ -304,6 +304,26 @@ class TestProjectSimulate:
         cfg = write(workdir / "run.json", {"dt": 0.1})
         assert run(["project-simulate", "--config", cfg]) == 2
 
+    def test_non_finite_generator_exits_two(self, workdir, capsys):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({
+            "generator": [[-1.0, float("nan")], [1.0, -1.0]],
+            "family": {"omega": 2, "features": [[0.0, 1.0]]},
+            "dt": 0.1, "steps": 5, "initial": {"omega": 2, "probs": [0.8, 0.2]},
+        }))
+        assert run(["project-simulate", "--config", str(cfg)]) == 2
+        assert "generator has non-finite rates" in capsys.readouterr().err
+
+    def test_non_finite_hamiltonian_exits_two(self, workdir, capsys):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({
+            "hamiltonian": {"dim": 2, "re": [[0.0, float("inf")], [1.0, 0.0]]},
+            "family": {"dim": 2, "features": [{"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}]},
+            "dt": 0.1, "steps": 4, "initial": {"dim": 2, "re": [[0.8, 0.0], [0.0, 0.2]]},
+        }))
+        assert run(["project-simulate", "--config", str(cfg)]) == 2
+        assert "hamiltonian has non-finite entries" in capsys.readouterr().err
+
     def test_quantum_unitary_run(self, workdir, capsys):
         cfg = write(
             workdir / "run.json",

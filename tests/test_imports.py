@@ -40,14 +40,29 @@ for name in rest:
     importlib.import_module(name)
 """
 
+SCIPY_MODULES_AFTER_CLI = """
+import sys, infogeo.cli
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
 
-@pytest.mark.parametrize("first", MODULES)
-def test_module_imports_first(first):
+
+def _fresh_python(*args):
     src = str(Path(infogeo.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_FIRST, first, *MODULES],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("first", MODULES)
+def test_module_imports_first(first):
+    proc = _fresh_python("-c", IMPORT_FIRST, first, *MODULES)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the one runtime dependency; scipy is for tests and demos only
+    proc = _fresh_python("-c", SCIPY_MODULES_AFTER_CLI)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

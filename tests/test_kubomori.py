@@ -4,12 +4,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 import infogeo.kubomori as kubomori
 from infogeo.errors import BoundaryError
 from infogeo.kubomori import (
     PerturbationProblem,
-    divided_difference_exp,
     expand_log_z,
     gibbs_state,
     kubo_n_point,
@@ -48,6 +48,23 @@ def mc_simplex_kubo(rho, vs, n_samples=100_000, seed=0):
             m = m @ np.diag(p**ai) @ v
         total += np.trace(m).real
     return total / n_samples / math.factorial(n - 1)
+
+
+def divided_difference_exp(nodes) -> float:
+    """Divided difference of exp over a multiset of real nodes.
+
+    Uses the Opitz representation: exp of the upper bidiagonal matrix with
+    the nodes on the diagonal and ones above it; the corner entry is the
+    divided difference.  Exact at confluent nodes (it reduces to
+    exp(x)/k! there) and free of subtractive cancellation.  scipy's expm
+    keeps this oracle independent of the library's.
+    """
+    x = np.asarray(nodes, dtype=float)
+    n = x.size
+    if n == 1:
+        return float(np.exp(x[0]))
+    j = np.diag(x) + np.diag(np.ones(n - 1), 1)
+    return float(scipy_expm(j)[0, n - 1].real)
 
 
 def divided_difference_kubo(rho, vs):

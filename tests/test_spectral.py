@@ -1,11 +1,16 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import expm as scipy_expm
 from scipy.special import logsumexp
 
+import infogeo.kubomori as kubomori
+from infogeo.kubomori import PerturbationProblem, expand_log_z
+from infogeo.projection import HamiltonianStep
 from infogeo.spectral import (
     Kernel,
     eigh,
+    expm,
     hermitian_part,
     kernel_apply,
     log_sum_exp,
@@ -359,3 +364,107 @@ class TestStacks:
             kernel_apply(np.diag([1.0, 0.0]), PAULI_X, log_difference_kernel)
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
             hermitian_part(np.ones((2, 3)))
+
+
+def random_generator(rng, size, one_norm):
+    """A rate matrix (nonnegative off-diagonal, zero column sums) of the
+    given 1-norm."""
+    q = rng.exponential(size=(size, size))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=0))
+    return q * (one_norm / np.abs(q).sum(axis=0).max())
+
+
+def duhamel_inputs(monkeypatch, h0, v, order):
+    """The block matrices that expand_log_z hands to its matrix exponential."""
+    seen = []
+
+    def recording(a):
+        seen.append(a)
+        return scipy_expm(a)
+
+    monkeypatch.setattr(kubomori, "expm", recording)
+    expand_log_z(PerturbationProblem(h0, v, order))
+    return seen
+
+
+def assert_matches_scipy(a):
+    want = scipy_expm(a)
+    got = expm(a)
+    assert got.dtype == want.dtype
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestExpm:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_duhamel_block_matrices(self, monkeypatch, d):
+        rng = np.random.default_rng(50 + d)
+        h0 = random_hermitian(rng, d)
+        v = random_hermitian(rng, d)
+        v *= 0.3 / np.linalg.norm(v, 2)
+        for order in range(1, 7):
+            (a,) = duhamel_inputs(monkeypatch, h0, v, order)
+            assert a.shape == ((order + 1) * d,) * 2
+            assert_matches_scipy(a)
+
+    def test_spectral_gap_forces_squaring(self, monkeypatch):
+        # the gap of 800 of TestExpandLogZ; exp(-800) underflows in the result
+        v = np.array([[0.1, 0.05], [0.05, -0.1]])
+        (a,) = duhamel_inputs(monkeypatch, np.diag([0.0, 800.0]), v, 4)
+        assert np.abs(a).sum(axis=0).max() > 100
+        assert_matches_scipy(a)
+
+    @pytest.mark.parametrize("one_norm", [1e-3, 0.05, 0.5, 2.0, 20.0, 999.0])
+    def test_rate_generators(self, one_norm):
+        rng = np.random.default_rng(int(one_norm * 1000))
+        for size in (2, 3, 6, 12):
+            assert_matches_scipy(random_generator(rng, size, one_norm))
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 2.0, 40.0])
+    def test_unitary_step(self, t):
+        rng = np.random.default_rng(7)
+        for d in (2, 3, 5, 8):
+            h = random_hermitian(rng, d)
+            u = expm(-1j * t * h)
+            npt.assert_allclose(u, HamiltonianStep(h).unitary(t), rtol=0, atol=1e-12)
+            assert_matches_scipy(-1j * t * h)
+
+    @pytest.mark.parametrize("b", [1.0, 10.0, 100.0])
+    def test_nilpotent_input(self, b):
+        # A^2 = 0 makes every power norm vanish (a zero eta), so the degree
+        # and the scaling are set by the backward-error term on |A|^(2m+1)
+        a = b * np.array([[1.0, 1.0], [-1.0, -1.0]])
+        npt.assert_allclose(expm(a), np.eye(2) + a, rtol=1e-12, atol=0)
+        assert_matches_scipy(a)
+
+    @pytest.mark.parametrize("b", [1e4, 1e8])
+    def test_nonnormal_input_is_not_overscaled(self, b):
+        # ||A||_1 = b + 1 would ask for ~log2(b) squarings, but A^2 = I keeps
+        # the power norms at 1; a scaling from ||A||_1 alone loses 7 digits at 1e8
+        a = np.array([[1.0, b], [0.0, -1.0]])
+        exact = np.array([[np.e, b * np.sinh(1.0)], [0.0, 1.0 / np.e]])
+        npt.assert_allclose(expm(a), exact, rtol=1e-13, atol=1e-13 * b)
+        assert_matches_scipy(a)
+
+    def test_diagonal_input_is_exact(self):
+        assert expm(np.array([[0.7]]))[0, 0] == np.exp(0.7)
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+        w = np.array([-800.0, 0.0, 2.5 + 1j])
+        assert np.array_equal(expm(np.diag(w)), np.diag(np.exp(w)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises(self, bad):
+        a = np.eye(3)
+        a[0, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            expm(a)
+
+    def test_norm_beyond_the_power_range_raises(self):
+        # a^10 would overflow; a diagonal matrix takes no powers and passes
+        with pytest.raises(ValueError, match="1-norm at most 1e\\+30, got 2.000e\\+50"):
+            expm(np.array([[0.0, 1e50], [-1e50, 1e50]]))
+        assert expm(np.diag([-1e50, 0.0]))[1, 1] == 1.0
+
+    def test_non_square_input_raises(self):
+        with pytest.raises(ValueError, match="square"):
+            expm(np.ones((2, 3)))
