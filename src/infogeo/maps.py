@@ -39,6 +39,7 @@ from .quantum.states import (
     DensityMatrix,
     QuantumTangent,
     check_density,
+    compose_density,
     mixture_qtangent,
     project_traceless,
 )
@@ -367,8 +368,16 @@ class ContractionReport:
     worst_violation: float
 
     def histogram(self, bins: int = 20):
-        counts, edges = np.histogram(self.ratios, bins=bins, range=(0.0, 1.0))
-        return counts, edges
+        """Counts of the ratios in ``bins`` equal bins over [0, 1].
+
+        A ratio above 1 is a violation, and it is counted too: the last edge
+        then moves out to the largest ratio, so the counts always sum to
+        ``trials - skipped``.
+        """
+        edges = np.linspace(0.0, 1.0, bins + 1)
+        if len(self.ratios):
+            edges[-1] = max(1.0, float(self.ratios.max()))
+        return np.histogram(self.ratios, bins=edges)
 
 
 def _draw_classical(children, dim: int):
@@ -400,7 +409,10 @@ def _draw_quantum(children, dim: int):
 
     A trial draws a complex Gaussian 3d x d matrix (its QR factor, cut into
     three blocks, is the Kraus set), Dirichlet weights and a Gaussian basis
-    for the state, and a Gaussian matrix for the tangent.
+    for the state, and a Gaussian matrix for the tangent.  The state is
+    composed from its spectrum: the weights and the QR factor of the basis
+    are its decomposition, checked by :func:`.quantum.states.compose_density`
+    and never recomputed by an eigensolver.
     """
     n, alpha = len(children), np.ones(dim)
     gauss = np.empty((n, 3 * dim, dim), dtype=complex)
@@ -420,9 +432,7 @@ def _draw_quantum(children, dim: int):
     weights /= weights.sum(axis=-1, keepdims=True)
     q = np.linalg.qr(basis)[0]
     del basis
-    states, spectra = check_density(
-        (q * weights[:, None, :]) @ dagger(q), allow_boundary=True
-    )
+    states, spectra = compose_density(weights, q, allow_boundary=True)
     return kraus, states, spectra, project_traceless(raw)
 
 
@@ -444,11 +454,12 @@ def run_contraction_audit(
 
     Trial i draws from the i-th child of ``SeedSequence(seed)``; the trials
     are then validated and evaluated as stacks, in passes of at most
-    8192 / dim^2 trials (one pass for 50 trials up to dim 12).  Trials whose
-    state or pushed state hits the faithfulness floor are skipped and
-    counted, never silently dropped.  The worst violation max(ratio - 1)
-    should sit at roundoff level; anything materially above 0 falsifies
-    monotonicity.
+    8192 / dim^2 trials (one pass for 50 trials up to dim 12).  A quantum
+    pass composes its states from their drawn spectra and decomposes only
+    the pushed states, one ``eigh`` per pass.  Trials whose state or pushed
+    state hits the faithfulness floor are skipped and counted, never
+    silently dropped.  The worst violation max(ratio - 1) should sit at
+    roundoff level; anything materially above 0 falsifies monotonicity.
 
     The sweep is blind to the kernel 1/sqrt((p^2 + q^2)/2) of the r = 2
     power mean, which is not operator monotone: near-unitary qubit channels

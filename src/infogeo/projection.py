@@ -25,6 +25,9 @@ from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
 from .quantum.states import DensityMatrix, von_neumann_entropy
 from .spectral import expm, hermitian_part
 
+# Probability a classical step or propagator column may gain or lose.
+_MASS_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MarkovGenerator:
@@ -57,10 +60,25 @@ class MarkovGenerator:
         return self.rates.shape[0]
 
     def propagator(self, dt: float) -> np.ndarray:
-        """Dense matrix exponential exp(dt Q); compute once, reuse."""
+        """Dense matrix exponential exp(dt Q); compute once, reuse.
+
+        The result is checked to be stochastic: columns summing to 1 within
+        the 1e-12 that :func:`micro_step` demands, entries at least -1e-15.
+        A generator too stiff for the exponential at this step fails here
+        with ``ValueError``, naming the drift and dt times the largest rate.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
-        return expm(dt * self.rates)
+        prop = expm(dt * self.rates)
+        drift = np.abs(prop.sum(axis=0) - 1.0).max()
+        if not (drift <= _MASS_TOL and prop.min() >= -1e-15):
+            stiffness = dt * np.abs(self.rates).max()
+            raise ValueError(
+                f"propagator exp(dt Q) is not stochastic: its columns drift "
+                f"{drift:.3e} from 1 and its least entry is {prop.min():.3e} "
+                f"(dt times the largest rate is {stiffness:.3e})"
+            )
+        return prop
 
     def is_doubly_stochastic(self) -> bool:
         """Rows also sum to zero: the uniform state is stationary."""
@@ -107,7 +125,7 @@ def micro_step(state, dynamics, dt: float, propagator=None):
         p = state.probs if isinstance(state, FiniteDistribution) else np.asarray(state)
         prop = dynamics.propagator(dt) if propagator is None else propagator
         out = prop @ p
-        if abs(out.sum() - 1.0) > 1e-12:
+        if abs(out.sum() - 1.0) > _MASS_TOL:
             raise InfoGeoError(f"probability drifted to {float(out.sum())!r}")
         if out.min() <= FAITHFULNESS_FLOOR:
             raise BoundaryError("microdynamics left the faithful interior")

@@ -21,6 +21,7 @@ from ..spectral import (
     SpectralDecomposition,
     any_set,
     at_index,
+    dagger,
     eigh,
     hermitian_part,
     kernel_apply,
@@ -47,7 +48,8 @@ def _check_one_matrix(matrix):
 
 
 def _check_trace(m):
-    tr = np.trace(m, axis1=-2, axis2=-1).real
+    # the diagonal sum that np.trace forms, bitwise, without its dispatch cost
+    tr = m.diagonal(0, -2, -1).sum(-1).real
     if any_set(abs(tr - 1.0) > _TRACE_TOL):
         i = worst_index(abs(tr - 1.0))
         raise ValueError(f"{at_index(i)}trace is {float(tr[i])!r}, not 1")
@@ -84,6 +86,58 @@ def check_density(matrix, allow_boundary: bool = False):
     return m, dec
 
 
+def compose_density(p, u, allow_boundary: bool = False):
+    """The states sum_i p_i |u_i><u_i| of spectra in hand, one or a stack.
+
+    The inverse of :func:`check_density`, with the same ``(m, dec)`` result:
+    weights p of shape (..., d) and vectors u of shape (..., d, d) give the
+    Hermitian parts m of (u p) u† and keep (p, u), sorted ascending by a
+    stable sort, as their decomposition.  The checks run once per matrix, in
+    this order: the shapes, u unitary to the 1e-10 that
+    :func:`..spectral.eigh` demands (so the kept decomposition is a
+    validated one), finite entries of m, unit trace, then the floor of
+    :func:`check_density` on p or, with ``allow_boundary``, its sign.  In a
+    stack the message names the index of the worst matrix.
+    """
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=complex)
+    if p.ndim < 1 or u.shape != p.shape + p.shape[-1:]:
+        raise ValueError(
+            f"expected d weights and d x d vectors per matrix, got shapes "
+            f"{p.shape} and {u.shape}"
+        )
+    unit_err = unitarity_residual(u)
+    if any_set(unit_err > _RECONSTRUCTION_RTOL):
+        i = worst_index(unit_err)
+        raise ValueError(
+            f"{at_index(i)}eigenvectors are not unitary: residual "
+            f"{unit_err[i]:.3e}"
+        )
+    return _compose(p, u, allow_boundary)
+
+
+def _compose(p, u, allow_boundary: bool):
+    """:func:`compose_density` for float weights and complex vectors of
+    matching shapes, with u already known to be unitary."""
+    x = (u * p[..., None, :]) @ dagger(u)
+    m = 0.5 * (x + dagger(x))  # hermitian_part(x), x being complex and square
+    if not np.isfinite(m).all():
+        i = worst_index(~np.isfinite(m).all(axis=(-2, -1)))
+        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
+    _check_trace(m)
+    order = np.argsort(p, axis=-1, kind="stable")
+    if p.ndim == 1:
+        # plain indexing, and a scalar least weight: the hot one-state path
+        w, v = p[order], u[:, order]
+        lo = w[0]
+    else:
+        w = np.take_along_axis(p, order, axis=-1)
+        v = np.take_along_axis(u, order[..., None, :], axis=-1)
+        lo = w[..., 0]
+    _check_floor(lo, allow_boundary)
+    return m, SpectralDecomposition(w, v)
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian trace-one matrix with its spectral decomposition cached.
@@ -110,37 +164,24 @@ class DensityMatrix:
     def from_spectrum(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
         """The state sum_i p_i |u_i><u_i| of a spectrum already in hand.
 
-        Builds the Hermitian part of (u p) u† and keeps (p, u), sorted
-        ascending, as its decomposition instead of decomposing it again.  The
-        checks are the constructor's, each run once: u unitary to the 1e-10
-        that :func:`..spectral.eigh` demands, so the kept decomposition is a
-        validated one, then finite entries, unit trace and the floor (or,
-        with ``allow_boundary``, the sign) on p.
+        :func:`compose_density` for one matrix: it builds the Hermitian part
+        of (u p) u† and keeps (p, u), sorted ascending, as its decomposition
+        instead of decomposing it again, after the checks listed there (u
+        unitary to the 1e-10 that :func:`..spectral.eigh` demands, finite
+        entries, unit trace, the floor or with ``allow_boundary`` the sign).
         """
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=complex)
-        if p.ndim != 1 or u.shape != (p.size, p.size):
-            raise ValueError(
-                f"expected d weights and d x d vectors, got shapes {p.shape} "
-                f"and {u.shape}"
-            )
-        unit_err = unitarity_residual(u)
-        if unit_err > _RECONSTRUCTION_RTOL:
-            raise ValueError(f"eigenvectors are not unitary: residual {unit_err:.3e}")
-        return cls._from_unitary(p, u, allow_boundary)
+        _check_one_matrix(u)
+        return cls._wrap(*compose_density(p, u, allow_boundary), allow_boundary)
 
     @classmethod
     def _from_unitary(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
         """:meth:`from_spectrum` for d weights p and a d x d complex u that
         is already known to be unitary, such as the eigenvectors that
         :func:`..spectral.eigh` has just validated; every other check runs."""
-        m = hermitian_part((u * p) @ u.conj().T)
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        _check_trace(m)
-        order = np.argsort(p, kind="stable")
-        dec = SpectralDecomposition(p[order], u[:, order])
-        _check_floor(dec.eigenvalues[0], allow_boundary)
+        return cls._wrap(*_compose(p, u, allow_boundary), allow_boundary)
+
+    @classmethod
+    def _wrap(cls, m, dec, allow_boundary: bool) -> "DensityMatrix":
         state = object.__new__(cls)
         object.__setattr__(state, "allow_boundary", allow_boundary)
         state._set(m, dec)

@@ -314,6 +314,17 @@ class TestProjectSimulate:
         assert run(["project-simulate", "--config", str(cfg)]) == 2
         assert "generator has non-finite rates" in capsys.readouterr().err
 
+    def test_stiff_generator_exits_two(self, workdir, capsys):
+        cfg = write(workdir / "run.json", {
+            "generator": [[-1e20, 1e20], [1e20, -1e20]],
+            "family": {"omega": 2, "features": [[0.0, 1.0]]},
+            "dt": 0.1, "steps": 5, "initial": {"omega": 2, "probs": [0.8, 0.2]},
+        })
+        assert run(["project-simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "propagator exp(dt Q) is not stochastic" in err
+        assert "dt times the largest rate is 1.000e+19" in err
+
     def test_non_finite_hamiltonian_exits_two(self, workdir, capsys):
         cfg = workdir / "run.json"
         cfg.write_text(json.dumps({

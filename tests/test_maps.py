@@ -9,6 +9,7 @@ from infogeo.classical import (
     uniform,
 )
 import infogeo.maps as maps
+import infogeo.quantum.states as qstates
 from infogeo.errors import BoundaryError
 from infogeo.maps import (
     BKM,
@@ -31,7 +32,7 @@ from infogeo.maps import (
 )
 from infogeo.quantum import DensityMatrix, maximally_mixed, mixture_qtangent
 from infogeo.quantum.states import project_traceless
-from infogeo.spectral import hermitian_part
+from infogeo.spectral import SpectralDecomposition, hermitian_part
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -204,6 +205,35 @@ class TestContraction:
         counts, edges = rep.histogram()
         assert counts.sum() == 50
 
+    def test_histogram_counts_violations(self):
+        # a ratio above 1 is what the sweep looks for: the last bin takes it
+        ratios = np.array([0.25, 0.5, 1.0, 1.0 + 1e-12])
+        rep = maps.ContractionReport(BKM, 4, 0, ratios, 1e-12)
+        counts, edges = rep.histogram(bins=4)
+        npt.assert_array_equal(counts, [0, 1, 1, 2])
+        npt.assert_array_equal(edges, [0.0, 0.25, 0.5, 0.75, 1.0 + 1e-12])
+        within = maps.ContractionReport(BKM, 3, 0, ratios[:3], 0.0).histogram(4)
+        npt.assert_array_equal(within[1], np.linspace(0.0, 1.0, 5))
+        empty = maps.ContractionReport(BKM, 1, 1, ratios[:0], -np.inf)
+        assert empty.histogram(4)[0].sum() == 0
+
+    @pytest.mark.parametrize("metric", [GNS, BKM])
+    def test_one_eigh_per_quantum_pass(self, monkeypatch, metric):
+        # the drawn states are composed from their spectra; only the pushed
+        # states, whose spectra are unknown, are decomposed
+        calls = []
+        eigh = qstates.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(qstates, "eigh", counted)
+        monkeypatch.setattr(maps, "_PASS_ENTRIES", 2 * 3 * 3)
+        rep = run_contraction_audit(metric, 3, trials=7, seed=81)
+        assert rep.skipped == 0
+        assert calls == [(2, 3, 3)] * 3 + [(1, 3, 3)]
+
 
 class TestSweepInput:
     @pytest.mark.parametrize("metric", [FISHER, GNS, BKM])
@@ -280,10 +310,12 @@ class TestSweepFloor:
         clean = run_contraction_audit(BKM, 3, trials=8, seed=78)
 
         def edit(ops, states, spectra, tangents):
-            states = states.copy()
-            states[6] = np.diag([1.0, 0.0, 0.0])
-            states, spectra = maps.check_density(states, allow_boundary=True)
-            return ops, states, spectra, tangents
+            # only trial 6 changes: its state and its decomposition
+            states, (w, u) = states.copy(), (f.copy() for f in spectra)
+            states[6], (w[6], u[6]) = maps.compose_density(
+                [1.0, 0.0, 0.0], np.eye(3), allow_boundary=True
+            )
+            return ops, states, SpectralDecomposition(w, u), tangents
 
         self.patched(monkeypatch, BKM, edit)
         rep = run_contraction_audit(BKM, 3, trials=8, seed=78)

@@ -2,10 +2,12 @@
 metric table against Petz's theory.
 
 Each trial is redrawn here from its own ``SeedSequence`` child, in the
-sweep's draw order, as map, state and tangent objects.  It is audited alone
-with ``audit_metric_contraction`` and by ``loop_ratio``, which pushes it
-operator by operator with plain 2-d arithmetic.  The sweep must give the
-same ratios to the last bit.
+sweep's draw order, as map, state and tangent objects; the state is built
+from its drawn spectrum, as the sweep builds it.  It is audited alone with
+``audit_metric_contraction`` and by ``loop_ratio``, which pushes it operator
+by operator with plain 2-d arithmetic.  The sweep must give the same ratios
+to the last bit, and the ratios of the same states decomposed by ``eigh``
+to within the error of that decomposition.
 
 Two kernels enter the table only here.  Wigner-Yanase, f(x) = ((1+√x)/2)²
 (Gibilisco & Isola, J. Math. Phys. 44, 2003), is a monotone metric and a
@@ -67,7 +69,9 @@ def complex_normal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def trial(metric, dim, child):
+def trial(metric, dim, child, decompose=False):
+    """Trial ``child`` as objects; the quantum state is built from its
+    spectrum, as the sweep builds it, or with ``decompose`` by ``eigh``."""
     rng = np.random.default_rng(child)
     if metric == FISHER:
         mapping = ClassicalStochasticMap(rng.dirichlet(np.ones(dim), size=dim))
@@ -80,7 +84,10 @@ def trial(metric, dim, child):
     w = rng.dirichlet(np.ones(dim)) + 1e-6
     w /= w.sum()
     u, _ = np.linalg.qr(complex_normal(rng, (dim, dim)))
-    state = DensityMatrix((u * w) @ u.conj().T)
+    if decompose:
+        state = DensityMatrix((u * w) @ u.conj().T)
+    else:
+        state = DensityMatrix.from_spectrum(w, u)
     a = complex_normal(rng, (dim, dim))
     return mapping, state, mixture_qtangent(project_traceless(hermitian_part(a)))
 
@@ -119,6 +126,31 @@ def test_sweep_matches_trial_by_trial_audits(metric, dim, trials, seed):
     npt.assert_array_equal(rep.ratios, [loop_ratio(*t, metric) for t in triples])
     assert rep.worst_violation == max(oracle) - 1.0
     assert rep.worst_violation <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    metric=st.sampled_from([GNS, BKM]),
+    dim=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16, 32]),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_sweep_matches_audits_of_decomposed_states(metric, dim, seed):
+    # The sweep keeps each state's drawn spectrum; eigh recovers it only to
+    # a few ulps of |rho| = 1, a relative error of about eps / p on a weight
+    # p.  The least weight dominates the lengths, so the ratios agree to
+    # 64 eps / least weight (1.4e-12 at a least weight of 1e-2).
+    rep = run_contraction_audit(metric, dim, 10, seed)
+    children = np.random.SeedSequence(seed).spawn(10)
+    least = np.empty(10)
+    decomposed = np.empty(10)
+    for i, child in enumerate(children):
+        mapping, state, tangent = trial(metric, dim, child, decompose=True)
+        least[i] = state.eigenvalues[0]
+        decomposed[i] = audit_metric_contraction(mapping, state, tangent, metric)
+    assert rep.skipped == 0
+    npt.assert_array_less(
+        np.abs(rep.ratios / decomposed - 1.0), 64 * np.finfo(float).eps / least
+    )
 
 
 def unitary(rng, dim):

@@ -69,6 +69,16 @@ class TestMarkovGenerator:
         npt.assert_allclose(prop.sum(axis=0), 1.0, atol=1e-12)
         assert prop.min() >= 0
 
+    @pytest.mark.parametrize("rate, drift", [(1e20, "1.000e+00"), (1e8, "3.49")])
+    def test_stiff_propagator_raises(self, rate, drift):
+        # scaling and squaring loses exp(dt Q) of a stiff generator; a
+        # propagator whose columns do not sum to 1 is refused, not used
+        gen = MarkovGenerator([[-rate, rate], [rate, -rate]])
+        with pytest.raises(ValueError, match="not stochastic") as err:
+            gen.propagator(0.1)
+        assert f"its columns drift {drift}" in str(err.value)
+        assert str(err.value).endswith(f"the largest rate is {0.1 * rate:.3e})")
+
 
 class TestMicroStep:
     def test_zero_generator_fixes_state(self):

@@ -14,7 +14,12 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum.metrics import bkm_metric
-from infogeo.quantum.states import check_density, gibbs_spectrum, gibbs_state
+from infogeo.quantum.states import (
+    check_density,
+    compose_density,
+    gibbs_spectrum,
+    gibbs_state,
+)
 from infogeo.spectral import hermitian_part
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -165,6 +170,64 @@ class TestCheckDensity:
             check_density(mats)
         _, dec = check_density(mats, allow_boundary=True)
         assert dec.eigenvalues[0].min() == 0.0
+
+
+def random_spectra(rng, n, dim):
+    """n Dirichlet weight vectors and n QR bases, as the contraction sweep draws them."""
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    return rng.dirichlet(np.ones(dim), size=n), np.linalg.qr(g)[0]
+
+
+class TestComposeDensity:
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8, 32])
+    def test_stack_is_bitwise_one_state_at_a_time(self, dim):
+        p, u = random_spectra(np.random.default_rng(dim), 6, dim)
+        m, dec = compose_density(p, u)
+        for i in range(6):
+            rho = DensityMatrix.from_spectrum(p[i], u[i])
+            for got, want in (
+                (m[i], rho.matrix),
+                (dec.eigenvalues[i], rho.eigenvalues),
+                (dec.eigenvectors[i], rho.spectral.eigenvectors),
+            ):
+                assert got.tobytes() == want.tobytes()
+
+    def test_inverts_check_density(self):
+        p, u = random_spectra(np.random.default_rng(1), 4, 3)
+        m, dec = compose_density(p, u)
+        m2, dec2 = check_density(m)
+        npt.assert_allclose(m2, m, rtol=0, atol=1e-15)
+        npt.assert_allclose(dec2.eigenvalues, dec.eigenvalues, rtol=0, atol=1e-15)
+        assert np.all(np.diff(dec.eigenvalues, axis=-1) >= 0)
+
+    def test_failures_name_the_stack_index(self):
+        p, u = random_spectra(np.random.default_rng(2), 4, 3)
+        skewed = u.copy()
+        skewed[2, :, 0] *= 1.1
+        with pytest.raises(ValueError, match=r"^stack index 2: eigenvectors are not unitary"):
+            compose_density(p, skewed)
+        heavy = p.copy()
+        heavy[1] = [0.5, 0.5, 0.5]
+        with pytest.raises(ValueError, match=r"^stack index 1: trace is 1.5"):
+            compose_density(heavy, u)
+        negative = p.copy()
+        negative[3] = [1.1, -0.1, 0.0]
+        with pytest.raises(ValueError, match=r"^stack index 3: negative eigenvalue -0.1"):
+            compose_density(negative, u, allow_boundary=True)
+        with pytest.raises(BoundaryError, match=r"^stack index 3: state is not faithful"):
+            compose_density(negative, u)
+        undefined = p.copy()
+        undefined[0, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^stack index 0: matrix has non-finite"):
+            compose_density(undefined, u)
+
+    def test_rejects_mismatched_shapes(self):
+        p, u = random_spectra(np.random.default_rng(3), 4, 3)
+        for weights, vectors in ((p[:3], u), (p, u[..., :2]), (p[0, 0], u[0])):
+            with pytest.raises(ValueError, match="got shapes"):
+                compose_density(weights, vectors)
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(4, 3, 3\)"):
+            DensityMatrix.from_spectrum(p, u)
 
 
 class TestTangentConvert:
