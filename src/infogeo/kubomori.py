@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # gibbs_state (the H0 state of a series) is re-exported from quantum.states
-from .quantum.states import DensityMatrix, gibbs_spectrum, gibbs_state
+from .quantum.states import DensityMatrix, gibbs_moments, gibbs_spectrum, gibbs_state
 # _duhamel_traces looks expm up in this module, so a test or a profiler can
 # count the exponentials by rebinding kubomori.expm
 from .spectral import expm, hermitian_part
@@ -165,16 +165,6 @@ class DerivativeCheck:
     second: float
 
 
-def _logarithmic_mean_from_logs(log_p: np.ndarray) -> np.ndarray:
-    """Logarithmic means L(p_i, p_j) from log p: L = e^b expm1(a - b)/(a - b)
-    with b the larger log (e^a at a = b), finite even where p underflows."""
-    hi = np.maximum(log_p[:, None], log_p[None, :])
-    x = np.minimum(log_p[:, None], log_p[None, :]) - hi
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(x == 0.0, 1.0, np.expm1(x) / x)
-    return np.exp(hi) * ratio
-
-
 def massieu_derivative_check(
     prob: PerturbationProblem, h: float = 0.01
 ) -> DerivativeCheck:
@@ -183,8 +173,9 @@ def massieu_derivative_check(
     The first derivative of log Z_{tV} at t = 0 must equal minus the mean
     of V, and the second must equal the BKM norm of the centered V; both
     are evaluated by fourth-order central differences of the exact log Z.
-    Mean and norm are taken in the eigenbasis of H0 from log p = -w - log Z,
-    so spectra too wide for a faithful density matrix still check.
+    Mean and norm come from :func:`.quantum.states.gibbs_moments` at the
+    spectrum of H0, which works from log p = -w - log Z, so spectra too wide
+    for a faithful density matrix still check.
     """
     dec, log_p, g_0 = gibbs_spectrum(prob.h0)
 
@@ -195,9 +186,5 @@ def massieu_derivative_check(
     d1 = (g_m2 - 8 * g_m1 + 8 * g_p1 - g_p2) / (12 * h)
     d2 = (-g_m2 + 16 * g_m1 - 30 * g_0 + 16 * g_p1 - g_p2) / (12 * h * h)
 
-    u = dec.eigenvectors
-    vt = u.conj().T @ prob.v @ u
-    mean = float(np.exp(log_p) @ np.diagonal(vt).real)
-    v0t = vt - mean * np.eye(prob.dim)
-    metric = float((_logarithmic_mean_from_logs(log_p) * np.abs(v0t) ** 2).sum())
-    return DerivativeCheck(first=abs(d1 + mean), second=abs(d2 - metric))
+    _, (mean,), ((metric,),) = gibbs_moments(dec, log_p, prob.v[None])
+    return DerivativeCheck(first=float(abs(d1 + mean)), second=float(abs(d2 - metric)))

@@ -45,7 +45,9 @@ from .quantum.states import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _identity_residual,
     at_index,
+    check_finite,
     dagger,
     hermitian_part,
     worst_index,
@@ -66,6 +68,7 @@ _ROW_SUM_TOL = 1e-12
 
 def _check_stochastic(m: np.ndarray) -> np.ndarray:
     """Validate row-stochastic matrices (..., n_in, n_out); clip them at 0."""
+    check_finite(m, "stochastic map has non-finite entries")
     if np.any(m < -1e-15):
         lo = m.min(axis=(-2, -1))
         i = worst_index(-lo)
@@ -80,9 +83,10 @@ def _check_stochastic(m: np.ndarray) -> np.ndarray:
 
 
 def _check_unital(kraus: np.ndarray) -> None:
-    """Require sum_k A_k† A_k = I for Kraus stacks (..., k, d_out, d_in)."""
-    total = (dagger(kraus) @ kraus).sum(axis=-3)
-    err = np.linalg.norm(total - np.eye(kraus.shape[-1]), axis=(-2, -1))
+    """Require finite entries and sum_k A_k† A_k = I for Kraus stacks
+    (..., k, d_out, d_in)."""
+    check_finite(kraus, "Kraus operators have non-finite entries", 3)
+    err = _identity_residual((dagger(kraus) @ kraus).sum(axis=-3))
     if np.any(err > _UNITALITY_TOL):
         i = worst_index(err)
         raise ValueError(

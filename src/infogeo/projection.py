@@ -23,7 +23,7 @@ from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
 from .quantum.states import DensityMatrix, von_neumann_entropy
-from .spectral import expm, hermitian_part
+from .spectral import check_finite, expm, hermitian_part
 
 # Probability a classical step or propagator column may gain or lose.
 _MASS_TOL = 1e-12
@@ -43,8 +43,7 @@ class MarkovGenerator:
         q = np.asarray(self.rates, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"generator must be square, got shape {q.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError("generator has non-finite rates")
+        check_finite(q, "generator has non-finite rates")
         off = q - np.diag(np.diag(q))
         if off.min() < -1e-15:
             raise ValueError(f"negative off-diagonal rate {float(off.min())!r}")
@@ -92,8 +91,7 @@ class HamiltonianStep:
     hamiltonian: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.hamiltonian).all():
-            raise ValueError("hamiltonian has non-finite entries")
+        check_finite(self.hamiltonian, "hamiltonian has non-finite entries")
         h = hermitian_part(self.hamiltonian)
         h.setflags(write=False)
         object.__setattr__(self, "hamiltonian", h)

@@ -22,10 +22,11 @@ import numpy as np
 
 from ..classical.distributions import entropy
 from ..classical.families import _check_independent, _check_xi, _dual_newton
-from ..spectral import dagger, hermitian_part, kernel_apply, logarithmic_mean_kernel
+from ..spectral import hermitian_part, kernel_apply, logarithmic_mean_kernel
 from .states import (
     DensityMatrix,
     gibbs_density,
+    gibbs_moments,
     gibbs_spectrum,
     gibbs_state,
     project_traceless,
@@ -103,23 +104,11 @@ class _Moments(tuple):
 
 
 def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
-    """log Z, the feature means and their BKM covariance (the Hessian of log Z).
-
-    With the centered features C_j = U†F_jU - eta_j in the eigenbasis of the
-    state and K the logarithmic-mean kernel of its spectrum, the covariance
-    is sum_ab K_ab C_j,ab conj(C_l,ab), one product over the whole stack.
-    """
+    """log Z, the feature means and their BKM covariance (the Hessian of log Z),
+    from one Gibbs spectrum and :func:`.states.gibbs_moments`."""
     dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
-    p = np.exp(log_p)
-    u = dec.eigenvectors
-    n = fam.n_features
-    centered = (dagger(u) @ fam.features @ u).reshape(n, -1)
-    diagonals = centered[:, :: fam.dim + 1]
-    eta = (p * diagonals.real).sum(axis=-1)
-    diagonals -= eta[:, None]
-    k = logarithmic_mean_kernel.matrix(p).reshape(-1)
-    cov = ((k * centered) @ centered.conj().T).real
-    return _Moments(log_z, eta, 0.5 * (cov + cov.T), (dec, p))
+    p, eta, cov = gibbs_moments(dec, log_p, fam.features)
+    return _Moments(log_z, eta, cov, (dec, p))
 
 
 def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:

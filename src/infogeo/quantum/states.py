@@ -21,6 +21,7 @@ from ..spectral import (
     SpectralDecomposition,
     any_set,
     at_index,
+    check_finite,
     dagger,
     eigh,
     hermitian_part,
@@ -93,7 +94,7 @@ def compose_density(p, u, allow_boundary: bool = False):
     weights p of shape (..., d) and vectors u of shape (..., d, d) give the
     Hermitian parts m of (u p) u† and keep (p, u), sorted ascending by a
     stable sort, as their decomposition.  The checks run once per matrix, in
-    this order: the shapes, u unitary to the 1e-10 that
+    this order: the shapes, finite p and u, u unitary to the 1e-10 that
     :func:`..spectral.eigh` demands (so the kept decomposition is a
     validated one), finite entries of m, unit trace, then the floor of
     :func:`check_density` on p or, with ``allow_boundary``, its sign.  In a
@@ -106,6 +107,8 @@ def compose_density(p, u, allow_boundary: bool = False):
             f"expected d weights and d x d vectors per matrix, got shapes "
             f"{p.shape} and {u.shape}"
         )
+    check_finite(p, "weights have non-finite entries", 1)
+    check_finite(u, "eigenvectors have non-finite entries")
     unit_err = unitarity_residual(u)
     if any_set(unit_err > _RECONSTRUCTION_RTOL):
         i = worst_index(unit_err)
@@ -121,9 +124,7 @@ def _compose(p, u, allow_boundary: bool):
     matching shapes, with u already known to be unitary."""
     x = (u * p[..., None, :]) @ dagger(u)
     m = 0.5 * (x + dagger(x))  # hermitian_part(x), x being complex and square
-    if not np.isfinite(m).all():
-        i = worst_index(~np.isfinite(m).all(axis=(-2, -1)))
-        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
+    check_finite(m, "matrix has non-finite entries")
     _check_trace(m)
     order = np.argsort(p, axis=-1, kind="stable")
     if p.ndim == 1:
@@ -166,9 +167,10 @@ class DensityMatrix:
 
         :func:`compose_density` for one matrix: it builds the Hermitian part
         of (u p) u† and keeps (p, u), sorted ascending, as its decomposition
-        instead of decomposing it again, after the checks listed there (u
-        unitary to the 1e-10 that :func:`..spectral.eigh` demands, finite
-        entries, unit trace, the floor or with ``allow_boundary`` the sign).
+        instead of decomposing it again, after the checks listed there
+        (finite p and u, u unitary to the 1e-10 that :func:`..spectral.eigh`
+        demands, finite entries, unit trace, the floor or with
+        ``allow_boundary`` the sign).
         """
         _check_one_matrix(u)
         return cls._wrap(*compose_density(p, u, allow_boundary), allow_boundary)
@@ -217,6 +219,31 @@ def gibbs_spectrum(h: np.ndarray):
     dec = eigh(h)
     log_z = log_sum_exp(-dec.eigenvalues)
     return dec, -dec.eigenvalues - log_z, log_z
+
+
+def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray):
+    """Weights p, means and BKM covariance of Hermitian ``ops`` (n, d, d).
+
+    The one BKM kernel at a Gibbs spectrum (dec, log p) of
+    :func:`gibbs_spectrum`, the Hessian of log Z for the quantum fit and the
+    Kubo-Mori check alike.  With C_j = U†F_jU - eta_j in the eigenbasis and
+    L the logarithmic mean of p, the covariance is sum_ab L_ab C_j,ab
+    conj(C_l,ab), one product over the stack.  L(e^a, e^b) = e^b expm1(a -
+    b)/(a - b) with b >= a (e^a at a = b) is taken from log p, so it stays
+    finite where p underflows.
+    """
+    p = np.exp(log_p)
+    u = dec.eigenvectors
+    centered = (dagger(u) @ ops @ u).reshape(len(ops), -1)
+    diagonals = centered[:, :: dec.dim + 1]
+    means = (p * diagonals.real).sum(axis=-1)
+    diagonals -= means[:, None]
+    b = np.maximum(log_p[:, None], log_p[None, :])
+    x = np.minimum(log_p[:, None], log_p[None, :]) - b
+    with np.errstate(invalid="ignore"):
+        k = np.exp(b) * np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    cov = ((k.reshape(-1) * centered) @ centered.conj().T).real
+    return p, means, 0.5 * (cov + cov.T)
 
 
 def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:

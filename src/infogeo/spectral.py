@@ -77,6 +77,14 @@ def at_index(index: tuple) -> str:
     return f"stack index {index[0] if len(index) == 1 else index}: "
 
 
+def check_finite(x: np.ndarray, message: str, core: int = 2) -> None:
+    """Raise ``ValueError(message)`` unless x is finite; x is one array of
+    (at most) ``core`` axes or a stack of them, whose first bad index is named."""
+    bad = ~np.isfinite(x).all(axis=tuple(range(-min(core, np.ndim(x)), 0)))
+    if any_set(bad):
+        raise ValueError(f"{at_index(worst_index(bad))}{message}")
+
+
 class SpectralDecomposition(NamedTuple):
     """Eigendecomposition a = U diag(w) U† with w ascending and U unitary.
 
@@ -140,9 +148,8 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
     # one comparison passes every finite matrix below the rescaling bound
     rescale = any_set(~(largest <= _NORM_SAFE))
-    if rescale and any_set(~np.isfinite(largest)):
-        i = worst_index(~np.isfinite(largest))
-        raise ValueError(f"{at_index(i)}matrix has non-finite entries")
+    if rescale:
+        check_finite(largest, "matrix has non-finite entries", 0)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -261,8 +268,7 @@ def expm(a: np.ndarray) -> np.ndarray:
     a = a.astype(np.result_type(a, 1.0), copy=False)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix exponential of a matrix with non-finite entries")
+    check_finite(a, "matrix exponential of a matrix with non-finite entries")
     if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
         return np.diag(np.exp(np.diagonal(a)))
     norm = _norm1(a)
@@ -316,9 +322,10 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 class Kernel:
     """Two-argument scalar kernel with its confluent (p == q) limit.
 
-    ``fn(p, q)`` must be symmetric and vectorized; ``diag(p)`` supplies the
-    limit value used whenever |p - q| <= CONFLUENT_RTOL * max(|p|, |q|),
-    p = q = 0 included, avoiding 0/0 without branch noise.
+    ``fn(p, q)`` must be symmetric and vectorized; it only sees p >= q (the
+    pairs are ordered, so K is exactly symmetric).  ``diag(p)`` supplies the
+    limit used whenever |p - q| <= CONFLUENT_RTOL * max(|p|, |q|), p = q = 0
+    included, avoiding 0/0 without branch noise.
     """
 
     name: str
@@ -339,12 +346,13 @@ class Kernel:
         t = CONFLUENT_RTOL * np.abs(p)
         near = np.abs(pi - pj) <= np.maximum(t[..., :, None], t[..., None, :])
         with np.errstate(all="ignore"):
-            k = np.where(near, self.diag(0.5 * (pi + pj)), self.fn(pi, pj))
-        return k
+            far = self.fn(np.maximum(pi, pj), np.minimum(pi, pj))
+            return np.where(near, self.diag(0.5 * (pi + pj)), far)
 
 
 def _log_ratio(p, q):
-    # log(p) - log(q) computed as log1p((p - q)/q); stable for p close to q.
+    # log p - log q as log1p((p - q)/q), for p >= q as Kernel.matrix orders
+    # them: the argument is >= 0, accurate near p = q and decades apart alike.
     return np.log1p((p - q) / q)
 
 

@@ -335,6 +335,17 @@ class TestProjectSimulate:
         assert run(["project-simulate", "--config", str(cfg)]) == 2
         assert "hamiltonian has non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_kraus_exits_two(self, workdir, capsys, bad):
+        cfg = workdir / "run.json"
+        cfg.write_text(json.dumps({
+            "kraus": [{"dim": 2, "re": [[1.0, bad], [0.0, 1.0]]}],
+            "family": {"dim": 2, "features": [{"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}]},
+            "dt": 0.1, "steps": 4, "initial": {"dim": 2, "re": [[0.8, 0.0], [0.0, 0.2]]},
+        }))
+        assert run(["project-simulate", "--config", str(cfg)]) == 2
+        assert "Kraus operators have non-finite entries" in capsys.readouterr().err
+
     def test_quantum_unitary_run(self, workdir, capsys):
         cfg = write(
             workdir / "run.json",

@@ -319,6 +319,16 @@ class TestMassieuDerivativeCheck:
         assert chk.first <= 1e-6
         assert chk.second <= 1e-6
 
+    def test_spread_beyond_double_range(self):
+        # e^-800 underflows: a BKM norm computed from p would be 0 instead
+        # of 2 L(1, e^-800) = 2/800, and the second residual 2.5e-3
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        prob = PerturbationProblem(np.diag([0.0, 800.0]), sigma_x)
+        chk = massieu_derivative_check(prob)
+        assert type(chk.first) is float and type(chk.second) is float
+        assert chk.first <= 1e-6
+        assert chk.second <= 1e-6
+
     def test_matches_density_matrix_kernel(self):
         # mean and BKM norm from the faithful state rho0 and kernel_apply
         rng = np.random.default_rng(18)

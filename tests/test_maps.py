@@ -69,10 +69,55 @@ class TestMapTypes:
         with pytest.raises(ValueError, match="unital"):
             QuantumCPUnitalMap([np.eye(2) * 0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_name_the_map(self, bad):
+        # nan > tol is false: these used to pass every later check
+        with pytest.raises(ValueError, match="^stochastic map has non-finite entries"):
+            ClassicalStochasticMap([[bad, 1.0], [0.5, 0.5]])
+        kraus = np.eye(2, dtype=complex)
+        kraus[0, 1] = bad
+        # checked before A†A, which an infinite entry would turn into nan
+        with pytest.raises(ValueError, match="^Kraus operators have non-finite entries"):
+            QuantumCPUnitalMap([kraus])
+
+    def test_stacked_checks_name_the_stack_index(self):
+        stack = np.tile(np.eye(2), (3, 1, 1))
+        stack[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="^stack index 1: stochastic map has non-finite"):
+            maps._check_stochastic(stack)
+        stack[1, 0, 1] = 0.0
+        stack[2, 0] = [1.1, -0.1]
+        with pytest.raises(ValueError, match=r"^stack index 2: negative transition rate -0.1"):
+            maps._check_stochastic(stack)
+        kraus = np.tile(np.eye(2, dtype=complex), (3, 1, 1, 1))
+        kraus[2, 0, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="^stack index 2: Kraus operators have non-finite"):
+            maps._check_unital(kraus)
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ValueError, match=r"^negative transition rate -0.1"):
+            ClassicalStochasticMap([[1.1, -0.1], [0.5, 0.5]])
+
     def test_single_column_map(self):
         m = ClassicalStochasticMap(np.ones((3, 1)))
         out = push_state(m, uniform(3))
         npt.assert_allclose(out.probs, [1.0])
+
+
+class TestCompose:
+    def test_quantum_composition_pushes_like_two_steps(self):
+        rng = np.random.default_rng(21)
+        first = random_cp_unital_map(3, seed=22)
+        second = random_cp_unital_map(3, n_kraus=2, seed=23)
+        both = compose(second, first)
+        assert both.kraus.shape == (6, 3, 3)
+        rho = random_density(rng, 3)
+        npt.assert_allclose(
+            push_state(both, rho).matrix,
+            push_state(second, push_state(first, rho)).matrix,
+            rtol=0,
+            atol=1e-14,
+        )
 
 
 class TestPush:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from infogeo.classical import ExponentialFamily, fit_mixture_coords, mixture_coords
+from infogeo.classical.families import _moments
 from infogeo.errors import BoundaryError, ConvergenceError, FeasibilityError
 from infogeo.quantum import (
     QuantumExponentialFamily,
@@ -18,9 +19,10 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum import families as qfamilies
-from infogeo.quantum.states import gibbs_spectrum
+from infogeo.quantum.states import gibbs_moments, gibbs_spectrum
 from infogeo.spectral import eigh, hermitian_part, logarithmic_mean_kernel
 
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -125,6 +127,31 @@ class TestStackedOracle:
             atol = 1e-13 * np.abs(ref_cov).max()
             npt.assert_allclose(cov, ref_cov, rtol=0, atol=atol)
             npt.assert_array_equal(cov, cov.T)
+
+
+class TestSharedMomentKernel:
+    def test_oracle_variance_where_a_weight_underflows(self):
+        # p = (1, e^-800) and e^-800 is below double precision, yet the
+        # logarithmic mean L(1, e^-800) = 1/800 comes from log p
+        fam = QuantumExponentialFamily(np.diag([0.0, 800.0]), [PAULI_X])
+        log_z, eta, cov = qfamilies._means_and_bkm_cov(fam, [0.0])
+        assert log_z == 0.0 and eta[0] == 0.0
+        npt.assert_allclose(cov, [[2.0 / 800.0]], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim, n", [(2, 1), (4, 2), (6, 3)])
+    def test_commuting_family_is_the_classical_covariance(self, dim, n):
+        # diagonal H0 and features: the BKM covariance is the classical one
+        # of the eigenbasis diagonals under the same weights
+        rng = np.random.default_rng(dim + n)
+        h0 = np.diag(rng.normal(size=dim))
+        ops = np.stack([np.diag(rng.normal(size=dim)) for _ in range(n)]) + 0j
+        dec, log_p, _ = gibbs_spectrum(h0 + np.tensordot(rng.normal(size=n), ops, 1))
+        p, means, cov = gibbs_moments(dec, log_p, ops)
+        u = dec.eigenvectors
+        x = np.array([np.diagonal(u.conj().T @ f @ u).real for f in ops])
+        ref_means, _, ref_cov = _moments(x, p)
+        npt.assert_allclose(means, ref_means, rtol=0, atol=1e-15)
+        npt.assert_allclose(cov, ref_cov, rtol=1e-13, atol=1e-16)
 
 
 class TestQuantumMaxent:

@@ -218,8 +218,22 @@ class TestComposeDensity:
             compose_density(negative, u)
         undefined = p.copy()
         undefined[0, 0] = np.nan
-        with pytest.raises(ValueError, match=r"^stack index 0: matrix has non-finite"):
+        with pytest.raises(ValueError, match=r"^stack index 0: weights have non-finite"):
             compose_density(undefined, u)
+        undefined = u.copy()
+        undefined[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^stack index 2: eigenvectors have non-finite"):
+            compose_density(p, undefined)
+
+    def test_non_finite_input_is_named_before_the_unitarity_check(self):
+        # a NaN in u used to pass the unitarity check (nan > tol is false)
+        u = np.eye(2, dtype=complex)
+        u[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^eigenvectors have non-finite entries"):
+            DensityMatrix.from_spectrum([0.5, 0.5], u)
+        # an infinite weight used to raise a RuntimeWarning while composing
+        with pytest.raises(ValueError, match=r"^weights have non-finite entries"):
+            DensityMatrix.from_spectrum([np.inf, 1.0], np.eye(2))
 
     def test_rejects_mismatched_shapes(self):
         p, u = random_spectra(np.random.default_rng(3), 4, 3)

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 import infogeo.kubomori as kubomori
 from infogeo.kubomori import PerturbationProblem, expand_log_z
 from infogeo.projection import HamiltonianStep
+from infogeo.quantum import DensityMatrix, bkm_metric
 from infogeo.spectral import (
     Kernel,
     eigh,
@@ -265,6 +266,38 @@ class TestKernelApply:
         npt.assert_array_equal(k, np.diag([0.0, 0.0, 0.5]))
         stacked = logarithmic_mean_kernel.matrix(np.array([[0.0, 0.0, 0.5]] * 2))
         npt.assert_array_equal(stacked, [k, k])
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-6, 1e-9, 1e-12, 1e-13])
+    def test_widely_separated_eigenvalues(self, ratio):
+        # decades apart, log q - log p has no cancellation, so the closed
+        # form is accurate to a few ulps; log1p((p - q)/q) with p < q was not
+        p, q = ratio / (1.0 + ratio), 1.0 / (1.0 + ratio)
+        closed = (q - p) / (np.log(q) - np.log(p))
+        for spectrum in ([p, q], [q, p]):
+            mean = logarithmic_mean_kernel.matrix(spectrum)
+            diff = log_difference_kernel.matrix(spectrum)
+            npt.assert_allclose(mean[[0, 1], [1, 0]], closed, rtol=1e-14, atol=0)
+            npt.assert_allclose(diff[[0, 1], [1, 0]], 1.0 / closed, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [logarithmic_mean_kernel, log_difference_kernel, symmetric_inverse_kernel],
+    )
+    def test_exactly_symmetric(self, kernel):
+        # spectra spread over many decades, one matrix and a stack
+        p = np.random.default_rng(12).uniform(size=(4, 7)) ** 12
+        for spectrum in (p[0], p):
+            k = kernel.matrix(spectrum)
+            assert np.array_equal(k, k.swapaxes(-1, -2))
+
+    def test_bkm_norm_at_a_nearly_pure_state(self):
+        # sigma_x at diag(1e-13, 1)/(1 + 1e-13): twice the logarithmic mean
+        p, q = 1e-13 / (1.0 + 1e-13), 1.0 / (1.0 + 1e-13)
+        rho = DensityMatrix(np.diag([p, q]))
+        closed = 2.0 * (q - p) / (np.log(q) - np.log(p))
+        npt.assert_allclose(bkm_metric(rho, PAULI_X, PAULI_X), closed, rtol=1e-14)
 
 
 class TestLogSumExp:
