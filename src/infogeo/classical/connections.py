@@ -20,8 +20,9 @@ acceleration contracts the skewness with the velocity directly,
 
     T(v, v)_k = sum_w p_w c_kw (v . c_w)^2,   xi'' = (1 - alpha)/2 V^-1 T(v, v),
 
-with c the centered features, at O(n omega) per stage from one
-normalisation of the raw xi array; a stage builds no :class:`CanonicalPoint`.
+with c the centered features, at O(n omega) per stage from the max-shifted
+weights of the raw xi array (no log Z); a stage builds no
+:class:`CanonicalPoint`.
 """
 
 from __future__ import annotations
@@ -73,12 +74,13 @@ def christoffel(pt: CanonicalPoint, alpha: float) -> np.ndarray:
 def geodesic_acceleration(pt: CanonicalPoint, v, alpha: float) -> np.ndarray:
     """xi'' = -Gamma^k_{ij} v^i v^j of the alpha-geodesic through pt.
 
-    Evaluated as (1 - alpha)/2 V^-1 T(v, v) without forming T or Gamma;
-    zero at alpha = +1.
+    Evaluated as (1 - alpha)/2 V^-1 T(v, v) without forming T or Gamma, with
+    the probabilities a geodesic stage uses; zero at alpha = +1.
     """
     if alpha == 1.0:
         return np.zeros(pt.family.n_features)
-    return _acceleration(pt.family.features, pt.probs(), v, alpha)
+    p = families._weights(pt.family, pt.xi)[1]
+    return _acceleration(pt.family.features, p, v, alpha)
 
 
 def _acceleration(features, p, v, alpha: float) -> np.ndarray:
@@ -116,62 +118,49 @@ def geodesic(
 ) -> GeodesicPath:
     """Integrate the alpha-geodesic from pt0 with initial velocity v0.
 
-    Fixed-step classical RK4 on the first-order system (xi, v); samples are
-    returned at multiples of dt.  For alpha = +1 the Christoffel symbols
-    vanish and RK4 reproduces the straight line xi_0 + t v_0 exactly.
-    Each RK4 stage checks and normalises its raw xi array, builds no
-    :class:`CanonicalPoint` and shares its acceleration kernel with
-    :func:`geodesic_acceleration`; an N-step path costs 4N normalisations,
-    none at alpha = +1.
+    Fixed-step classical RK4 on the stacked first-order state y = (xi, v);
+    samples are returned at multiples of dt.  For alpha = +1 the Christoffel
+    symbols vanish and RK4 reproduces the straight line xi_0 + t v_0 exactly.
+    Each RK4 stage checks its raw xi array, takes the probabilities from
+    :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
+    and shares its acceleration kernel with :func:`geodesic_acceleration`;
+    an N-step path evaluates 4N weight vectors, none at alpha = +1.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
     family = pt0.family
+    n = family.n_features
     v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (family.n_features,):
-        raise ValueError(
-            f"velocity has shape {v0.shape}, expected ({family.n_features},)"
-        )
+    if v0.shape != (n,):
+        raise ValueError(f"velocity has shape {v0.shape}, expected ({n},)")
 
-    def acceleration(xi, v):
+    def rate(y):
+        xi, v = y[:n], y[n:]
         families._check_xi(family, xi)
         if alpha == 1.0:
-            return np.zeros(family.n_features)
+            return np.concatenate((v, np.zeros(n)))
         # looked up on the module, so that rebinding it there reaches stages
-        s, psi = families._log_normalize(family, xi)
-        return _acceleration(family.features, np.exp(s - psi), v, alpha)
+        p = families._weights(family, xi)[1]
+        return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
 
-    n_steps = int(round(t_max / dt))
-    times = [0.0]
-    xis = [pt0.xi.copy()]
-    vels = [v0.copy()]
-    xi, v = pt0.xi.copy(), v0.copy()
+    y = np.concatenate((pt0.xi, v0))
+    times, ys = [0.0], [y]
     truncated = False
-    for k in range(n_steps):
-        k1x, k1v = v, acceleration(xi, v)
-        k2x = v + 0.5 * dt * k1v
-        k2v = acceleration(xi + 0.5 * dt * k1x, k2x)
-        k3x = v + 0.5 * dt * k2v
-        k3v = acceleration(xi + 0.5 * dt * k2x, k3x)
-        k4x = v + dt * k3v
-        k4v = acceleration(xi + dt * k3x, k4x)
-        xi = xi + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        if np.abs(xi).max() > xi_box:
+    for k in range(int(round(t_max / dt))):
+        k1 = rate(y)
+        k2 = rate(y + 0.5 * dt * k1)
+        k3 = rate(y + 0.5 * dt * k2)
+        k4 = rate(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.abs(y[:n]).max() > xi_box:
             truncated = True
             break
         times.append((k + 1) * dt)
-        xis.append(xi.copy())
-        vels.append(v.copy())
-    return GeodesicPath(
-        family,
-        np.asarray(times),
-        np.asarray(xis),
-        np.asarray(vels),
-        truncated,
-    )
+        ys.append(y)
+    ys = np.asarray(ys)
+    return GeodesicPath(family, np.asarray(times), ys[:, :n], ys[:, n:], truncated)
 
 
 def geodesic_mixture_coords(path: GeodesicPath) -> np.ndarray:

@@ -10,9 +10,11 @@ convention the mixture coordinates are eta_j = E[f_j] = -dPsi/dxi_j, the
 feature covariance V is the Hessian of Psi, and the entropy relative to the
 base weight is the Legendre transform S_rel = Psi + xi . eta.
 
-Every normalisation is one max-shifted log-sum-exp (:func:`_log_normalize`);
-a :class:`CanonicalPoint` normalises once and reads its probabilities,
-moments and entropy from the cached log density.
+Psi is one max-shifted log-sum-exp (:func:`_log_normalize`); a geodesic stage
+needs only the probabilities, the max-shifted weights over their sum
+(:func:`_weights`).  A :class:`CanonicalPoint` normalises once, or reuses the
+solver's last evaluation, and reads its probabilities, moments and entropy
+from the cached log density.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ def _log_normalize(family: ExponentialFamily, xi: np.ndarray):
     return s, log_sum_exp(s)
 
 
+def _weights(family: ExponentialFamily, xi: np.ndarray):
+    """s = b - xi . f and the probabilities exp(s - max s) / sum, without Psi;
+    dividing by the sum makes p sum to 1 to rounding."""
+    s = family.base_log_density - xi @ family.features
+    w = np.exp(s - s.max())
+    return s, w / w.sum()
+
+
 @dataclass(frozen=True)
 class CanonicalPoint:
     """A member of an exponential family; construction normalises it once
@@ -136,9 +146,20 @@ class CanonicalPoint:
     log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xi = _check_xi(self.family, self.xi).copy()
+        xi = _check_xi(self.family, self.xi)
+        self._fill(xi, *_log_normalize(self.family, xi))
+
+    @classmethod
+    def _from_log_density(cls, family, xi, s, psi) -> "CanonicalPoint":
+        """The point at xi from the s and Psi computed there; xi is checked."""
+        pt = object.__new__(cls)
+        object.__setattr__(pt, "family", family)
+        pt._fill(_check_xi(family, xi), s, psi)
+        return pt
+
+    def _fill(self, xi, s, psi):
+        xi = xi.copy()
         xi.setflags(write=False)
-        s, psi = _log_normalize(self.family, xi)
         log_p = s - psi
         log_p.setflags(write=False)
         object.__setattr__(self, "xi", xi)
@@ -216,12 +237,20 @@ def legendre_check(pt: CanonicalPoint, step: float = 1e-5) -> LegendreReport:
     return LegendreReport(identity, grad)
 
 
+class _Moments(tuple):
+    """An oracle's ``(log_z, eta, cov)`` and the ``state`` it came from (s, or
+    a quantum Gibbs spectrum), so the fitted state needs no second one."""
+
+    def __new__(cls, log_z, eta, cov, state):
+        out = super().__new__(cls, (log_z, eta, cov))
+        out.state = state
+        return out
+
+
 def _psi_eta_cov(family: ExponentialFamily, xi):
-    s, psi = _log_normalize(family, xi)
-    # dividing the shifted weights by their sum makes p sum to 1 to rounding
-    w = np.exp(s - s.max())
-    eta, _, cov = _moments(family.features, w / w.sum())
-    return psi, eta, cov
+    s, p = _weights(family, xi)
+    eta, _, cov = _moments(family.features, p)
+    return _Moments(log_sum_exp(s), eta, cov, s)
 
 
 def fit_mixture_coords(
@@ -237,7 +266,8 @@ def fit_mixture_coords(
 
     Runs :func:`_dual_newton` on Psi(xi) + xi . m, whose Hessian is the
     feature covariance, from ``xi0`` (default 0).  Convergence is declared
-    when the mean residual drops below ``tol`` in the max norm.
+    when the mean residual drops below ``tol`` in the max norm.  The point
+    takes s and Psi from the solver's evaluation at the returned xi.
 
     ``_warm`` is private: a :class:`_WarmStart` that
     :func:`..projection.roll` threads through its solves of one family.
@@ -254,10 +284,10 @@ def fit_mixture_coords(
         If the iteration stops anywhere else.
     """
     xi0 = np.zeros(family.n_features) if xi0 is None else xi0
-    xi, _, _ = _dual_newton(
+    xi, value, _ = _dual_newton(
         partial(_psi_eta_cov, family), target_means, xi0, tol, max_iter, _warm
     )
-    return CanonicalPoint(family, xi)
+    return CanonicalPoint._from_log_density(family, xi, value.state, value[0])
 
 
 #: The solver stops once some |xi_j| passes this: the target is escaping.

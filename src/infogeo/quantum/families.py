@@ -21,7 +21,12 @@ from functools import partial
 import numpy as np
 
 from ..classical.distributions import entropy
-from ..classical.families import _check_independent, _check_xi, _dual_newton
+from ..classical.families import (
+    _check_independent,
+    _check_xi,
+    _dual_newton,
+    _Moments,
+)
 from ..spectral import hermitian_part, kernel_apply, logarithmic_mean_kernel
 from .states import (
     DensityMatrix,
@@ -93,19 +98,10 @@ def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
     return gibbs_spectrum(fam.hamiltonian(xi))[2]
 
 
-class _Moments(tuple):
-    """``(log_z, eta, cov)`` with the Gibbs spectrum ``(dec, p)`` they were
-    computed from, so the state at that point needs no second one."""
-
-    def __new__(cls, log_z, eta, cov, gibbs):
-        out = super().__new__(cls, (log_z, eta, cov))
-        out.gibbs = gibbs
-        return out
-
-
 def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
     """log Z, the feature means and their BKM covariance (the Hessian of log Z),
-    from one Gibbs spectrum and :func:`.states.gibbs_moments`."""
+    from one Gibbs spectrum and :func:`.states.gibbs_moments`, which the
+    result carries as its ``state`` ``(dec, p)``."""
     dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
     p, eta, cov = gibbs_moments(dec, log_p, fam.features)
     return _Moments(log_z, eta, cov, (dec, p))
@@ -149,7 +145,7 @@ def quantum_maxent_fit(
     xi, value, iterations = _dual_newton(
         partial(_means_and_bkm_cov, fam), target_means, xi0, tol, max_iter, _warm
     )
-    return QuantumFitResult(xi, gibbs_density(*value.gibbs), value[0], iterations)
+    return QuantumFitResult(xi, gibbs_density(*value.state), value[0], iterations)
 
 
 def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float:
@@ -174,7 +170,7 @@ def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
     xi = _check_xi(fam, xi)
     moments = _means_and_bkm_cov(fam, xi)
     log_z, eta, _ = moments
-    s_rel = _entropy_relative_to_base(fam, *moments.gibbs)
+    s_rel = _entropy_relative_to_base(fam, *moments.state)
     return abs(s_rel - (log_z + float(xi @ eta)))
 
 

@@ -38,6 +38,8 @@ from ..spectral import (
 EIGENVALUE_FLOOR = 1e-14
 
 _TRACE_TOL = 1e-12
+# Weights beyond this over d would overflow the Hermitian part or its trace.
+_WEIGHT_LIMIT = np.finfo(float).max / 4
 
 MIXTURE = "mixture"
 SCORE = "score"
@@ -94,7 +96,8 @@ def compose_density(p, u, allow_boundary: bool = False):
     weights p of shape (..., d) and vectors u of shape (..., d, d) give the
     Hermitian parts m of (u p) u† and keep (p, u), sorted ascending by a
     stable sort, as their decomposition.  The checks run once per matrix, in
-    this order: the shapes, finite p and u, u unitary to the 1e-10 that
+    this order: the shapes, finite p, no weight so large (above 4.49e307 / d)
+    that the trace would overflow, finite u, u unitary to the 1e-10 that
     :func:`..spectral.eigh` demands (so the kept decomposition is a
     validated one), finite entries of m, unit trace, then the floor of
     :func:`check_density` on p or, with ``allow_boundary``, its sign.  In a
@@ -107,7 +110,15 @@ def compose_density(p, u, allow_boundary: bool = False):
             f"expected d weights and d x d vectors per matrix, got shapes "
             f"{p.shape} and {u.shape}"
         )
-    check_finite(p, "weights have non-finite entries", 1)
+    # a unitary u keeps every entry of the Hermitian part, and the trace,
+    # within 2d times the largest weight; nan fails the test too
+    top = np.maximum.reduce(abs(p), axis=-1, initial=0.0)
+    if any_set(~(top <= _WEIGHT_LIMIT / max(p.shape[-1], 1))):
+        check_finite(p, "weights have non-finite entries", 1)
+        i = worst_index(top)
+        raise ValueError(
+            f"{at_index(i)}weights up to {float(top[i])!r} overflow the trace"
+        )
     check_finite(u, "eigenvectors have non-finite entries")
     unit_err = unitarity_residual(u)
     if any_set(unit_err > _RECONSTRUCTION_RTOL):
@@ -168,7 +179,8 @@ class DensityMatrix:
         :func:`compose_density` for one matrix: it builds the Hermitian part
         of (u p) u† and keeps (p, u), sorted ascending, as its decomposition
         instead of decomposing it again, after the checks listed there
-        (finite p and u, u unitary to the 1e-10 that :func:`..spectral.eigh`
+        (finite p and u, weights small enough that the trace cannot
+        overflow, u unitary to the 1e-10 that :func:`..spectral.eigh`
         demands, finite entries, unit trace, the floor or with
         ``allow_boundary`` the sign).
         """

@@ -261,7 +261,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     the scaling chosen from the 1-norms of the even powers of a, computed
     exactly (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).  A
     diagonal matrix, 1x1 or zero, maps exactly to the exponentials of its
-    diagonal.  Raises ``ValueError`` on non-finite entries and, unless a is
+    diagonal; on an upper-triangular one the squarings keep the diagonal
+    and the first superdiagonal exact (Code Fragment 2.1 there).  Raises ``ValueError`` on non-finite entries and, unless a is
     diagonal, on a 1-norm above 1e30.
     """
     a = np.asarray(a)
@@ -289,8 +290,34 @@ def expm(a: np.ndarray) -> np.ndarray:
     s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0 else 0
     s += _ell(a * 2.0**-s, 13)
     x = _pade(a * 2.0**-s, [p * 2.0 ** (-2 * k * s) for k, p in enumerate(powers[:4])], 13)
-    for _ in range(s):
+    if np.tril(a, -1).any():
+        for _ in range(s):
+            x = x @ x
+        return x
+    return _triangular_squaring(x, a, s)
+
+
+def _triangular_squaring(x: np.ndarray, a: np.ndarray, s: int) -> np.ndarray:
+    """Square x, the approximant of exp(2^-s a) for an upper-triangular a, s
+    times, giving the diagonal of each exp(2^-j a) its exact exp(l_i) and,
+    after each squaring, the first superdiagonal its exact
+    t (e^hi - e^lo)/(hi - lo), taken as e^hi (1 - e^(lo - hi))/(hi - lo)
+    (Al-Mohy & Higham 2009, Code Fragment 2.1)."""
+    scale = 2.0 ** -np.arange(s, -1, -1.0)[:, None]
+    lam, t = scale * np.diagonal(a), scale * np.diagonal(a, 1)
+    left, right = lam[:, :-1], lam[:, 1:]
+    swap = left.real < right.real
+    hi, lo = np.where(swap, right, left), np.where(swap, left, right)
+    gap = np.where(hi == lo, 1.0, hi - lo)
+    upper = t * np.exp(hi) * np.where(hi == lo, 1.0, -np.expm1(lo - hi) / gap)
+    e, n = np.exp(lam), a.shape[0]
+    x = np.ascontiguousarray(x)  # so that reshape(-1) is a view
+    x.reshape(-1)[:: n + 1] = e[0]
+    for j in range(1, s + 1):
         x = x @ x
+        flat = x.reshape(-1)
+        flat[:: n + 1] = e[j]
+        flat[1 :: n + 1] = upper[j]
     return x
 
 

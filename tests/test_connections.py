@@ -147,17 +147,22 @@ class TestFusedAcceleration:
             geodesic_acceleration(pt, np.array([1.0]), 0.0)
 
     def test_one_normalisation_per_stage(self, monkeypatch):
-        calls = []
-        log_normalize = families._log_normalize
+        calls = {"_log_normalize": 0, "_weights": 0}
 
-        def counting(family, xi):
-            calls.append(1)
-            return log_normalize(family, xi)
+        def counting(name):
+            original = getattr(families, name)
+
+            def wrapped(family, xi):
+                calls[name] += 1
+                return original(family, xi)
+
+            return wrapped
 
         def forbidden(*args, **kwargs):
             raise AssertionError("scipy.special.logsumexp called")
 
-        monkeypatch.setattr(families, "_log_normalize", counting)
+        for name in calls:
+            monkeypatch.setattr(families, name, counting(name))
         monkeypatch.setattr(scipy.special, "logsumexp", forbidden)
         for name, mod in list(sys.modules.items()):
             if name.startswith("infogeo"):
@@ -165,9 +170,9 @@ class TestFusedAcceleration:
         rng = np.random.default_rng(8)
         fam = random_family(rng, 12, 3)
         n_steps = 25
-        # constructing pt0 normalises once; each RK4 step normalises the
-        # four points at which it evaluates the acceleration
+        # constructing pt0 normalises once; each RK4 step takes the weights
+        # of the four points at which it evaluates the acceleration
         pt0 = fam.point(rng.normal(scale=0.3, size=3))
         path = geodesic(pt0, rng.normal(size=3), alpha=0.5, t_max=n_steps * 0.01, dt=0.01)
         assert len(path.xis) == n_steps + 1
-        assert len(calls) == 4 * n_steps + 1
+        assert calls == {"_log_normalize": 1, "_weights": 4 * n_steps}

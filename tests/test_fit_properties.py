@@ -6,7 +6,8 @@ Features are orthonormalised (centered rows classically, traceless parts in
 the Hilbert-Schmidt product quantum-mechanically) and |xi_j| <= 3, so every
 weight stays within a few thousand of the others and the covariance is
 bounded away from zero; fits run to tol 1e-12, so their coordinates are
-recovered far below the 1e-8 asserted.
+recovered far below the 1e-8 asserted.  A fitted point, built from the
+solver's last evaluation, is bitwise the point constructed at its xi.
 """
 
 import numpy as np
@@ -16,7 +17,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import infogeo.classical.families as families  # noqa: E402
 from infogeo.classical import (  # noqa: E402
+    CanonicalPoint,
     ExponentialFamily,
     fit_mixture_coords,
     mixture_coords,
@@ -70,6 +73,26 @@ def test_classical_fit_inverts_mixture_coords(omega, xi, seed):
     )
     eta = mixture_coords(fam.point(xi))
     npt.assert_allclose(fit_mixture_coords(fam, eta, tol=TOL).xi, xi, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(omega=st.integers(3, 6), xi=xis, seed=seeds)
+def test_fitted_point_is_the_point_at_its_xi(omega, xi, seed):
+    rng = np.random.default_rng(seed)
+    xi = np.array(xi)
+    fam = ExponentialFamily(
+        orthonormal_rows(rng, xi.size, omega), rng.uniform(-1, 1, omega)
+    )
+    eta = mixture_coords(fam.point(xi))
+    warm = families._WarmStart()
+    # the second fit starts where the first stopped and reads its evaluation
+    for _ in range(2):
+        fit = fit_mixture_coords(fam, eta, xi0=warm.xi, tol=TOL, _warm=warm)
+        ref = CanonicalPoint(fam, fit.xi)
+        assert fit.psi == ref.psi
+        assert fit.log_p.tobytes() == ref.log_p.tobytes()
+        assert fit.xi.tobytes() == ref.xi.tobytes()
+        assert not fit.xi.flags.writeable and not fit.log_p.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

@@ -2,7 +2,10 @@
 
 A reference integrator kept here builds a validated ``CanonicalPoint`` at
 every stage and takes its acceleration from ``geodesic_acceleration``; the
-array-form stages must reproduce it to the bit, errors included.
+array-form stages must reproduce it to the bit, errors included.  With the
+stage arithmetic written out instead (p = exp(s - log Z) from the point,
+T(v, v) = c @ (p y^2)) it must agree to 1e-12, and the stages' weights
+kernel must give the point's probabilities.
 """
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import infogeo.classical.families as families  # noqa: E402
 from infogeo.classical import (  # noqa: E402
     CanonicalPoint,
     ExponentialFamily,
@@ -20,13 +24,22 @@ from infogeo.classical import (  # noqa: E402
 )
 
 
-def reference_geodesic(pt0, v0, alpha, t_max, dt, xi_box=50.0):
+def normalised_acceleration(pt, v, alpha):
+    """(1 - alpha)/2 V^-1 T(v, v) from p = exp(log_p), written out."""
+    f, p = pt.family.features, pt.probs()
+    c = f - (f @ p)[:, None]
+    tvv = c @ (p * (v @ c) ** 2)
+    return 0.5 * (1.0 - alpha) * np.linalg.solve((c * p) @ c.T, tvv)
+
+
+def reference_geodesic(pt0, v0, alpha, t_max, dt, xi_box=50.0,
+                       point_acceleration=geodesic_acceleration):
     """RK4 with a CanonicalPoint per stage: (times, xis, velocities, truncated)."""
     family = pt0.family
     v0 = np.asarray(v0, dtype=float)
 
     def acceleration(xi, v):
-        return geodesic_acceleration(CanonicalPoint(family, xi), v, alpha)
+        return point_acceleration(CanonicalPoint(family, xi), v, alpha)
 
     times, xis, vels = [0.0], [pt0.xi.copy()], [v0.copy()]
     xi, v = pt0.xi.copy(), v0.copy()
@@ -75,6 +88,12 @@ def make_family(kind, omega, n, rng):
     return ExponentialFamily(rng.normal(size=(min(n, omega - 1), omega)))
 
 
+def orthonormal_family(rng, omega, n, base=None):
+    """min(n, omega - 1) orthonormal features, each summing to zero."""
+    a = rng.normal(size=(omega, min(n, omega - 1)))
+    return ExponentialFamily(np.linalg.qr(a - a.mean(axis=0))[0].T, base)
+
+
 alphas = st.sampled_from([-1.0, 0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0)
 
 
@@ -97,6 +116,57 @@ def test_array_stages_match_point_stages(seed, kind, omega, n, alpha, speed, xi_
     pt0 = fam.point(rng.normal(scale=0.3, size=k))
     v0 = speed * rng.normal(size=k) / np.sqrt(k)
     assert_same_path(pt0, v0, alpha, t_max=0.2, dt=0.01, xi_box=xi_box)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    kind=st.sampled_from(["simplex", "features"]),
+    omega=st.integers(3, 40),
+    n=st.integers(1, 4),
+    alpha=alphas,
+)
+def test_stages_match_normalised_density_arithmetic(seed, kind, omega, n, alpha):
+    # orthonormal centered features and slow starts keep the path where V is
+    # well conditioned, so rounding differences in p are not amplified
+    rng = np.random.default_rng(seed)
+    if kind == "simplex":
+        fam = full_simplex_family(omega)
+    else:
+        fam = orthonormal_family(rng, omega, n)
+    k = fam.n_features
+    pt0 = fam.point(rng.normal(scale=0.3, size=k))
+    v0 = rng.normal(scale=0.4, size=k) / np.sqrt(k)
+    times, xis, vels, truncated = reference_geodesic(
+        pt0, v0, alpha, 1.0, 0.01, point_acceleration=normalised_acceleration
+    )
+    assert not truncated
+    path = geodesic(pt0, v0, alpha, 1.0, dt=0.01)
+    assert np.array_equal(path.times, times)
+    assert np.abs(path.xis - xis).max() <= 1e-12 * max(1.0, np.abs(xis).max())
+    assert np.abs(path.velocities - vels).max() <= 1e-12 * max(1.0, np.abs(vels).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    omega=st.integers(2, 40),
+    n=st.integers(1, 3),
+    base=st.booleans(),
+    scale=st.floats(0.0, 3.0),
+)
+def test_weights_are_the_point_probabilities(seed, omega, n, base, scale):
+    # orthonormal features (entries in [-1, 1]), a base in [-1, 1] and
+    # |xi_j| <= 3 keep s within 20 of its maximum, so exp(s - max s) and
+    # exp(s - log Z) agree to a few ulps each
+    rng = np.random.default_rng(seed)
+    fam = orthonormal_family(rng, omega, n, rng.uniform(-1, 1, omega) if base else None)
+    xi = rng.uniform(-scale, scale, fam.n_features)
+    s, p = families._weights(fam, xi)
+    want = fam.point(xi).probs()
+    assert np.array_equal(s, fam.base_log_density - xi @ fam.features)
+    assert np.all(np.abs(p - want) <= 1e-14 * want)
+    assert abs(p.sum() - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5, 1.0, 2.5])

@@ -235,6 +235,21 @@ class TestComposeDensity:
         with pytest.raises(ValueError, match=r"^weights have non-finite entries"):
             DensityMatrix.from_spectrum([np.inf, 1.0], np.eye(2))
 
+    def test_weights_that_would_overflow_the_trace_are_named(self):
+        # composing used to raise "RuntimeWarning: overflow encountered in add"
+        with pytest.raises(ValueError, match=r"^weights up to 1e\+308 overflow the trace"):
+            DensityMatrix.from_spectrum([1e308, 1e308], np.eye(2))
+        p, u = random_spectra(np.random.default_rng(4), 3, 2)
+        p[1] = [1e308, -1e308]
+        with pytest.raises(ValueError, match=r"^stack index 1: weights up to 1e\+308"):
+            compose_density(p, u)
+        # no weights at all: the test passes them on to the trace check
+        with pytest.raises(ValueError, match=r"^stack index 0: trace is 0.0, not 1$"):
+            compose_density(np.zeros((3, 0)), np.zeros((3, 0, 0)))
+        # just below the limit the matrix and its trace stay finite
+        with pytest.raises(ValueError, match=r"^trace is 2\.2[0-9]*e\+307, not 1$"):
+            DensityMatrix.from_spectrum([2.2e307, 0.0], u[0])
+
     def test_rejects_mismatched_shapes(self):
         p, u = random_spectra(np.random.default_rng(3), 4, 3)
         for weights, vectors in ((p[:3], u), (p, u[..., :2]), (p[0, 0], u[0])):

@@ -447,6 +447,42 @@ class TestExpm:
         assert np.abs(a).sum(axis=0).max() > 100
         assert_matches_scipy(a)
 
+    def test_triangular_squaring_matches_mpmath(self, monkeypatch):
+        # the squarings used to leave the O(1) entries 2.8e-14 off (250 ulps)
+        mpmath = pytest.importorskip("mpmath")
+        v = np.array([[0.1, 0.05], [0.05, -0.1]])
+        (a,) = duhamel_inputs(monkeypatch, np.diag([0.0, 800.0]), v, 4)
+        assert not np.tril(a, -1).any() and not a.imag.any()
+        with mpmath.workdps(40):
+            exact = mpmath.expm(mpmath.matrix(a.real.tolist())).tolist()
+        want = np.array(exact, dtype=float)
+        assert np.abs(expm(a) - want).max() <= 1e-16
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    def test_random_upper_triangular(self, complex_input):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        for size, scale in ((3, 5.0), (6, 40.0), (10, 5.0)):
+            a = np.triu(rng.normal(size=(size, size))) * scale
+            a[np.diag_indices(size)] = -np.abs(np.diagonal(a))
+            if complex_input:
+                a = a + 1j * np.triu(rng.normal(size=(size, size)))
+            with mpmath.workdps(40):
+                exact = mpmath.expm(mpmath.matrix(a.tolist())).tolist()
+            want = np.array(exact, dtype=complex)
+            got = expm(a)
+            assert got.dtype == a.dtype
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+    def test_repeated_eigenvalue_on_the_superdiagonal(self):
+        # lam I + N with N nilpotent: exp = e^lam (I + N + N^2 / 2) exactly,
+        # and every superdiagonal pair is confluent
+        n = np.array([[0.0, 6.0, 2.0], [0.0, 0.0, -5.0], [0.0, 0.0, 0.0]])
+        a = -3.0 * np.eye(3) + n
+        exact = np.exp(-3.0) * (np.eye(3) + n + n @ n / 2)
+        npt.assert_allclose(expm(a), exact, rtol=1e-15, atol=1e-15)
+        assert_matches_scipy(a)
+
     @pytest.mark.parametrize("one_norm", [1e-3, 0.05, 0.5, 2.0, 20.0, 999.0])
     def test_rate_generators(self, one_norm):
         rng = np.random.default_rng(int(one_norm * 1000))
