@@ -22,11 +22,14 @@ acceleration contracts the skewness with the velocity directly,
 
 with c the centered features, at O(n omega) per stage from the max-shifted
 weights of the raw xi array (no log Z); a stage builds no
-:class:`CanonicalPoint`.
+:class:`CanonicalPoint`.  :func:`geodesic` integrates it with the adaptive
+Dormand-Prince 5(4) pair at relative tolerance ``rtol`` (default 1e-10) and
+reads its samples, spaced ``dt`` apart, off the fourth-order dense output.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +99,9 @@ class GeodesicPath:
 
     ``truncated`` is set when the trajectory left the coordinate box before
     reaching t_max; the recorded samples stop at the last point inside.
+    ``steps_accepted`` and ``steps_rejected`` count the integrator's steps
+    and ``max_error`` is the largest error norm of an accepted one (at most
+    1, in units of the tolerance).
     """
 
     family: ExponentialFamily
@@ -103,9 +109,53 @@ class GeodesicPath:
     xis: np.ndarray
     velocities: np.ndarray
     truncated: bool
+    steps_accepted: int
+    steps_rejected: int
+    max_error: float
 
     def points(self) -> list[CanonicalPoint]:
         return [CanonicalPoint(self.family, xi) for xi in self.xis]
+
+
+# Dormand-Prince 5(4) (Dormand & Prince, J. Comput. Appl. Math. 6, 1980):
+# the rows of stages 2-7, the seventh being the fifth-order weights, so its
+# rate is the next step's first; the error weights (fifth minus fourth
+# order); the weights of the fourth-order dense output (Hairer, Norsett &
+# Wanner, Solving Ordinary Differential Equations I, II.6, contd5)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_D = (
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423,
+)
+
+
+# attempted steps per geodesic.  A path that runs into the boundary of the
+# family needs ever shorter steps, and there its error estimate drowns in
+# the rounding of a near-singular covariance; on the workload's paths a
+# geodesic takes 5 to 26 steps
+_MAX_STEPS = 2000
+
+
+def _combine(weights, ks):
+    """w_1 k_1 + w_2 k_2 + ... over the nonzero weights, left to right."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w:
+            total = w * k if total is None else total + w * k
+    return total
+
+
+def _rms(x) -> float:
+    return math.sqrt(float((x * x).sum()) / x.size)
 
 
 def geodesic(
@@ -115,21 +165,39 @@ def geodesic(
     t_max: float,
     dt: float = 1e-3,
     xi_box: float = 50.0,
+    rtol: float = 1e-10,
 ) -> GeodesicPath:
     """Integrate the alpha-geodesic from pt0 with initial velocity v0.
 
-    Fixed-step classical RK4 on the stacked first-order state y = (xi, v);
-    samples are returned at multiples of dt.  For alpha = +1 the Christoffel
-    symbols vanish and RK4 reproduces the straight line xi_0 + t v_0 exactly.
-    Each RK4 stage checks its raw xi array, takes the probabilities from
+    Adaptive Dormand-Prince 5(4) on the stacked state y = (xi, v), whose
+    last stage's rate starts the next step, so an accepted step costs six
+    stages.  A step passes when the rms of its error estimate over
+    atol + rtol max(|y|, |y_new|), atol = 1e-2 rtol, is at most 1; the step
+    starts at Hairer's estimate and changes by 0.9 err^(-1/5) within
+    [0.2, 10], not growing right after a rejection.  ``dt`` is the sample
+    spacing: the samples at t = k dt, k <= round(t_max / dt), come from the
+    fourth-order dense output.  At alpha = +1 the rate is (v, 0) and the
+    samples are the line xi_0 + t v_0 to rounding.
+
+    The path is ``truncated`` when a sample or a step's end leaves the box
+    |xi_j| <= xi_box, and its samples stop at the last one inside.  A stage
+    that fails outside the box (the family may degenerate there) shortens
+    its step five times if the step holds a sample, and else truncates the
+    path; a failure inside the box raises, and so do 2000 steps, which a
+    path running into the boundary of the family can take.
+
+    Each stage checks its raw xi array, takes the probabilities from
     :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
-    and shares its acceleration kernel with :func:`geodesic_acceleration`;
-    an N-step path evaluates 4N weight vectors, none at alpha = +1.
+    and shares its acceleration kernel with :func:`geodesic_acceleration`:
+    2 + 6 (steps_accepted + steps_rejected) weight vectors per path, fewer
+    after a failed stage, and none at alpha = +1 or without a step.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
+    if not rtol > 0:
+        raise ValueError("rtol must be positive")
     family = pt0.family
     n = family.n_features
     v0 = np.asarray(v0, dtype=float)
@@ -145,22 +213,84 @@ def geodesic(
         p = families._weights(family, xi)[1]
         return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
 
+    atol = 1e-2 * rtol
+    times = dt * np.arange(int(round(t_max / dt)) + 1)
+    t_end = times[-1]
     y = np.concatenate((pt0.xi, v0))
-    times, ys = [0.0], [y]
+    samples = [y[None]]
+    accepted = rejected = 0
+    max_error = 0.0
     truncated = False
-    for k in range(int(round(t_max / dt))):
+    if t_end > 0:
         k1 = rate(y)
-        k2 = rate(y + 0.5 * dt * k1)
-        k3 = rate(y + 0.5 * dt * k2)
-        k4 = rate(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.abs(y[:n]).max() > xi_box:
+        # starting step: Hairer, Norsett & Wanner, Solving ODEs I, II.4
+        scale = atol + rtol * np.abs(y)
+        d0, d1 = _rms(y / scale), _rms(k1 / scale)
+        h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        d2 = _rms((rate(y + h * k1) - k1) / scale) / h
+        big = max(d1, d2)
+        h = min(100 * h, max(1e-6, 1e-3 * h) if big <= 1e-15 else (0.01 / big) ** 0.2)
+    t, i, grow = 0.0, 1, True
+    while i < len(times):
+        if accepted + rejected == _MAX_STEPS:
+            raise ValueError(
+                f"geodesic took {_MAX_STEPS} steps before t = {t:.6g}; "
+                f"the path may run into the boundary of the family"
+            )
+        last = t + 1.01 * h >= t_end
+        if last:
+            h = t_end - t
+        ks = [k1]
+        try:
+            for row in _A:
+                stage = y + h * _combine(row, ks)
+                ks.append(rate(stage))
+        except ValueError:
+            # a stage past the box may sit where the family degenerates: the
+            # path leaves the box within this step, which ends the path
+            # unless the step holds a sample, and then it is shortened
+            if not np.abs(stage[:n]).max() > xi_box:
+                raise
+            if t + h < times[i]:
+                truncated = True
+                break
+            h, rejected, grow = 0.2 * h, rejected + 1, False
+            continue
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(stage))
+        err = _rms(h * _combine(_E, ks) / scale)
+        if not math.isfinite(err):
+            raise ValueError(f"geodesic error estimate is not finite at t = {t!r}")
+        factor = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * err ** -0.2))
+        if err > 1.0:
+            h, rejected, grow = factor * h, rejected + 1, False
+            continue
+        accepted += 1
+        max_error = max(max_error, err)
+        t_new = t_end if last else t + h
+        j = int(np.searchsorted(times, t_new, side="right"))
+        if j > i:
+            dy = stage - y
+            bspl = h * k1 - dy
+            curl = dy - h * ks[-1] - bspl
+            top = h * _combine(_D, ks)
+            th = ((times[i:j] - t) / h)[:, None]
+            rest = 1.0 - th
+            dense = y + th * (dy + rest * (bspl + th * (curl + rest * top)))
+            out = np.abs(dense[:, :n]).max(axis=1) > xi_box
+            kept = int(out.argmax()) if out.any() else j - i
+            samples.append(dense[:kept])
+            i += kept
+        if i < j or np.abs(stage[:n]).max() > xi_box:
             truncated = True
             break
-        times.append((k + 1) * dt)
-        ys.append(y)
-    ys = np.asarray(ys)
-    return GeodesicPath(family, np.asarray(times), ys[:, :n], ys[:, n:], truncated)
+        y, k1, t = stage, ks[-1], t_new
+        h *= factor if grow else min(factor, 1.0)
+        grow = True
+    ys = np.concatenate(samples)
+    return GeodesicPath(
+        family, times[: len(ys)], ys[:, :n], ys[:, n:], truncated,
+        accepted, rejected, max_error,
+    )
 
 
 def geodesic_mixture_coords(path: GeodesicPath) -> np.ndarray:

@@ -256,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v0", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument(
+        "--dt", type=float, default=1e-3,
+        help="spacing of the output samples (default 1e-3); the adaptive "
+        "Dormand-Prince 5(4) steps at rtol 1e-10 are chosen separately and "
+        "the samples come from its dense output",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_geodesic)
 

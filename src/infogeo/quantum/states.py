@@ -119,7 +119,16 @@ def compose_density(p, u, allow_boundary: bool = False):
         raise ValueError(
             f"{at_index(i)}weights up to {float(top[i])!r} overflow the trace"
         )
-    check_finite(u, "eigenvectors have non-finite entries")
+    # no entry of a unitary exceeds 1, so larger ones (which could overflow
+    # U†U) are refused first; nan fails the test too
+    big = np.maximum.reduce(abs(u), axis=(-2, -1), initial=0.0)
+    if any_set(~(big <= 1.0 + _RECONSTRUCTION_RTOL)):
+        check_finite(u, "eigenvectors have non-finite entries")
+        i = worst_index(big)
+        raise ValueError(
+            f"{at_index(i)}eigenvectors are not unitary: an entry of modulus "
+            f"{float(big[i]):.3e}"
+        )
     unit_err = unitarity_residual(u)
     if any_set(unit_err > _RECONSTRUCTION_RTOL):
         i = worst_index(unit_err)

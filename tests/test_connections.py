@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 import scipy.special
 
+import infogeo.classical.connections as connections
 import infogeo.classical.families as families
 from infogeo.classical import (
     ExponentialFamily,
@@ -15,6 +16,15 @@ from infogeo.classical import (
     geodesic_acceleration,
     geodesic_mixture_coords,
     skewness_tensor,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from test_geodesic_stages import (  # noqa: E402
+    FINE_RK4_BOUND,
+    make_family,
+    orthonormal_family,
+    rk4_geodesic,
 )
 
 
@@ -169,10 +179,208 @@ class TestFusedAcceleration:
                 assert "logsumexp" not in vars(mod), name
         rng = np.random.default_rng(8)
         fam = random_family(rng, 12, 3)
-        n_steps = 25
-        # constructing pt0 normalises once; each RK4 step takes the weights
-        # of the four points at which it evaluates the acceleration
+        n_samples = 25
+        # constructing pt0 normalises once; the path takes the weights at
+        # pt0, at the starting-step probe and at six stages per attempted
+        # step (the seventh is the next step's first)
         pt0 = fam.point(rng.normal(scale=0.3, size=3))
-        path = geodesic(pt0, rng.normal(size=3), alpha=0.5, t_max=n_steps * 0.01, dt=0.01)
-        assert len(path.xis) == n_steps + 1
-        assert calls == {"_log_normalize": 1, "_weights": 4 * n_steps}
+        v0 = rng.normal(size=3)
+        path = geodesic(pt0, v0, alpha=0.5, t_max=n_samples * 0.01, dt=0.01)
+        assert len(path.xis) == n_samples + 1
+        assert path.steps_accepted > 0
+        stages = 2 + 6 * (path.steps_accepted + path.steps_rejected)
+        assert calls == {"_log_normalize": 1, "_weights": stages}
+        # the alpha = +1 rate is (v, 0): no weights at all
+        path = geodesic(pt0, v0, alpha=1.0, t_max=n_samples * 0.01, dt=0.01)
+        assert path.steps_accepted > 0
+        assert calls == {"_log_normalize": 1, "_weights": stages}
+
+
+def slow_start(seed, kind, omega, n):
+    """A family and a slow start whose path keeps V well conditioned."""
+    rng = np.random.default_rng(seed)
+    fam = full_simplex_family(omega) if kind == "simplex" else orthonormal_family(rng, omega, n)
+    k = fam.n_features
+    return fam.point(rng.normal(scale=0.3, size=k)), rng.normal(scale=0.4, size=k) / np.sqrt(k)
+
+
+def fast_start(seed, kind, omega, n, speed):
+    """A random family and a start near 0 moving at about ``speed``."""
+    rng = np.random.default_rng(seed)
+    fam = make_family(kind, omega, n, rng)
+    k = fam.n_features
+    return fam.point(rng.normal(scale=0.1, size=k)), speed * rng.normal(size=k) / np.sqrt(k)
+
+
+seeds = st.integers(0, 2**63 - 1)
+kinds = st.sampled_from(["simplex", "features"])
+curved = st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3.0, 0.9)
+
+
+class TestAdaptiveGeodesic:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, omega=st.integers(2, 12), n=st.integers(1, 4),
+           t_max=st.floats(0.0, 3.0), dt=st.floats(0.003, 0.5), speed=st.floats(0.0, 5.0))
+    def test_plus_one_samples_the_line(self, seed, omega, n, t_max, dt, speed):
+        rng = np.random.default_rng(seed)
+        fam = random_family(rng, omega, min(n, omega - 1))
+        k = fam.n_features
+        xi0 = rng.normal(scale=0.3, size=k)
+        v0 = speed * rng.normal(size=k) / np.sqrt(k)
+        path = geodesic(fam.point(xi0), v0, 1.0, t_max, dt=dt)
+        line = xi0 + path.times[:, None] * v0
+        assert np.abs(path.xis - line).max() <= 1e-12
+        assert np.array_equal(path.velocities, np.broadcast_to(v0, path.velocities.shape))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=seeds, kind=kinds, omega=st.integers(3, 12), n=st.integers(1, 3),
+           alpha=curved)
+    def test_error_shrinks_with_rtol(self, seed, kind, omega, n, alpha):
+        pt0, v0 = slow_start(seed, kind, omega, n)
+        xis, vels = rk4_geodesic(pt0, v0, alpha, 0.5, 1e-3)
+        fine = np.hstack((xis, vels))[::10]
+        scale = max(1.0, np.abs(fine).max())
+        errors = []
+        for rtol in (1e-8, 1e-10, 1e-12):
+            path = geodesic(pt0, v0, alpha, 0.5, dt=0.01, rtol=rtol)
+            assert not path.truncated
+            errors.append(np.abs(np.hstack((path.xis, path.velocities)) - fine).max())
+            assert errors[-1] <= FINE_RK4_BOUND * rtol * scale
+        # proportionality to rtol is only asymptotic: where the growth limit
+        # of the step, not the tolerance, sets the steps, a path can come out
+        # as accurate at 1e-8 as at 1e-10.  Four decades always tell, unless
+        # 1e-8 already leaves only the fine path's own error (below 1e-14)
+        assert errors[2] < errors[0] or errors[0] <= 1e-14 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(t_max=st.floats(0.0, 50.0), dt=st.floats(1e-3, 10.0))
+    def test_times_are_the_sample_grid(self, t_max, dt):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        path = geodesic(fam.point([0.1]), np.array([0.5]), 1.0, t_max, dt=dt)
+        want = [0.0] + [(k + 1) * dt for k in range(int(round(t_max / dt)))]
+        assert np.array_equal(path.times, np.asarray(want))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=seeds, kind=kinds, omega=st.integers(3, 12), n=st.integers(1, 3),
+           alpha=curved | st.just(1.0), frac=st.floats(0.0, 0.49))
+    def test_zero_t_max_is_one_sample(self, seed, kind, omega, n, alpha, frac):
+        pt0, v0 = fast_start(seed, kind, omega, n, 5.0)
+        path = geodesic(pt0, v0, alpha, frac * 0.01, dt=0.01)
+        assert np.array_equal(path.times, [0.0])
+        assert np.array_equal(path.xis, pt0.xi[None])
+        assert np.array_equal(path.velocities, v0[None])
+        assert not path.truncated
+        assert (path.steps_accepted, path.steps_rejected, path.max_error) == (0, 0, 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, kind=kinds, omega=st.integers(3, 12), n=st.integers(1, 3),
+           alpha=curved | st.just(1.0), speed=st.floats(1.0, 10.0),
+           box=st.floats(0.5, 2.0))
+    def test_leaving_the_box_truncates(self, seed, kind, omega, n, alpha, speed, box):
+        # the box decides only where the path stops, so a path in a larger
+        # box starts with the same samples, to the bit
+        pt0, v0 = fast_start(seed, kind, omega, n, speed)
+        path = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+        m = len(path.times)
+        assert np.abs(path.xis).max() <= box
+        assert path.truncated == (m < 101)
+        wide = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=4 * box)
+        assert np.array_equal(wide.xis[:m], path.xis)
+        assert np.array_equal(wide.velocities[:m], path.velocities)
+        if np.abs(wide.xis).max() > box:
+            assert path.truncated
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=seeds, kind=kinds, omega=st.integers(3, 12), n=st.integers(1, 3),
+           alpha=curved, speed=st.floats(1.0, 10.0), box=st.floats(0.5, 2.0),
+           margin=st.sampled_from([0.0, 0.01, 0.3]) | st.floats(0.0, 1.0))
+    def test_failing_stage_outside_the_box_truncates(
+        self, seed, kind, omega, n, alpha, speed, box, margin
+    ):
+        # a family that degenerates just outside the box: a stage there
+        # raises, and the path must still end as a truncation
+        pt0, v0 = fast_start(seed, kind, omega, n, speed)
+        plain = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+        weights = families._weights
+
+        def degenerate(family, xi):
+            if np.abs(xi).max() > box + margin:
+                raise ValueError("singular covariance matrix; features degenerate here")
+            return weights(family, xi)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_weights", degenerate)
+            path = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+        assert path.truncated == plain.truncated
+        assert len(path.times) == len(plain.times)
+        assert np.abs(path.xis).max() <= box
+        assert np.abs(path.xis - plain.xis).max() <= 1e-8
+
+    def test_stage_failure_at_the_box_edge(self):
+        # the family ends at the box, so no step can end outside it; the
+        # stage that fails there ends the path at the last sample inside
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 3.0]]))
+        pt0, v0 = fam.point([0.0]), np.array([4.0])
+        plain = geodesic(pt0, v0, 0.5, 1.0, dt=0.01, xi_box=1.0)
+        weights = families._weights
+
+        def degenerate(family, xi):
+            if np.abs(xi).max() > 1.0:
+                raise ValueError("singular covariance matrix; features degenerate here")
+            return weights(family, xi)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_weights", degenerate)
+            path = geodesic(pt0, v0, 0.5, 1.0, dt=0.01, xi_box=1.0)
+        assert plain.truncated and path.truncated
+        assert path.steps_rejected > 0
+        assert len(path.times) == len(plain.times)
+        npt.assert_allclose(path.xis, plain.xis, rtol=0, atol=1e-9)
+
+    def test_a_failing_stage_inside_the_box_raises(self):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 3.0]]))
+
+        def degenerate(family, xi):
+            raise ValueError("singular covariance matrix; features degenerate here")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(families, "_weights", degenerate)
+            with pytest.raises(ValueError, match="degenerate here"):
+                geodesic(fam.point([0.0]), np.array([4.0]), 0.5, 1.0, dt=0.01)
+
+    def test_step_budget_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(connections, "_MAX_STEPS", 3)
+        fam = full_simplex_family(4)
+        with pytest.raises(ValueError, match=r"^geodesic took 3 steps before t = "):
+            geodesic(fam.point(np.zeros(3)), np.array([1.0, -0.5, 0.2]), 0.0, 1.0, dt=0.01)
+
+    def test_running_into_the_boundary_truncates_or_raises(self):
+        # the alpha = -1 path of a coin reaches p = (1, 0) at t = 0.2, where
+        # xi diverges like -log(0.2 - t): a box of 10 is left after a few
+        # hundred steps, one of 50 only after about 1950 of the 2000 allowed
+        fam = ExponentialFamily(np.array([[0.0, 1.0]]))
+        for box in (10.0, 50.0):
+            path = geodesic(fam.point([0.0]), np.array([10.0]), -1.0, 1.0, dt=0.01, xi_box=box)
+            assert path.truncated and len(path.times) == 20
+            eta = 0.5 - 2.5 * path.times  # affine in t: the -1 geodesic
+            npt.assert_allclose(path.xis[:, 0], np.log((1 - eta) / eta), rtol=0, atol=1e-9)
+
+    def test_non_finite_error_estimate_is_an_error(self, monkeypatch):
+        # the seventh rate of the first step (after the rate at pt0 and the
+        # starting-step probe) is nan while its xi is finite
+        acceleration, calls = connections._acceleration, []
+
+        def flaky(*args):
+            calls.append(None)
+            return acceleration(*args) * (np.nan if len(calls) == 8 else 1.0)
+
+        monkeypatch.setattr(connections, "_acceleration", flaky)
+        fam = full_simplex_family(4)
+        with pytest.raises(ValueError, match=r"^geodesic error estimate is not finite at t = 0\.0$"):
+            geodesic(fam.point(np.zeros(3)), np.array([1.0, -0.5, 0.2]), 0.0, 1.0, dt=0.01)
+
+    def test_rtol_must_be_positive(self):
+        fam = ExponentialFamily(np.array([[0.0, 1.0]]))
+        for rtol in (0.0, -1e-10, np.nan):
+            with pytest.raises(ValueError, match="rtol must be positive"):
+                geodesic(fam.point([0.0]), np.array([1.0]), 0.0, 1.0, rtol=rtol)

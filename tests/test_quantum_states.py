@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -234,6 +236,30 @@ class TestComposeDensity:
         # an infinite weight used to raise a RuntimeWarning while composing
         with pytest.raises(ValueError, match=r"^weights have non-finite entries"):
             DensityMatrix.from_spectrum([np.inf, 1.0], np.eye(2))
+
+    def test_huge_vectors_are_not_unitary_under_warnings_as_errors(self):
+        # U†U of 1e160 * I used to raise "overflow encountered in matmul"
+        # before the vectors could be called non-unitary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError,
+                match=r"^eigenvectors are not unitary: an entry of modulus 1\.000e\+160$",
+            ):
+                DensityMatrix.from_spectrum([0.5, 0.5], 1e160 * np.eye(2))
+            p, u = random_spectra(np.random.default_rng(6), 4, 3)
+            u[2] *= 1e200
+            with pytest.raises(ValueError, match=r"^stack index 2: eigenvectors are not unitary"):
+                compose_density(p, u)
+            # non-finite entries are still named as such, inf and nan alike
+            for bad in (np.inf, np.nan):
+                u = np.eye(2, dtype=complex)
+                u[0, 1] = bad
+                with pytest.raises(ValueError, match=r"^eigenvectors have non-finite entries"):
+                    DensityMatrix.from_spectrum([0.5, 0.5], u)
+            # rounding above 1 within the unitarity tolerance passes
+            u = np.array([[1.0 + 1e-13, 0.0], [0.0, 1.0]])
+            assert DensityMatrix.from_spectrum([0.5, 0.5], u).dim == 2
 
     def test_weights_that_would_overflow_the_trace_are_named(self):
         # composing used to raise "RuntimeWarning: overflow encountered in add"
