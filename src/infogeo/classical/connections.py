@@ -23,7 +23,7 @@ acceleration contracts the skewness with the velocity directly,
 with c the centered features, at O(n omega) per stage from the max-shifted
 weights of the raw xi array (no log Z); a stage builds no
 :class:`CanonicalPoint`.  :func:`geodesic` integrates it with the adaptive
-Dormand-Prince 5(4) pair at relative tolerance ``rtol`` (default 1e-10) and
+Dormand-Prince 5(4) pair at the relative tolerance ``_RTOL`` = 1e-10 and
 reads its samples, spaced ``dt`` apart, off the fourth-order dense output.
 """
 
@@ -138,11 +138,18 @@ _D = (
 )
 
 
+# relative tolerance of a step (its absolute tolerance is 1e-2 of it)
+_RTOL = 1e-10
+
 # attempted steps per geodesic.  A path that runs into the boundary of the
-# family needs ever shorter steps, and there its error estimate drowns in
+# family needs ever shorter steps, and there its error estimate can drown in
 # the rounding of a near-singular covariance; on the workload's paths a
 # geodesic takes 5 to 26 steps
 _MAX_STEPS = 2000
+
+# a step below this multiple of t while |xi| grows has collapsed onto a point
+# where xi diverges (a face of the family): the path ends there, truncated
+_MIN_STEP = 1e-12
 
 
 def _combine(weights, ks):
@@ -165,26 +172,27 @@ def geodesic(
     t_max: float,
     dt: float = 1e-3,
     xi_box: float = 50.0,
-    rtol: float = 1e-10,
 ) -> GeodesicPath:
     """Integrate the alpha-geodesic from pt0 with initial velocity v0.
 
     Adaptive Dormand-Prince 5(4) on the stacked state y = (xi, v), whose
     last stage's rate starts the next step, so an accepted step costs six
     stages.  A step passes when the rms of its error estimate over
-    atol + rtol max(|y|, |y_new|), atol = 1e-2 rtol, is at most 1; the step
-    starts at Hairer's estimate and changes by 0.9 err^(-1/5) within
-    [0.2, 10], not growing right after a rejection.  ``dt`` is the sample
+    atol + rtol max(|y|, |y_new|), rtol = 1e-10 and atol = 1e-2 rtol, is at
+    most 1; the step starts at Hairer's estimate and changes by
+    0.9 err^(-1/5) within [0.2, 10], not growing right after a rejection.  ``dt`` is the sample
     spacing: the samples at t = k dt, k <= round(t_max / dt), come from the
     fourth-order dense output.  At alpha = +1 the rate is (v, 0) and the
     samples are the line xi_0 + t v_0 to rounding.
 
     The path is ``truncated`` when a sample or a step's end leaves the box
-    |xi_j| <= xi_box, and its samples stop at the last one inside.  A stage
-    that fails outside the box (the family may degenerate there) shortens
-    its step five times if the step holds a sample, and else truncates the
-    path; a failure inside the box raises, and so do 2000 steps, which a
-    path running into the boundary of the family can take.
+    |xi_j| <= xi_box, and its samples stop at the last one inside.  A path
+    running into the boundary of the family, where xi diverges at a finite
+    t, is also truncated: when its step falls below 1e-12 t while max |xi_j|
+    grows.  A stage that fails at a finite xi outside the box (the family
+    may degenerate there) shortens its step five times if the step holds a
+    sample, and else truncates the path; any other failed stage raises, and
+    so do 2000 steps.
 
     Each stage checks its raw xi array, takes the probabilities from
     :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
@@ -196,8 +204,6 @@ def geodesic(
         raise ValueError("dt must be positive")
     if t_max < 0:
         raise ValueError("t_max must be nonnegative")
-    if not rtol > 0:
-        raise ValueError("rtol must be positive")
     family = pt0.family
     n = family.n_features
     v0 = np.asarray(v0, dtype=float)
@@ -213,6 +219,7 @@ def geodesic(
         p = families._weights(family, xi)[1]
         return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
 
+    rtol = _RTOL
     atol = 1e-2 * rtol
     times = dt * np.arange(int(round(t_max / dt)) + 1)
     t_end = times[-1]
@@ -231,7 +238,11 @@ def geodesic(
         big = max(d1, d2)
         h = min(100 * h, max(1e-6, 1e-3 * h) if big <= 1e-15 else (0.01 / big) ** 0.2)
     t, i, grow = 0.0, 1, True
+    reach, outward = np.abs(y[:n]).max(), False
     while i < len(times):
+        if outward and h < _MIN_STEP * t:
+            truncated = True
+            break
         if accepted + rejected == _MAX_STEPS:
             raise ValueError(
                 f"geodesic took {_MAX_STEPS} steps before t = {t:.6g}; "
@@ -249,7 +260,8 @@ def geodesic(
             # a stage past the box may sit where the family degenerates: the
             # path leaves the box within this step, which ends the path
             # unless the step holds a sample, and then it is shortened
-            if not np.abs(stage[:n]).max() > xi_box:
+            xi = stage[:n]
+            if not (np.isfinite(xi).all() and np.abs(xi).max() > xi_box):
                 raise
             if t + h < times[i]:
                 truncated = True
@@ -280,9 +292,11 @@ def geodesic(
             kept = int(out.argmax()) if out.any() else j - i
             samples.append(dense[:kept])
             i += kept
-        if i < j or np.abs(stage[:n]).max() > xi_box:
+        new_reach = np.abs(stage[:n]).max()
+        if i < j or new_reach > xi_box:
             truncated = True
             break
+        outward, reach = new_reach > reach, new_reach
         y, k1, t = stage, ks[-1], t_new
         h *= factor if grow else min(factor, 1.0)
         grow = True

@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dt", type=float, default=1e-3,
         help="spacing of the output samples (default 1e-3); the adaptive "
-        "Dormand-Prince 5(4) steps at rtol 1e-10 are chosen separately and "
-        "the samples come from its dense output",
+        "Dormand-Prince 5(4) steps at relative tolerance 1e-10 are chosen "
+        "separately and the samples come from its dense output",
     )
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_geodesic)

@@ -242,7 +242,9 @@ class TestAdaptiveGeodesic:
         scale = max(1.0, np.abs(fine).max())
         errors = []
         for rtol in (1e-8, 1e-10, 1e-12):
-            path = geodesic(pt0, v0, alpha, 0.5, dt=0.01, rtol=rtol)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(connections, "_RTOL", rtol)
+                path = geodesic(pt0, v0, alpha, 0.5, dt=0.01)
             assert not path.truncated
             errors.append(np.abs(np.hstack((path.xis, path.velocities)) - fine).max())
             assert errors[-1] <= FINE_RK4_BOUND * rtol * scale
@@ -354,14 +356,17 @@ class TestAdaptiveGeodesic:
         with pytest.raises(ValueError, match=r"^geodesic took 3 steps before t = "):
             geodesic(fam.point(np.zeros(3)), np.array([1.0, -0.5, 0.2]), 0.0, 1.0, dt=0.01)
 
-    def test_running_into_the_boundary_truncates_or_raises(self):
+    def test_running_into_the_boundary_truncates(self):
         # the alpha = -1 path of a coin reaches p = (1, 0) at t = 0.2, where
-        # xi diverges like -log(0.2 - t): a box of 10 is left after a few
-        # hundred steps, one of 50 only after about 1950 of the 2000 allowed
+        # xi diverges like -log(0.2 - t) and each step gains about 0.025 in
+        # xi: a box of 10 is left after about 370 steps, while in one of 50
+        # the step falls below 1e-12 t near xi = 23, after about 950 steps;
+        # reaching xi = 50 would take about 1950 of the 2000 allowed
         fam = ExponentialFamily(np.array([[0.0, 1.0]]))
-        for box in (10.0, 50.0):
+        for box, most in ((10.0, 500), (50.0, 1200)):
             path = geodesic(fam.point([0.0]), np.array([10.0]), -1.0, 1.0, dt=0.01, xi_box=box)
             assert path.truncated and len(path.times) == 20
+            assert path.steps_accepted + path.steps_rejected < most
             eta = 0.5 - 2.5 * path.times  # affine in t: the -1 geodesic
             npt.assert_allclose(path.xis[:, 0], np.log((1 - eta) / eta), rtol=0, atol=1e-9)
 
@@ -379,8 +384,19 @@ class TestAdaptiveGeodesic:
         with pytest.raises(ValueError, match=r"^geodesic error estimate is not finite at t = 0\.0$"):
             geodesic(fam.point(np.zeros(3)), np.array([1.0, -0.5, 0.2]), 0.0, 1.0, dt=0.01)
 
-    def test_rtol_must_be_positive(self):
-        fam = ExponentialFamily(np.array([[0.0, 1.0]]))
-        for rtol in (0.0, -1e-10, np.nan):
-            with pytest.raises(ValueError, match="rtol must be positive"):
-                geodesic(fam.point([0.0]), np.array([1.0]), 0.0, 1.0, rtol=rtol)
+    def test_non_finite_stage_outside_the_box_raises(self, monkeypatch):
+        # an infinite acceleration at the first step's second stage makes
+        # the third stage's v infinite, so the fourth stage's xi is +inf:
+        # outside the box, but an error, not a truncation
+        acceleration, calls = connections._acceleration, []
+
+        def blowing_up(*args):
+            calls.append(None)
+            a = acceleration(*args)
+            return np.full_like(a, np.inf) if len(calls) == 3 else a
+
+        monkeypatch.setattr(connections, "_acceleration", blowing_up)
+        fam = full_simplex_family(4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError, match="xi must be finite"):
+                geodesic(fam.point(np.zeros(3)), np.array([1.0, -0.5, 0.2]), 0.0, 1.0, dt=0.01)
