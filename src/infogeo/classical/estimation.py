@@ -38,7 +38,6 @@ class ParametricFamily:
     omega_size: int
     _map: Callable[[np.ndarray], FiniteDistribution]
     _scores: Callable[[np.ndarray], np.ndarray] | None = None
-    fd_step: float = _FD_STEP
 
     @staticmethod
     def from_exponential(
@@ -79,10 +78,9 @@ class ParametricFamily:
         fn: Callable[[np.ndarray], FiniteDistribution],
         param_dim: int,
         omega_size: int,
-        fd_step: float = _FD_STEP,
     ) -> "ParametricFamily":
         """Wrap a user-supplied map; scores come from central differences."""
-        return ParametricFamily(param_dim, omega_size, fn, None, fd_step)
+        return ParametricFamily(param_dim, omega_size, fn)
 
     def distribution(self, theta) -> FiniteDistribution:
         theta = self._check_theta(theta)
@@ -104,7 +102,7 @@ class ParametricFamily:
             return self._scores(rho.probs)
         out = np.zeros((self.param_dim, self.omega_size))
         for j in range(self.param_dim):
-            h = self.fd_step * max(1.0, abs(theta[j]))
+            h = _FD_STEP * max(1.0, abs(theta[j]))
             e = np.zeros_like(theta)
             e[j] = h
             hi = self.distribution(theta + e).probs

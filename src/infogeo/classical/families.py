@@ -12,16 +12,15 @@ base weight is the Legendre transform S_rel = Psi + xi . eta.
 
 Psi is one max-shifted log-sum-exp (:func:`_log_normalize`); a geodesic stage
 needs only the probabilities, the max-shifted weights over their sum
-(:func:`_weights`).  A :class:`CanonicalPoint` normalises once, or reuses the
-solver's last evaluation, and reads its probabilities, moments and entropy
-from the cached log density.
+(:func:`_weights`).  A :class:`CanonicalPoint` normalises once, or its family's
+``_point`` builds it from the last evaluation of :func:`_dual_newton`; it reads
+its probabilities, moments and entropy from the cached log density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from ..spectral import log_sum_exp
 from .distributions import FiniteDistribution
 
 _GRAM_FLOOR = 1e-10
+_LEGENDRE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,19 @@ class ExponentialFamily:
     def point(self, xi) -> "CanonicalPoint":
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
 
+    def _oracle(self, xi):
+        """The solver's oracle: Psi, eta, their covariance and s = b - xi . f."""
+        s, p = _weights(self, xi)
+        eta, _, cov = _moments(self.features, p)
+        return log_sum_exp(s), eta, cov, s
+
+    def _point(self, xi, value, iterations) -> "CanonicalPoint":
+        """The fitted point at xi, from the s and Psi of the oracle's value."""
+        pt = object.__new__(CanonicalPoint)
+        object.__setattr__(pt, "family", self)
+        pt._fill(xi, value[3], value[0])
+        return pt
+
 
 def _check_independent(rows: np.ndarray, modulo: str) -> None:
     """Reject feature rows, already stripped of their part along ``modulo``
@@ -148,14 +161,6 @@ class CanonicalPoint:
     def __post_init__(self):
         xi = _check_xi(self.family, self.xi)
         self._fill(xi, *_log_normalize(self.family, xi))
-
-    @classmethod
-    def _from_log_density(cls, family, xi, s, psi) -> "CanonicalPoint":
-        """The point at xi from the s and Psi computed there; xi is checked."""
-        pt = object.__new__(cls)
-        object.__setattr__(pt, "family", family)
-        pt._fill(_check_xi(family, xi), s, psi)
-        return pt
 
     def _fill(self, xi, s, psi):
         xi = xi.copy()
@@ -213,13 +218,13 @@ class LegendreReport:
     gradient_residual: np.ndarray
 
 
-def legendre_check(pt: CanonicalPoint, step: float = 1e-5) -> LegendreReport:
+def legendre_check(pt: CanonicalPoint) -> LegendreReport:
     """Check S_rel = Psi + xi . eta and dS_rel/deta_j = xi_j at the point.
 
     S_rel is the entropy relative to the base weight, which coincides with
     the Shannon entropy for a uniform base.  The gradient residual is a
     central finite difference in eta: each coordinate is displaced by
-    +-step, the canonical coordinates are re-solved by moment matching, and
+    +-1e-5, the canonical coordinates are re-solved by moment matching, and
     the entropy difference quotient is compared against xi_j.
     """
     eta = mixture_coords(pt)
@@ -229,28 +234,12 @@ def legendre_check(pt: CanonicalPoint, step: float = 1e-5) -> LegendreReport:
     grad = np.zeros(pt.family.n_features)
     for j in range(pt.family.n_features):
         e = np.zeros_like(eta)
-        e[j] = step
+        e[j] = _LEGENDRE_STEP
         hi = fit_mixture_coords(pt.family, eta + e, xi0=pt.xi)
         lo = fit_mixture_coords(pt.family, eta - e, xi0=pt.xi)
-        ds = (entropy_relative_to_base(hi) - entropy_relative_to_base(lo)) / (2 * step)
+        ds = (entropy_relative_to_base(hi) - entropy_relative_to_base(lo)) / (2 * e[j])
         grad[j] = ds - pt.xi[j]
     return LegendreReport(identity, grad)
-
-
-class _Moments(tuple):
-    """An oracle's ``(log_z, eta, cov)`` and the ``state`` it came from (s, or
-    a quantum Gibbs spectrum), so the fitted state needs no second one."""
-
-    def __new__(cls, log_z, eta, cov, state):
-        out = super().__new__(cls, (log_z, eta, cov))
-        out.state = state
-        return out
-
-
-def _psi_eta_cov(family: ExponentialFamily, xi):
-    s, p = _weights(family, xi)
-    eta, _, cov = _moments(family.features, p)
-    return _Moments(log_sum_exp(s), eta, cov, s)
 
 
 def fit_mixture_coords(
@@ -275,7 +264,7 @@ def fit_mixture_coords(
     Raises
     ------
     ValueError
-        If the targets have the wrong shape or are not finite.
+        If ``xi0`` or the targets have the wrong shape or are not finite.
     FeasibilityError
         If the iteration stops with a canonical coordinate beyond 10 in
         absolute value: the target lies outside (or on the boundary of) the
@@ -283,11 +272,7 @@ def fit_mixture_coords(
     ConvergenceError
         If the iteration stops anywhere else.
     """
-    xi0 = np.zeros(family.n_features) if xi0 is None else xi0
-    xi, value, _ = _dual_newton(
-        partial(_psi_eta_cov, family), target_means, xi0, tol, max_iter, _warm
-    )
-    return CanonicalPoint._from_log_density(family, xi, value.state, value[0])
+    return _dual_newton(family, target_means, xi0, tol, max_iter, _warm)
 
 
 #: The solver stops once some |xi_j| passes this: the target is escaping.
@@ -305,7 +290,7 @@ class _WarmStart:
 
     A solve handed one reads the value instead of evaluating the oracle again
     when it starts at exactly that xi, and leaves its own final xi and value
-    in it.  One instance serves a chain of solves with the same oracle, such
+    in it.  One instance serves a chain of solves of the same family, such
     as the projections of one :func:`..projection.roll`.
     """
 
@@ -315,25 +300,27 @@ class _WarmStart:
         self.xi = self.value = None
 
 
-def _dual_newton(oracle, m, xi0, tol: float, max_iter: int, warm=None):
+def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
     """Minimise the convex dual D(xi) = log Z(xi) + xi . m by damped Newton.
 
-    ``oracle(xi)`` returns ``(log_z, eta, hessian)``: log Z, the feature
-    means (the gradient of D is m - eta) and the Hessian of log Z, which is
-    the feature covariance of a classical family and the BKM covariance of
-    a quantum one.  Armijo backtracking (factor 0.5, slope 1e-4) makes D
-    decrease monotonically; below a residual of 1e-6 plain Newton steps are
-    taken.  Returns ``(xi, value, iterations)`` once max |m - eta| < tol,
-    where ``value`` is what the oracle returned at that xi.  A
-    :class:`_WarmStart` ``warm`` supplies the value at ``xi0`` when it holds
-    one for exactly that point, and receives the returned xi and value.
+    ``family._oracle(xi)`` returns ``(log_z, eta, hessian, state)``: log Z,
+    the feature means (the gradient of D is m - eta), the Hessian of log Z
+    (the feature covariance of a classical family, the BKM covariance of a
+    quantum one) and what the fitted state is built from.  ``xi0`` (default
+    0) is checked like any xi.  Armijo backtracking (factor 0.5, slope 1e-4)
+    makes D decrease monotonically; below a residual of 1e-6 plain Newton
+    steps are taken.  Once max |m - eta| < tol it returns
+    ``family._point(xi, value, iterations)``, ``value`` being the oracle's
+    value at that xi.  A :class:`_WarmStart` ``warm`` supplies the value at
+    ``xi0`` when it holds one for exactly that point, and receives the
+    returned xi and value.
 
     Every stop without convergence (singular Hessian, non-finite step,
     stalled line search, D failing to decrease, |xi| past 1e3, budget spent)
     raises :class:`FeasibilityError` when some |xi_j| exceeds 10, else
     :class:`ConvergenceError`.
     """
-    xi = np.asarray(xi0, dtype=float).copy()
+    xi = np.zeros(family.n_features) if xi0 is None else _check_xi(family, xi0).copy()
     m = np.asarray(m, dtype=float)
     if m.shape != xi.shape:
         raise ValueError(f"target means have shape {m.shape}, expected {xi.shape}")
@@ -343,16 +330,16 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int, warm=None):
     if warm is not None and np.array_equal(warm.xi, xi):
         value = warm.value
     else:
-        value = oracle(xi)
+        value = family._oracle(xi)
     for it in range(max_iter):
-        log_z, eta, hess = value
+        log_z, eta, hess, _ = value
         obj = log_z + xi @ m
         grad = m - eta
         resid = float(np.abs(grad).max())
         if resid < tol:
             if warm is not None:
                 warm.xi, warm.value = xi, value
-            return xi, value, it
+            return family._point(xi, value, it)
         if np.abs(xi).max() > _DIVERGENCE_NORM:
             raise _stopped(f"|xi| passed {_DIVERGENCE_NORM:g}", xi, m, resid)
         try:
@@ -367,7 +354,7 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int, warm=None):
             # local quadratic phase: objective decreases are below roundoff,
             # so take plain Newton steps instead of an Armijo search
             xi = xi + step
-            value = oracle(xi)
+            value = family._oracle(xi)
             continue
         slope = float(grad @ step)
         t = 1.0
@@ -376,7 +363,7 @@ def _dual_newton(oracle, m, xi0, tol: float, max_iter: int, warm=None):
                 t *= 0.5
                 continue
             xi_new = xi + t * step
-            value_n = oracle(xi_new)
+            value_n = family._oracle(xi_new)
             obj_n = value_n[0] + xi_new @ m
             if obj_n <= obj + 1e-4 * t * slope:
                 break

@@ -38,6 +38,7 @@ from .spectral import expm, hermitian_part
 
 MAX_POINTS = 8
 MAX_ORDER = 6
+_DERIVATIVE_STEP = 0.01
 
 #: Sign and normalization convention of the expansion, pinned numerically
 #: against the exact log Z and carried in report metadata.
@@ -165,18 +166,17 @@ class DerivativeCheck:
     second: float
 
 
-def massieu_derivative_check(
-    prob: PerturbationProblem, h: float = 0.01
-) -> DerivativeCheck:
+def massieu_derivative_check(prob: PerturbationProblem) -> DerivativeCheck:
     """Check mean and metric against derivatives of the exact log Z.
 
     The first derivative of log Z_{tV} at t = 0 must equal minus the mean
     of V, and the second must equal the BKM norm of the centered V; both
-    are evaluated by fourth-order central differences of the exact log Z.
+    are taken by fourth-order central differences (step 0.01) of the exact log Z.
     Mean and norm come from :func:`.quantum.states.gibbs_moments` at the
     spectrum of H0, which works from log p = -w - log Z, so spectra too wide
     for a faithful density matrix still check.
     """
+    h = _DERIVATIVE_STEP
     dec, log_p, g_0 = gibbs_spectrum(prob.h0)
 
     def g(t: float) -> float:

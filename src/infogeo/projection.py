@@ -207,6 +207,23 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
         raise ValueError("classical families require a Markov generator")
     if not classical and not isinstance(family, QuantumExponentialFamily):
         raise ValueError(f"unsupported family {type(family).__name__}")
+    if not (classical or isinstance(dynamics, (HamiltonianStep, QuantumCPUnitalMap))):
+        raise ValueError("quantum families require a Hamiltonian step or a channel")
+    kind = FiniteDistribution if classical else DensityMatrix
+    if not isinstance(initial_state, kind):
+        raise ValueError(f"initial state must be a {kind.__name__}")
+    size = family.omega_size if classical else family.dim
+    sizes = {"initial state": initial_state.size if classical else initial_state.dim}
+    if classical:
+        sizes["generator"] = dynamics.size
+    elif isinstance(dynamics, HamiltonianStep):
+        sizes["Hamiltonian"] = len(dynamics.hamiltonian)
+    else:
+        sizes["channel input"] = dynamics.dim_in
+        sizes["channel output"] = dynamics.dim_out
+    for name, n in sizes.items():
+        if n != size:
+            raise ValueError(f"{name} has size {n} but the family has size {size}")
     project = _project_classical if classical else _project_quantum
     propagator = None
     if isinstance(dynamics, MarkovGenerator):

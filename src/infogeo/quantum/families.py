@@ -5,18 +5,17 @@ Hermitian features F_j.  The Massieu function log Z has gradient -eta
 (minus the feature means) and Hessian equal to the BKM covariance of the
 centered features, so moment matching is again a smooth convex problem:
 :func:`quantum_maxent_fit` runs the classical solver
-(:func:`..classical.families._dual_newton`) with that BKM covariance as its
-Hessian, and infeasible targets are classified the same way on both sides.
-The xi check and the feature independence check are the classical ones.
-Every spectrum and log Z comes from :func:`.states.gibbs_spectrum`, and each
-is computed once per point: the fitted state is built from the spectrum of
-the solver's last evaluation.
+(:func:`..classical.families._dual_newton`) on the family's ``_oracle``,
+whose Hessian is that BKM covariance, and infeasible targets are classified
+the same way on both sides.  The xi check and the feature independence check
+are the classical ones.  Every spectrum and log Z comes from
+:func:`.states.gibbs_spectrum`, once per point: the family's ``_point``
+builds the fitted state from the solver's last evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from ..classical.families import (
     _check_independent,
     _check_xi,
     _dual_newton,
-    _Moments,
+    _WarmStart,
 )
 from ..spectral import hermitian_part, kernel_apply, logarithmic_mean_kernel
 from .states import (
@@ -36,6 +35,8 @@ from .states import (
     gibbs_state,
     project_traceless,
 )
+
+_PATH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,16 @@ class QuantumExponentialFamily:
             h = h + c * f
         return h
 
+    def _oracle(self, xi):
+        """The solver's oracle: log Z, eta, BKM covariance, Gibbs spectrum (dec, p)."""
+        dec, log_p, log_z = gibbs_spectrum(self.hamiltonian(xi))
+        p, eta, cov = gibbs_moments(dec, log_p, self.features)
+        return log_z, eta, cov, (dec, p)
+
+    def _point(self, xi, value, iterations) -> "QuantumFitResult":
+        """The fit at xi, its state built from the oracle's spectrum there."""
+        return QuantumFitResult(xi, gibbs_density(*value[3]), value[0], iterations)
+
 
 def state_from_score(fam: QuantumExponentialFamily, xi) -> DensityMatrix:
     """The family member exp(-(H0 + xi . F))/Z."""
@@ -98,18 +109,9 @@ def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
     return gibbs_spectrum(fam.hamiltonian(xi))[2]
 
 
-def _means_and_bkm_cov(fam: QuantumExponentialFamily, xi):
-    """log Z, the feature means and their BKM covariance (the Hessian of log Z),
-    from one Gibbs spectrum and :func:`.states.gibbs_moments`, which the
-    result carries as its ``state`` ``(dec, p)``."""
-    dec, log_p, log_z = gibbs_spectrum(fam.hamiltonian(xi))
-    p, eta, cov = gibbs_moments(dec, log_p, fam.features)
-    return _Moments(log_z, eta, cov, (dec, p))
-
-
 def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:
     """Feature means eta_j = Tr[rho_xi F_j]."""
-    return _means_and_bkm_cov(fam, xi)[1]
+    return fam._oracle(xi)[1]
 
 
 @dataclass(frozen=True)
@@ -138,14 +140,10 @@ def quantum_maxent_fit(
     The state is built from the Gibbs spectrum of the solver's evaluation at
     the returned xi, without decomposing the Hamiltonian or the state again.
 
-    ``_warm`` is private: a ``_WarmStart`` that :func:`..projection.roll`
-    threads through its solves of one family (see ``_dual_newton``).
+    ``_warm`` is private: the ``_WarmStart`` of a chain of solves of one
+    family, in :func:`..projection.roll` or along a mean-parametrized path.
     """
-    xi0 = np.zeros(fam.n_features) if xi0 is None else xi0
-    xi, value, iterations = _dual_newton(
-        partial(_means_and_bkm_cov, fam), target_means, xi0, tol, max_iter, _warm
-    )
-    return QuantumFitResult(xi, gibbs_density(*value.state), value[0], iterations)
+    return _dual_newton(fam, target_means, xi0, tol, max_iter, _warm)
 
 
 def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float:
@@ -168,27 +166,25 @@ def _entropy_relative_to_base(fam: QuantumExponentialFamily, dec, p) -> float:
 def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
     """|S_rel - (log Z + xi . eta)| at xi, from one decomposition of H(xi)."""
     xi = _check_xi(fam, xi)
-    moments = _means_and_bkm_cov(fam, xi)
-    log_z, eta, _ = moments
-    s_rel = _entropy_relative_to_base(fam, *moments.state)
+    log_z, eta, _, state = fam._oracle(xi)
+    s_rel = _entropy_relative_to_base(fam, *state)
     return abs(s_rel - (log_z + float(xi @ eta)))
 
 
-def mean_parametrized_path(fam: QuantumExponentialFamily, tol: float = 1e-12):
+def mean_parametrized_path(fam: QuantumExponentialFamily):
     """One-parameter path eta -> state for a single-feature family.
 
-    Each evaluation solves the moment-matching problem, warm-started from
-    the previous solution; the feature is then an exactly unbiased estimator
-    of the path parameter.  The tight default tolerance keeps the numerical
-    bias well below finite-difference noise.
+    Each evaluation solves the moment-matching problem to 1e-12, warm-started
+    from the previous solution and its evaluation there; the feature is then
+    an exactly unbiased estimator of the path parameter.  The tight tolerance
+    keeps the numerical bias well below finite-difference noise.
     """
     if fam.n_features != 1:
         raise ValueError("mean parametrization needs exactly one feature")
-    cache = {"xi": np.zeros(1)}
+    warm = _WarmStart()
 
     def path(eta: float) -> DensityMatrix:
-        fit = quantum_maxent_fit(fam, [eta], xi0=cache["xi"], tol=tol)
-        cache["xi"] = fit.xi
+        fit = quantum_maxent_fit(fam, [eta], xi0=warm.xi, tol=_PATH_TOL, _warm=warm)
         return fit.state
 
     return path
@@ -204,7 +200,7 @@ def mean_path_derivative(fam: QuantumExponentialFamily, eta: float) -> np.ndarra
     """
     if fam.n_features != 1:
         raise ValueError("mean parametrization needs exactly one feature")
-    fit = quantum_maxent_fit(fam, [eta], tol=1e-12)
+    fit = quantum_maxent_fit(fam, [eta], tol=_PATH_TOL)
     rho = fit.state
     f = fam.features[0]
     f0 = f - rho.expectation(f) * np.eye(fam.dim)

@@ -346,6 +346,28 @@ class TestProjectSimulate:
         assert run(["project-simulate", "--config", str(cfg)]) == 2
         assert "Kraus operators have non-finite entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"generator": [[-1.0, 1.0], [1.0, -1.0]],
+              "family": {"omega": 3, "features": [[0.0, 1.0, 2.0]]},
+              "initial": {"omega": 3, "probs": [0.2, 0.3, 0.5]}},
+             "generator has size 2 but the family has size 3"),
+            ({"generator": [[-1.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, -1.0]],
+              "family": {"omega": 3, "features": [[0.0, 1.0, 2.0]]},
+              "initial": {"omega": 2, "probs": [0.8, 0.2]}},
+             "initial state has size 2 but the family has size 3"),
+            ({"hamiltonian": {"dim": 3, "re": np.eye(3).tolist()},
+              "family": {"dim": 2, "features": [{"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}]},
+              "initial": {"dim": 2, "re": [[0.8, 0.0], [0.0, 0.2]]}},
+             "Hamiltonian has size 3 but the family has size 2"),
+        ],
+    )
+    def test_mismatched_sizes_exit_two(self, workdir, capsys, config, message):
+        cfg = write(workdir / "run.json", {**config, "dt": 0.1, "steps": 4})
+        assert run(["project-simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_quantum_unitary_run(self, workdir, capsys):
         cfg = write(
             workdir / "run.json",

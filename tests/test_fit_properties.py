@@ -7,7 +7,8 @@ the Hilbert-Schmidt product quantum-mechanically) and |xi_j| <= 3, so every
 weight stays within a few thousand of the others and the covariance is
 bounded away from zero; fits run to tol 1e-12, so their coordinates are
 recovered far below the 1e-8 asserted.  A fitted point, built from the
-solver's last evaluation, is bitwise the point constructed at its xi.
+solver's last evaluation, is bitwise the point constructed at its xi, and a
+quantum fit's state and log Z are bitwise those evaluated at its xi.
 """
 
 import numpy as np
@@ -26,8 +27,10 @@ from infogeo.classical import (  # noqa: E402
 )
 from infogeo.quantum import (  # noqa: E402
     QuantumExponentialFamily,
+    quantum_massieu,
     quantum_maxent_fit,
     quantum_mixture_coords,
+    state_from_score,
 )
 
 TOL = 1e-12
@@ -93,6 +96,29 @@ def test_fitted_point_is_the_point_at_its_xi(omega, xi, seed):
         assert fit.log_p.tobytes() == ref.log_p.tobytes()
         assert fit.xi.tobytes() == ref.xi.tobytes()
         assert not fit.xi.flags.writeable and not fit.log_p.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(2, 4), xi=xis, seed=seeds)
+def test_quantum_fit_is_the_state_at_its_xi(dim, xi, seed):
+    rng = np.random.default_rng(seed)
+    xi = np.array(xi)
+    h0 = hermitian_basis(rng, 1, dim)[0]
+    fam = QuantumExponentialFamily(h0, hermitian_basis(rng, xi.size, dim))
+    eta = quantum_mixture_coords(fam, xi)
+    warm = families._WarmStart()
+    # the second fit starts where the first stopped and reads its evaluation
+    for _ in range(2):
+        fit = quantum_maxent_fit(fam, eta, xi0=warm.xi, tol=TOL, _warm=warm)
+        ref = state_from_score(fam, fit.xi)
+        assert fit.state.matrix.tobytes() == ref.matrix.tobytes()
+        assert fit.state.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert (
+            fit.state.spectral.eigenvectors.tobytes()
+            == ref.spectral.eigenvectors.tobytes()
+        )
+        assert fit.log_z == quantum_massieu(fam, fit.xi)
+    assert fit.iterations == 0
 
 
 @settings(max_examples=30, deadline=None)

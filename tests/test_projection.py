@@ -225,6 +225,38 @@ class TestRoll:
         assert np.all(np.abs(means[1:]) < np.abs(means[:-1]) + 1e-12)
 
 
+def _mismatched_runs():
+    """(initial state, dynamics, family, message) whose kinds or sizes differ."""
+    fam3 = ExponentialFamily([[0.0, 1.0, 2.0]])
+    qfam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]])
+    p2, p3 = FiniteDistribution([0.4, 0.6]), FiniteDistribution([0.2, 0.3, 0.5])
+    rho = DensityMatrix(np.diag([0.7, 0.3]))
+    gen2 = two_state_generator(1.0)
+    gen3 = MarkovGenerator(np.ones((3, 3)) - 3 * np.eye(3))
+    step2, step3 = HamiltonianStep(PAULI["x"]), HamiltonianStep(np.eye(3))
+    return [
+        (p3, gen2, fam3, "generator has size 2 but the family has size 3"),
+        (p2, gen3, fam3, "initial state has size 2 but the family has size 3"),
+        (rho, gen3, fam3, "initial state must be a FiniteDistribution"),
+        (p3, step2, fam3, "classical families require a Markov generator"),
+        (rho, step3, qfam, "Hamiltonian has size 3 but the family has size 2"),
+        (rho, QuantumCPUnitalMap([np.eye(3)]), qfam,
+         "channel input has size 3 but the family has size 2"),
+        (DensityMatrix(np.eye(3) / 3), step2, qfam,
+         "initial state has size 3 but the family has size 2"),
+        (rho, gen2, qfam, "quantum families require a Hamiltonian step or a channel"),
+        (p2, step2, qfam, "initial state must be a DensityMatrix"),
+        (rho, step2, "family", "unsupported family str"),
+    ]
+
+
+@pytest.mark.parametrize("state, dynamics, family, message", _mismatched_runs())
+def test_roll_names_mismatched_input(state, dynamics, family, message):
+    with pytest.raises(ValueError) as info:
+        roll(state, dynamics, family, dt=0.1, steps=3)
+    assert str(info.value) == message
+
+
 class TestEntropyProduction:
     def test_stationary_uniform_constant(self):
         gen = two_block_generator()
@@ -306,11 +338,9 @@ def _series_input(seed, d=4):
 
 
 def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
-    import infogeo.quantum.families as qfamilies
-
     fam, rho0, step = _series_input(21)
     steps = 12
-    oracle = qfamilies._means_and_bkm_cov
+    oracle = QuantumExponentialFamily._oracle
     calls = {"oracle": 0, "eigh": 0, "eigh_outside": 0}
     inside = []
 
@@ -327,7 +357,7 @@ def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
         calls["eigh_outside"] += not inside
         return eigh(a)
 
-    monkeypatch.setattr(qfamilies, "_means_and_bkm_cov", counting_oracle)
+    monkeypatch.setattr(QuantumExponentialFamily, "_oracle", counting_oracle)
     for name, mod in list(sys.modules.items()):
         if name.startswith("infogeo") and vars(mod).get("eigh") is eigh:
             monkeypatch.setattr(mod, "eigh", counting_eigh)

@@ -18,7 +18,6 @@ from infogeo.quantum import (
     state_from_score,
     von_neumann_entropy,
 )
-from infogeo.quantum import families as qfamilies
 from infogeo.quantum.states import gibbs_moments, gibbs_spectrum
 from infogeo.spectral import eigh, hermitian_part, logarithmic_mean_kernel
 
@@ -118,7 +117,7 @@ class TestStackedOracle:
         )
         for _ in range(5):
             xi = rng.normal(size=n)
-            log_z, eta, cov = qfamilies._means_and_bkm_cov(fam, xi)
+            log_z, eta, cov, _ = fam._oracle(xi)
             ref_log_z, ref_eta, ref_cov = loop_means_and_bkm_cov(fam, xi)
             # the same sums in the same order: equal to the bit
             assert log_z == ref_log_z
@@ -134,7 +133,7 @@ class TestSharedMomentKernel:
         # p = (1, e^-800) and e^-800 is below double precision, yet the
         # logarithmic mean L(1, e^-800) = 1/800 comes from log p
         fam = QuantumExponentialFamily(np.diag([0.0, 800.0]), [PAULI_X])
-        log_z, eta, cov = qfamilies._means_and_bkm_cov(fam, [0.0])
+        log_z, eta, cov, _ = fam._oracle([0.0])
         assert log_z == 0.0 and eta[0] == 0.0
         npt.assert_allclose(cov, [[2.0 / 800.0]], rtol=0, atol=1e-15)
 
@@ -244,6 +243,32 @@ class TestMeanParametrizedPath:
             rho = path(eta)
             npt.assert_allclose(rho.expectation(fam.features[0]), eta, atol=1e-10)
 
+    def test_each_evaluation_starts_from_the_last(self, monkeypatch):
+        rng = np.random.default_rng(9)  # the feature's spectrum spans (-2.4, 1.2)
+        fam = QuantumExponentialFamily(
+            random_hermitian(rng, 3), [random_hermitian(rng, 3)]
+        )
+        oracle = QuantumExponentialFamily._oracle
+        calls = []
+
+        def counting(fam, xi):
+            calls.append(1)
+            return oracle(fam, xi)
+
+        monkeypatch.setattr(QuantumExponentialFamily, "_oracle", counting)
+        path = mean_parametrized_path(fam)
+        xi = np.zeros(1)
+        for k, eta in enumerate((-0.8, -0.4, 0.3, 0.3)):
+            calls.clear()
+            rho = path(eta)
+            on_path = len(calls)
+            calls.clear()
+            # a fresh fit from the same start evaluates that start again
+            fresh = quantum_maxent_fit(fam, [eta], xi0=xi, tol=1e-12)
+            assert len(calls) == on_path + (k > 0)
+            assert rho.matrix.tobytes() == fresh.state.matrix.tobytes()
+            xi = fresh.xi
+
 
 class TestDualNewtonStops:
     def test_singular_hessian_far_out_is_infeasible(self):
@@ -281,13 +306,13 @@ class TestDualNewtonStops:
 
     def test_non_finite_hessian_stops(self, monkeypatch):
         # the guard for a Hessian that a future oracle leaves non-finite
-        means_and_cov = qfamilies._means_and_bkm_cov
+        oracle = QuantumExponentialFamily._oracle
 
         def nan_cov(fam, xi):
-            log_z, eta, cov = means_and_cov(fam, xi)
-            return log_z, eta, np.full_like(cov, np.nan)
+            log_z, eta, cov, state = oracle(fam, xi)
+            return log_z, eta, np.full_like(cov, np.nan), state
 
-        monkeypatch.setattr(qfamilies, "_means_and_bkm_cov", nan_cov)
+        monkeypatch.setattr(QuantumExponentialFamily, "_oracle", nan_cov)
         fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
         with pytest.raises(ConvergenceError, match="non-finite Newton step"):
             quantum_maxent_fit(fam, [0.3])
@@ -313,7 +338,7 @@ class TestLegendreResidualWork:
             )
             xi = rng.normal(size=2)
             # the composition the residual used to make: two decompositions
-            log_z, eta, _ = qfamilies._means_and_bkm_cov(fam, xi)
+            log_z, eta, _, _ = fam._oracle(xi)
             old = abs(quantum_entropy_relative_to_base(fam, xi) - (log_z + float(xi @ eta)))
             calls = []
 
@@ -349,6 +374,12 @@ class TestSharedWithClassical:
     def test_xi_errors_match_the_classical_family(self, xi, message):
         qfam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
         cfam = ExponentialFamily([[0.0, 1.0]])
-        for call in (lambda: qfam.hamiltonian(xi), lambda: cfam.massieu(xi)):
+        calls = (
+            lambda: qfam.hamiltonian(xi),
+            lambda: cfam.massieu(xi),
+            lambda: quantum_maxent_fit(qfam, [0.5], xi0=xi),
+            lambda: fit_mixture_coords(cfam, [0.5], xi0=xi),
+        )
+        for call in calls:
             with pytest.raises(ValueError, match=message):
                 call()
