@@ -252,20 +252,40 @@ def _contraction_ratios(metric: str, ops, states, spectra, tangents):
     return _squared_lengths(metric, pushed, pushed_tangents) / before, faithful
 
 
+def _check_kind(metric: str, obj, kind) -> None:
+    if not isinstance(obj, kind):
+        raise ValueError(
+            f"metric {metric!r} takes a {kind.__name__}, got {type(obj).__name__}"
+        )
+
+
 def _one_pair(metric: str, state, tangent):
-    """A state and tangent as stacks of one: (states, spectra, tangents)."""
-    if metric == FISHER:
+    """A state and tangent as stacks of one: (states, spectra, tangents).
+
+    Raises ``ValueError`` unless the state is of the metric's kind, a
+    distribution for fisher and a density matrix otherwise, and the tangent
+    (a tangent object of the same kind, or its array) has the state's size.
+    """
+    classical = metric == FISHER
+    if not classical:
+        _metric_kernel(metric, FISHER)
+    _check_kind(metric, state, FiniteDistribution if classical else DensityMatrix)
+    if isinstance(tangent, (ClassicalTangent, QuantumTangent)):
+        _check_kind(metric, tangent, ClassicalTangent if classical else QuantumTangent)
+        tangent = tangent.vec if classical else tangent.matrix
+    v = np.asarray(tangent, dtype=float) if classical else np.asarray(tangent)
+    n = state.size if classical else state.dim
+    if v.shape != ((n,) if classical else (n, n)):
+        raise ValueError(f"tangent has shape {v.shape} but the state has size {n}")
+    if classical:
         p = state.probs
         if p.min() <= 0:
             raise BoundaryError("Fisher length undefined at the boundary")
-        v = tangent.vec if isinstance(tangent, ClassicalTangent) else tangent
-        return p[None], p[None], np.asarray(v, dtype=float)[None]
-    _metric_kernel(metric, FISHER)
+        return p[None], p[None], v[None]
     if state.eigenvalues.min() <= 0:
         raise BoundaryError("metric undefined at the boundary of the state space")
-    d = tangent.matrix if isinstance(tangent, QuantumTangent) else tangent
     spectral = SpectralDecomposition(*(f[None] for f in state.spectral))
-    return state.matrix[None], spectral, np.asarray(d)[None]
+    return state.matrix[None], spectral, v[None]
 
 
 def mixture_squared_length(metric: str, state, tangent) -> float:
@@ -280,12 +300,21 @@ def audit_metric_contraction(mapping, state, tangent, metric: str) -> float:
 
     Chentsov monotonicity demands a value of at most 1 (up to roundoff) for
     every stochastic map; unitary or permutation maps give exactly 1.
-    Raises on a zero input tangent, and :class:`BoundaryError` when the
+    Raises on a zero input tangent, ``ValueError`` when the map, state or
+    tangent is not of the metric's kind (classical for fisher, quantum
+    otherwise) or their sizes differ, and :class:`BoundaryError` when the
     pushed state hits the faithfulness floor.
     """
     states, spectra, tangents = _one_pair(metric, state, tangent)
-    classical = isinstance(mapping, ClassicalStochasticMap)
+    classical = metric == FISHER
+    _check_kind(
+        metric, mapping, ClassicalStochasticMap if classical else QuantumCPUnitalMap
+    )
     ops = mapping.matrix if classical else mapping.kraus
+    n_in = mapping.n_in if classical else mapping.dim_in
+    n = states.shape[-1]
+    if n_in != n:
+        raise ValueError(f"map input has size {n_in} but the state has size {n}")
     ratios, faithful = _contraction_ratios(
         metric, ops[None], states, spectra, tangents
     )

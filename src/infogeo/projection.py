@@ -23,7 +23,7 @@ from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
 from .quantum.states import DensityMatrix, von_neumann_entropy
-from .spectral import check_finite, expm, hermitian_part
+from .spectral import check_finite, eigh, expm, hermitian_part
 
 # Probability a classical step or propagator column may gain or lose.
 _MASS_TOL = 1e-12
@@ -97,8 +97,17 @@ class HamiltonianStep:
         object.__setattr__(self, "hamiltonian", h)
 
     def unitary(self, dt: float) -> np.ndarray:
-        w, u = np.linalg.eigh(self.hamiltonian)
+        w, u = eigh(self.hamiltonian)
         return (u * np.exp(-1j * dt * w)) @ u.conj().T
+
+
+def _check_state(state, kind, name: str, size: int) -> None:
+    """Raise ``ValueError`` unless the state is a ``kind`` of the dynamics' size."""
+    if not isinstance(state, kind):
+        raise ValueError(f"state must be a {kind.__name__}, got {type(state).__name__}")
+    n = state.size if kind is FiniteDistribution else state.dim
+    if n != size:
+        raise ValueError(f"{name} has size {size} but the state has size {n}")
 
 
 def micro_step(state, dynamics, dt: float, propagator=None):
@@ -107,7 +116,9 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     ``dynamics`` is a :class:`MarkovGenerator` (classical), a
     :class:`HamiltonianStep`, or a :class:`QuantumCPUnitalMap` applied once
     per step.  Probability (or trace) is conserved to 1e-12; a state that
-    falls below the faithfulness floor raises :class:`BoundaryError`.
+    falls below the faithfulness floor raises :class:`BoundaryError`.  A
+    state of the wrong kind (a :class:`FiniteDistribution` for a generator,
+    a :class:`DensityMatrix` otherwise) or size raises ``ValueError``.
 
     A unitary step keeps the spectrum and is not re-diagonalised: the
     stepped state's eigenvectors are U V, carried over from the input
@@ -120,20 +131,22 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     if dt <= 0:
         raise ValueError("dt must be positive")
     if isinstance(dynamics, MarkovGenerator):
-        p = state.probs if isinstance(state, FiniteDistribution) else np.asarray(state)
+        _check_state(state, FiniteDistribution, "generator", dynamics.size)
         prop = dynamics.propagator(dt) if propagator is None else propagator
-        out = prop @ p
+        out = prop @ state.probs
         if abs(out.sum() - 1.0) > _MASS_TOL:
             raise InfoGeoError(f"probability drifted to {float(out.sum())!r}")
         if out.min() <= FAITHFULNESS_FLOOR:
             raise BoundaryError("microdynamics left the faithful interior")
         return FiniteDistribution(out)
     if isinstance(dynamics, HamiltonianStep):
+        _check_state(state, DensityMatrix, "Hamiltonian", len(dynamics.hamiltonian))
         u = dynamics.unitary(dt) if propagator is None else propagator
         return DensityMatrix.from_spectrum(
             state.eigenvalues, u @ state.spectral.eigenvectors
         )
     if isinstance(dynamics, QuantumCPUnitalMap):
+        _check_state(state, DensityMatrix, "channel input", dynamics.dim_in)
         # push_state has validated the pushed state once (boundary allowed);
         # its spectrum decides faithfulness without a second eigh
         out = push_state(dynamics, state)

@@ -23,10 +23,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-# Eigenvalue pairs closer than this (relative) are treated as confluent and
-# the kernel's diagonal limit is used instead of the off-diagonal formula.
-CONFLUENT_RTOL = 1e-12
-
 _RECONSTRUCTION_RTOL = 1e-10
 
 # Up to this bound on |entries| the squares summed by the validation norms
@@ -347,20 +343,18 @@ def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Two-argument scalar kernel with its confluent (p == q) limit.
+    """Two-argument scalar kernel evaluated on eigenvalue pairs.
 
-    ``fn(p, q)`` must be symmetric and vectorized; it only sees p >= q (the
-    pairs are ordered, so K is exactly symmetric).  ``diag(p)`` supplies the
-    limit used whenever |p - q| <= CONFLUENT_RTOL * max(|p|, |q|), p = q = 0
-    included, avoiding 0/0 without branch noise.
+    ``fn(p, q)`` must be symmetric and vectorized.  It only sees p >= q (the
+    pairs are ordered, so K is exactly symmetric), and it returns its own
+    limit at p == q, where a divided difference would be 0/0.
     """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    diag: Callable[[np.ndarray], np.ndarray]
 
     def matrix(self, p: np.ndarray) -> np.ndarray:
-        """Evaluate k(p_i, p_j) on all eigenvalue pairs, limits included.
+        """Evaluate k(p_i, p_j) on all eigenvalue pairs.
 
         ``p`` may be a stack of spectra, shape (..., d); the result then has
         shape (..., d, d).
@@ -368,13 +362,8 @@ class Kernel:
         p = np.asarray(p, dtype=float)
         pi = p[..., :, None]
         pj = p[..., None, :]
-        # rounding is monotone, so scaling |p| before the pairwise maximum
-        # gives bitwise the scaled maximum, with d products instead of d^2
-        t = CONFLUENT_RTOL * np.abs(p)
-        near = np.abs(pi - pj) <= np.maximum(t[..., :, None], t[..., None, :])
         with np.errstate(all="ignore"):
-            far = self.fn(np.maximum(pi, pj), np.minimum(pi, pj))
-            return np.where(near, self.diag(0.5 * (pi + pj)), far)
+            return self.fn(np.maximum(pi, pj), np.minimum(pi, pj))
 
 
 def _log_ratio(p, q):
@@ -384,26 +373,25 @@ def _log_ratio(p, q):
 
 
 # integral_0^1 p^a q^(1-a) da = (p - q) / (log p - log q); the entrywise
-# form of multiplication by the state averaged over orderings.
+# form of multiplication by the state averaged over orderings.  It is p at
+# p = q, and 0 against q = 0.
 logarithmic_mean_kernel = Kernel(
     name="logarithmic_mean",
-    fn=lambda p, q: (p - q) / _log_ratio(p, q),
-    diag=lambda p: p,
+    fn=lambda p, q: np.where(p == q, p, (p - q) / _log_ratio(p, q)),
 )
 
 # Reciprocal of the above; the Daleckii-Krein kernel of the matrix logarithm
 # and the closed form of integral_0^infty (s+p)^-1 (s+q)^-1 ds.
 log_difference_kernel = Kernel(
     name="log_difference",
-    fn=lambda p, q: _log_ratio(p, q) / (p - q),
-    diag=lambda p: 1.0 / p,
+    fn=lambda p, q: np.where(p == q, 1.0 / p, _log_ratio(p, q) / (p - q)),
 )
 
-# Inverse arithmetic mean; solves p x + x q = 2 d entrywise.
+# Inverse arithmetic mean; solves p x + x q = 2 d entrywise.  At p = q it is
+# 2 / 2p, which rounds to 1/p exactly.
 symmetric_inverse_kernel = Kernel(
     name="symmetric_inverse",
     fn=lambda p, q: 2.0 / (p + q),
-    diag=lambda p: 1.0 / p,
 )
 
 

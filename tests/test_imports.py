@@ -8,6 +8,7 @@ import order would hide (it always starts from ``infogeo/__init__.py``)
 fails here.
 """
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -66,3 +67,29 @@ def test_cli_import_leaves_scipy_out():
     proc = _fresh_python("-c", SCIPY_MODULES_AFTER_CLI)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _lapack_eigh_lines(path):
+    """Lines of ``path`` that call ``<module>.linalg.eigh`` or import it by name."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "eigh"
+                    and isinstance(f.value, ast.Attribute)
+                    and f.value.attr == "linalg"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            lines += [node.lineno for alias in node.names if alias.name == "eigh"]
+    return lines
+
+
+def test_lapack_eigh_only_in_spectral():
+    # every other module decomposes through spectral.eigh, which validates
+    src = Path(infogeo.__file__).resolve().parent
+    found = {
+        str(path.relative_to(src)): lines
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "spectral.py" and (lines := _lapack_eigh_lines(path))
+    }
+    assert found == {}

@@ -305,6 +305,61 @@ class TestSweepInput:
         assert sorted(METRIC_KERNELS) == [BKM, GNS]
 
 
+def _mismatched_audits():
+    """(map, state, tangent, metric, message) whose kinds or sizes differ."""
+    cmap2 = ClassicalStochasticMap(np.eye(2))
+    cmap3 = ClassicalStochasticMap(np.eye(3))
+    mixing = ClassicalStochasticMap([[0.9, 0.1], [0.3, 0.7]])
+    chan2, chan3 = depolarizing(0.1), QuantumCPUnitalMap([np.eye(3)])
+    p2, p3 = FiniteDistribution([0.4, 0.6]), FiniteDistribution([0.2, 0.3, 0.5])
+    rho2, rho3 = DensityMatrix(np.diag([0.4, 0.6])), DensityMatrix(np.eye(3) / 3)
+    v2, d2 = mixture_tangent([0.1, -0.1]), mixture_qtangent(np.diag([0.1, -0.1]))
+    quantum_map = "metric 'bkm' takes a QuantumCPUnitalMap, got ClassicalStochasticMap"
+    return [
+        (cmap2, rho2, d2, BKM, quantum_map),
+        (mixing, rho2, d2, BKM, quantum_map),
+        (cmap2, p2, v2, BKM,
+         "metric 'bkm' takes a DensityMatrix, got FiniteDistribution"),
+        (chan2, rho2, d2, FISHER,
+         "metric 'fisher' takes a FiniteDistribution, got DensityMatrix"),
+        (cmap2, p2, d2, FISHER,
+         "metric 'fisher' takes a ClassicalTangent, got QuantumTangent"),
+        (chan2, rho2, v2, GNS, "metric 'gns' takes a QuantumTangent, got ClassicalTangent"),
+        (cmap3, p3, v2, FISHER, "tangent has shape (2,) but the state has size 3"),
+        (chan3, rho3, d2, BKM, "tangent has shape (2, 2) but the state has size 3"),
+        (cmap3, p2, v2, FISHER, "map input has size 3 but the state has size 2"),
+        (chan3, rho2, d2, GNS, "map input has size 3 but the state has size 2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "mapping, state, tangent, metric, message", _mismatched_audits()
+)
+def test_audit_names_mismatched_input(mapping, state, tangent, metric, message):
+    with pytest.raises(ValueError) as info:
+        audit_metric_contraction(mapping, state, tangent, metric)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "metric, state, tangent, message",
+    [
+        (FISHER, DensityMatrix(np.diag([0.4, 0.6])), np.diag([0.1, -0.1]),
+         "metric 'fisher' takes a FiniteDistribution, got DensityMatrix"),
+        (BKM, FiniteDistribution([0.4, 0.6]), np.diag([0.1, -0.1]),
+         "metric 'bkm' takes a DensityMatrix, got FiniteDistribution"),
+        (FISHER, FiniteDistribution([0.2, 0.3, 0.5]), [0.1, -0.1],
+         "tangent has shape (2,) but the state has size 3"),
+        (GNS, DensityMatrix(np.eye(3) / 3), np.diag([0.1, -0.1]),
+         "tangent has shape (2, 2) but the state has size 3"),
+    ],
+)
+def test_squared_length_names_mismatched_input(metric, state, tangent, message):
+    with pytest.raises(ValueError) as info:
+        mixture_squared_length(metric, state, tangent)
+    assert str(info.value) == message
+
+
 def reset_channel(dim):
     """Kraus set |0><k|, k < dim: every state goes to the pure state |0><0|."""
     ops = np.zeros((dim, dim, dim), dtype=complex)

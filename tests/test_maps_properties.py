@@ -53,13 +53,11 @@ WY = "wigner_yanase"
 POWER_MEAN_2 = "power_mean_2"
 CONTROLS = {
     WY: (
-        Kernel(WY, lambda p, q: 4.0 / (np.sqrt(p) + np.sqrt(q)) ** 2,
-               lambda p: 1.0 / p),
+        Kernel(WY, lambda p, q: 4.0 / (np.sqrt(p) + np.sqrt(q)) ** 2),
         "WY",
     ),
     POWER_MEAN_2: (
-        Kernel(POWER_MEAN_2, lambda p, q: 1.0 / np.sqrt(0.5 * (p * p + q * q)),
-               lambda p: 1.0 / p),
+        Kernel(POWER_MEAN_2, lambda p, q: 1.0 / np.sqrt(0.5 * (p * p + q * q))),
         "POWER_MEAN_2",
     ),
 }

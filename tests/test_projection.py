@@ -115,6 +115,18 @@ class TestMicroStep:
         with pytest.raises(ValueError, match="not unitary"):
             micro_step(rho, step, 0.5, propagator=1.5 * step.unitary(0.5))
 
+    def test_unitary_is_validated(self, monkeypatch):
+        # the step's decomposition is checked like every other one
+        solve = np.linalg.eigh
+
+        def wrong(a):
+            w, u = solve(a)
+            return 2.0 * w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(ValueError, match="reconstruction residual"):
+            HamiltonianStep(np.diag([1.0, -1.0])).unitary(0.1)
+
     def test_channel_step(self):
         q = 0.2
         chan = QuantumCPUnitalMap(
@@ -293,6 +305,29 @@ class TestEntropyProduction:
             npt.assert_allclose(s, entropy(exact), atol=1e-9)
 
 
+def _mismatched_steps():
+    """(state, dynamics, message) whose kinds or sizes differ."""
+    p2, p3 = FiniteDistribution([0.4, 0.6]), FiniteDistribution([0.2, 0.3, 0.5])
+    rho2, rho3 = DensityMatrix(np.diag([0.7, 0.3])), DensityMatrix(np.eye(3) / 3)
+    gen2, step2 = two_state_generator(1.0), HamiltonianStep(PAULI["x"])
+    chan2 = QuantumCPUnitalMap([np.eye(2)])
+    return [
+        (rho2, gen2, "state must be a FiniteDistribution, got DensityMatrix"),
+        (p2, step2, "state must be a DensityMatrix, got FiniteDistribution"),
+        (p2, chan2, "state must be a DensityMatrix, got FiniteDistribution"),
+        (p3, gen2, "generator has size 2 but the state has size 3"),
+        (rho3, step2, "Hamiltonian has size 2 but the state has size 3"),
+        (rho3, chan2, "channel input has size 2 but the state has size 3"),
+    ]
+
+
+@pytest.mark.parametrize("state, dynamics, message", _mismatched_steps())
+def test_micro_step_names_mismatched_state(state, dynamics, message):
+    with pytest.raises(ValueError) as info:
+        micro_step(state, dynamics, 0.1)
+    assert str(info.value) == message
+
+
 def test_channel_step_decomposes_once(monkeypatch):
     calls = []
 
@@ -363,8 +398,9 @@ def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
             monkeypatch.setattr(mod, "eigh", counting_eigh)
     run = roll(rho0, step, fam, dt=0.1, steps=steps)
     assert run.steps_completed == steps
-    assert calls["eigh_outside"] == 0
-    assert calls["eigh"] == calls["oracle"]
+    # the one decomposition outside the oracle is the step's unitary
+    assert calls["eigh_outside"] == 1
+    assert calls["eigh"] == calls["oracle"] + 1
     rolled = calls["oracle"]
 
     # the same solves one by one, each evaluating its start again: N more calls

@@ -185,7 +185,7 @@ class TestKernelApply:
         rng = np.random.default_rng(2)
         rho = random_density(rng, 4)
         x = random_hermitian(rng, 4)
-        one = Kernel("one", lambda p, q: np.ones_like(p + q), lambda p: np.ones_like(p))
+        one = Kernel("one", lambda p, q: np.ones_like(p + q))
         npt.assert_allclose(kernel_apply(rho, x, one), x, atol=1e-12)
 
     def test_degenerate_spectrum_scales(self):
@@ -242,7 +242,7 @@ class TestKernelApply:
         npt.assert_allclose(0.5 * (rho @ l + l @ rho), d, atol=1e-12)
 
     def test_nonfinite_kernel_names_pair(self):
-        bad = Kernel("bad", lambda p, q: (p - q) / 0.0, lambda p: 1.0 / p)
+        bad = Kernel("bad", lambda p, q: (p - q) / 0.0)
         rho = np.diag([0.75, 0.25])
         with pytest.raises(ValueError, match="non-finite at eigenvalue pair"):
             kernel_apply(rho, PAULI_X, bad)
@@ -252,7 +252,8 @@ class TestKernelApply:
             kernel_apply(np.eye(3) / 3, PAULI_X, logarithmic_mean_kernel)
 
     def test_near_degenerate_eigenvalues_stable(self):
-        # spread far below the confluent threshold as well as just above it
+        # gaps of a few ulp up to 1e-6 relative: the ordered formula is
+        # accurate at each, with no cutoff to switch to the p = q limit
         for gap in (1e-15, 1e-13, 1e-9, 1e-6):
             rho = np.diag([0.5 + gap, 0.5 - gap])
             rho = rho / np.trace(rho)
@@ -298,6 +299,40 @@ class TestKernelMatrix:
         rho = DensityMatrix(np.diag([p, q]))
         closed = 2.0 * (q - p) / (np.log(q) - np.log(p))
         npt.assert_allclose(bkm_metric(rho, PAULI_X, PAULI_X), closed, rtol=1e-14)
+
+    def test_every_gap_matches_mpmath(self):
+        # each spectrum holds s and s (1 + 10^-k), k = 0..15, and its reverse:
+        # every relative gap down to 1e-15 in both orders, exact p = q pairs
+        # on the diagonal, and no cutoff between them
+        mpmath = pytest.importorskip("mpmath")
+
+        def log_mean(p, q):
+            return p if p == q else (p - q) / (mpmath.log(p) - mpmath.log(q))
+
+        exact = {
+            logarithmic_mean_kernel: log_mean,
+            log_difference_kernel: lambda p, q: 1 / log_mean(p, q),
+            symmetric_inverse_kernel: lambda p, q: 2 / (p + q),
+        }
+        gaps = np.concatenate([[0.0], 10.0 ** -np.arange(16.0)])
+        one = np.array([1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-3, 1.0])
+        spectra = one[:, None] * (1.0 + gaps)
+        spectra = np.concatenate([spectra, spectra[:, ::-1]])
+        worst = 0.0
+        with mpmath.workdps(50):
+            for kernel, f in exact.items():
+                stacked = kernel.matrix(spectra)
+                for p, k in zip(spectra, stacked):
+                    assert np.array_equal(kernel.matrix(p), k)
+                    for i, j in np.ndindex(k.shape):
+                        want = f(mpmath.mpf(p[i]), mpmath.mpf(p[j]))
+                        err = abs(mpmath.mpf(k[i, j]) - want) / want
+                        worst = max(worst, float(err))
+        assert worst <= 1e-15
+        # the log mean is exactly 0 at (0, 0) and against 0.5, in both orders
+        for spectrum in ([0.0, 0.0, 0.5], [0.5, 0.0, 0.0]):
+            k = logarithmic_mean_kernel.matrix(spectrum)
+            npt.assert_array_equal(k, np.diag(spectrum))
 
 
 class TestLogSumExp:
