@@ -72,6 +72,13 @@ def _emit(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _csv(header, rows) -> str:
+    """A header line, then one line of ``format_float`` values per row."""
+    lines = [",".join(header)]
+    lines += (",".join(format_float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # matrices and states
 
@@ -234,64 +241,36 @@ def series_report_to_json(rep: SeriesReport) -> dict:
 
 
 def series_report_to_csv(rep: SeriesReport) -> str:
-    lines = ["order,term,partial_sum,truncation_error"]
-    for k in range(len(rep.terms)):
-        lines.append(
-            ",".join(
-                [str(k)]
-                + [
-                    format_float(v)
-                    for v in (
-                        rep.terms[k],
-                        rep.partial_sums[k],
-                        rep.truncation_errors[k],
-                    )
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(
+        range(len(rep.terms)), rep.terms, rep.partial_sums, rep.truncation_errors
+    )
+    return _csv(["order", "term", "partial_sum", "truncation_error"], rows)
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 
 
+def _trajectory_header(n: int, *tail: str) -> list[str]:
+    coords = [f"{name}_{j + 1}" for name in ("xi", "eta") for j in range(n)]
+    return ["t", *coords, *tail]
+
+
 def geodesic_to_csv(path: GeodesicPath) -> str:
-    n = path.family.n_features
-    header = (
-        ["t"]
-        + [f"xi_{j + 1}" for j in range(n)]
-        + [f"eta_{j + 1}" for j in range(n)]
-        + ["psi", "entropy"]
+    rows = (
+        [t, *pt.xi, *mixture_coords(pt), pt.psi, entropy(pt.probs())]
+        for t, pt in zip(path.times, path.points())
     )
-    lines = [",".join(header)]
-    for t, xi in zip(path.times, path.xis):
-        pt = CanonicalPoint(path.family, xi)
-        row = (
-            [t]
-            + list(xi)
-            + list(mixture_coords(pt))
-            + [pt.psi, entropy(pt.probs())]
-        )
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header = _trajectory_header(path.family.n_features, "psi", "entropy")
+    return _csv(header, rows)
 
 
 def run_to_csv(run: ProjectionRun) -> str:
     n = run.xis.shape[1] if len(run.xis) else 0
-    header = (
-        ["t"]
-        + [f"xi_{j + 1}" for j in range(n)]
-        + [f"eta_{j + 1}" for j in range(n)]
-        + ["entropy", "projection_defect"]
-    )
-    lines = [",".join(header)]
-    for i in range(len(run.times)):
-        row = (
-            [run.times[i]]
-            + list(run.xis[i])
-            + list(run.etas[i])
-            + [run.entropies[i], run.defects[i]]
+    rows = (
+        [t, *xi, *eta, s, defect]
+        for t, xi, eta, s, defect in zip(
+            run.times, run.xis, run.etas, run.entropies, run.defects
         )
-        lines.append(",".join(format_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    )
+    return _csv(_trajectory_header(n, "entropy", "projection_defect"), rows)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import infogeo
 from infogeo.classical import ExponentialFamily, maxent_fit
-from infogeo.cli import run
+from infogeo.cli import build_parser, run
 from infogeo.kubomori import PerturbationProblem, expand_log_z
 from infogeo.maps import run_contraction_audit
 from infogeo.serialize import (
@@ -472,3 +473,152 @@ class TestModuleEntryPoint:
         proc = self.run_module("no-such-command")
         assert proc.returncode == 2
         assert "invalid choice" in proc.stderr
+
+
+QUBIT_FAMILY = {
+    "dim": 2,
+    "H0": {"dim": 2, "re": [[0.4, 0.1], [0.1, -0.4]]},
+    "features": [{"dim": 2, "re": [[0.0, 1.0], [1.0, 0.0]]}],
+}
+
+
+def subcommand_argvs(workdir):
+    """One small successful argv per subcommand (two for kubo-expand)."""
+    coin = write(workdir / "coin.json", coin_family_doc())
+    three = write(workdir / "f.json", {"omega": 3, "features": [[0.0, 1.0, 2.0]]})
+    qfam = write(workdir / "qf.json", QUBIT_FAMILY)
+    rho = write(workdir / "rho.json", {"omega": 2, "probs": [0.6, 0.4]})
+    sig = write(workdir / "sig.json", {"omega": 2, "probs": [0.3, 0.7]})
+    tan = write(workdir / "t.json", {"rep": "mixture", "vec": [0.1, -0.1]})
+    h0 = write(workdir / "h0.json", matrix_to_json(np.diag([0.0, 1.0])))
+    v = write(workdir / "v.json", matrix_to_json(np.diag([0.1, -0.1])))
+    cfg = write(workdir / "run.json", {
+        "generator": [[-1.0, 1.0], [1.0, -1.0]], "family": coin_family_doc(),
+        "dt": 0.1, "steps": 2, "initial": {"omega": 2, "probs": [0.8, 0.2]},
+    })
+    a = write(workdir / "a.json", {"dim": 2, "re": [[0.7, 0.0], [0.0, 0.3]]})
+    b = write(workdir / "b.json", {"dim": 2, "re": [[0.2, 0.0], [0.0, 0.8]]})
+    return {
+        "fit-classical": ["--family", coin, "--means", "0.3"],
+        "fit-quantum": ["--family", qfam, "--means", "0.2"],
+        "cramer-rao": ["--family", coin, "--theta", "0.3"],
+        "quantum-cramer-rao": ["--family", qfam, "--mean", "0.2"],
+        "geodesic": ["--family", three, "--xi0", "0.1", "--v0", "0.4",
+                     "--alpha", "0", "--t-max", "0.2", "--dt", "0.1"],
+        "transport": ["--rho", rho, "--sigma", sig, "--tangent", tan,
+                      "--which", "plus"],
+        "audit-monotonicity": ["--metric", "gns", "--dim", "2", "--trials", "5",
+                               "--seed", "1"],
+        "kubo-expand": ["--h0", h0, "--v", v],
+        "kubo-expand --csv": ["--h0", h0, "--v", v, "--csv"],
+        "project-simulate": ["--config", cfg],
+        "entropy-bound": ["--rho", a, "--sigma", b, "--lambda", "0.5"],
+        "sample": ["--dist", rho, "--count", "10", "--seed", "1"],
+    }
+
+
+SUBCOMMAND_CASES = [
+    "fit-classical", "fit-quantum", "cramer-rao", "quantum-cramer-rao",
+    "geodesic", "transport", "audit-monotonicity", "kubo-expand",
+    "kubo-expand --csv", "project-simulate", "entropy-bound", "sample",
+]
+
+
+class TestOutFile:
+    def test_every_subcommand_has_a_case(self):
+        (sub,) = [
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert {case.split()[0] for case in SUBCOMMAND_CASES} == set(sub.choices)
+
+    @pytest.mark.parametrize("case", SUBCOMMAND_CASES)
+    def test_out_file_holds_the_stdout_bytes(self, workdir, capsys, case):
+        argv = [case.split()[0], *subcommand_argvs(workdir)[case]]
+        assert run(argv) == 0
+        printed = capsys.readouterr()
+        out = workdir / "out.txt"
+        assert run(argv + ["--out", str(out)]) == 0
+        written = capsys.readouterr()
+        assert printed.out != ""
+        assert written.out == ""
+        assert written.err == printed.err
+        assert out.read_bytes() == printed.out.encode("utf-8")
+
+    def test_unwritable_out_exits_two(self, workdir, capsys):
+        argv = ["sample", *subcommand_argvs(workdir)["sample"]]
+        assert run(argv + ["--out", str(workdir / "no" / "such" / "dir")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: [Errno 2] No such file")
+
+
+class TestWarningsAndInputErrors:
+    def test_geodesic_leaving_the_box_warns(self, workdir, capsys):
+        fam = write(workdir / "coin.json", coin_family_doc())
+        code = run(
+            ["geodesic", "--family", fam, "--xi0", "0", "--v0", "100",
+             "--alpha", "1", "--t-max", "1", "--dt", "0.1"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert len(captured.out.strip().split("\n")) == 1 + 6
+        assert captured.err == "warning: trajectory left the coordinate box early\n"
+
+    def test_truncated_run_warns(self, workdir, capsys):
+        cfg = write(workdir / "run.json", {
+            "generator": [[-40.0, 0.0], [40.0, 0.0]], "family": coin_family_doc(),
+            "dt": 1.0, "steps": 3, "initial": {"omega": 2, "probs": [0.5, 0.5]},
+        })
+        assert run(["project-simulate", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().split("\n")) == 1 + 1
+        assert captured.err == (
+            "warning: run truncated: micro step 1: "
+            "microdynamics left the faithful interior\n"
+        )
+
+    def test_run_config_without_dynamics_exits_two(self, workdir, capsys):
+        cfg = write(workdir / "run.json", {
+            "family": coin_family_doc(), "dt": 0.1, "steps": 2,
+            "initial": {"omega": 2, "probs": [0.8, 0.2]},
+        })
+        assert run(["project-simulate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "input error: run config needs one of "
+            "'generator', 'hamiltonian', 'kraus'\n"
+        )
+
+    def test_unparsable_vector_exits_two(self, workdir, capsys):
+        fam = write(workdir / "coin.json", coin_family_doc())
+        assert run(["fit-classical", "--family", fam, "--means", "0.5,x"]) == 2
+        assert capsys.readouterr().err == (
+            "input error: could not parse vector '0.5,x': "
+            "could not convert string to float: 'x'\n"
+        )
+
+    def test_observable_reaches_the_bound(self, workdir, capsys):
+        # the feature itself is the default observable; twice it is biased
+        fam = write(workdir / "qf.json", QUBIT_FAMILY)
+        feature = QUBIT_FAMILY["features"][0]
+        same = write(workdir / "same.json", feature)
+        twice = write(
+            workdir / "twice.json", matrix_to_json(2 * np.array(feature["re"]))
+        )
+        argv = ["quantum-cramer-rao", "--family", fam, "--mean", "0.2"]
+        assert run(argv) == 0
+        default = capsys.readouterr().out
+        assert run(argv + ["--observable", same]) == 0
+        assert capsys.readouterr().out == default
+        assert run(argv + ["--observable", twice]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: observable is biased: mean ")
+
+    def test_tangent_without_vector_exits_two(self, workdir, capsys):
+        argvs = subcommand_argvs(workdir)
+        write(workdir / "t.json", {"rep": "mixture"})
+        assert run(["transport", *argvs["transport"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: tangent document needs 'rep' and 'vec'\n"

@@ -202,6 +202,32 @@ class TestKuboNPoint:
         with pytest.raises(ValueError, match="n <= 8"):
             kubo_n_point(rho, [np.eye(2)] * 9)
 
+    @pytest.mark.parametrize(
+        "vs, message",
+        [
+            ([], "need at least one perturbation"),
+            ([np.eye(3)], "perturbation shape (3, 3) != (2, 2)"),
+        ],
+    )
+    def test_bad_perturbations_raise(self, vs, message):
+        with pytest.raises(ValueError) as info:
+            kubo_n_point(maximally_mixed(2), vs)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "v, max_order, message",
+    [
+        (np.eye(3), 4, "shape mismatch: H0 (2, 2), V (3, 3)"),
+        (np.eye(2), 0, "max_order must lie in 1..6"),
+        (np.eye(2), 7, "max_order must lie in 1..6"),
+    ],
+)
+def test_bad_perturbation_problem_raises(v, max_order, message):
+    with pytest.raises(ValueError) as info:
+        PerturbationProblem(np.diag([0.0, 1.0]), v, max_order=max_order)
+    assert str(info.value) == message
+
 
 class TestExpandLogZ:
     def test_zero_perturbation(self):

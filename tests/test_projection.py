@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+import infogeo.projection as projection
 from infogeo.classical import (
     ExponentialFamily,
     FiniteDistribution,
@@ -12,7 +13,7 @@ from infogeo.classical import (
     full_simplex_family,
     uniform,
 )
-from infogeo.errors import BoundaryError
+from infogeo.errors import BoundaryError, FeasibilityError
 from infogeo.maps import QuantumCPUnitalMap, push_state
 from infogeo.projection import (
     HamiltonianStep,
@@ -266,6 +267,44 @@ def _mismatched_runs():
 def test_roll_names_mismatched_input(state, dynamics, family, message):
     with pytest.raises(ValueError) as info:
         roll(state, dynamics, family, dt=0.1, steps=3)
+    assert str(info.value) == message
+
+
+def test_failed_projection_truncates_with_diagnostic(monkeypatch):
+    fit = projection.fit_mixture_coords
+    calls = []
+
+    def fails_at_step_two(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FeasibilityError("target left the polytope")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(projection, "fit_mixture_coords", fails_at_step_two)
+    fam = ExponentialFamily(np.array([[0.0, 1.0]]))
+    run = roll(FiniteDistribution([0.8, 0.2]), two_state_generator(1.0), fam, 0.1, 5)
+    assert run.truncated
+    assert run.diagnostic == "projection at step 2: target left the polytope"
+    assert len(run.times) == len(run.xis) == len(run.defects) == 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: roll(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0),
+                      ExponentialFamily(np.array([[0.0, 1.0]])), 0.1, -1),
+         "steps must be nonnegative"),
+        (lambda: micro_step(FiniteDistribution([0.5, 0.5]),
+                            two_state_generator(1.0), 0.0),
+         "dt must be positive"),
+        (lambda: two_state_generator(1.0).propagator(0.0), "dt must be positive"),
+        (lambda: MarkovGenerator(np.zeros((2, 3))),
+         "generator must be square, got shape (2, 3)"),
+    ],
+)
+def test_bad_step_arguments_raise(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
     assert str(info.value) == message
 
 

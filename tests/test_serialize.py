@@ -186,3 +186,44 @@ class TestReportAndCsv:
         b = run_to_csv(roll(rho0, gen, fam, 0.1, 5))
         assert a == b
         assert a.startswith("t,xi_1,eta_1,entropy,projection_defect\n")
+
+
+SIGMA_Z = {"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}
+
+
+@pytest.mark.parametrize(
+    "reader, doc, error, message",
+    [
+        (matrix_from_json, {"dim": 2}, ValueError,
+         "matrix document needs an 're' block"),
+        (matrix_from_json, {"re": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}, ValueError,
+         "matrix blocks must be square and matching: (2, 3)"),
+        (matrix_from_json, {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]},
+         ValueError, "matrix blocks must be square and matching: (2, 2)"),
+        (distribution_from_json, {"omega": 2}, ValueError,
+         "distribution document needs a 'probs' vector"),
+        (distribution_from_json, {"omega": 3, "probs": [0.5, 0.5]}, ValueError,
+         "declared omega 3 != vector size 2"),
+        (family_from_json, {"omega": 2}, ValueError,
+         "family document needs a 'features' block"),
+        (family_from_json, {"omega": 3, "features": [[0.0, 1.0]]}, ValueError,
+         "declared omega 3 != feature length 2"),
+        (point_from_json, {"features": [[0.0, 1.0]]}, ValueError,
+         "point document needs 'xi'"),
+        (tangent_from_json, {"rep": "mixture"}, ValueError,
+         "tangent document needs 'rep' and 'vec'"),
+        (tangent_from_json, {"vec": [0.1, -0.1]}, ValueError,
+         "tangent document needs 'rep' and 'vec'"),
+        (qfamily_from_json, {"dim": 2}, ValueError,
+         "quantum family document needs a 'features' list"),
+        (qfamily_from_json,
+         {"dim": 2, "H0": {"re": np.eye(3).tolist()}, "features": [SIGMA_Z]},
+         ValueError, "declared dim 2 != H0 size 3"),
+        (format_float, True, TypeError, "bool is not a float"),
+        (dump_json, {"a": object()}, TypeError, "cannot serialize object"),
+    ],
+)
+def test_wire_format_checks_name_the_fault(reader, doc, error, message):
+    with pytest.raises(error) as info:
+        reader(doc)
+    assert str(info.value) == message
