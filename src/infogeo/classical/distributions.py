@@ -84,6 +84,17 @@ class FiniteDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
+    @classmethod
+    def _wrap(cls, p: np.ndarray) -> "FiniteDistribution":
+        """A faithful distribution around a fresh 1-d vector ``p`` that its
+        caller has already checked as :func:`check_probabilities` would;
+        ``p`` is frozen in place, not copied."""
+        rho = object.__new__(cls)
+        p.setflags(write=False)
+        object.__setattr__(rho, "probs", p)
+        object.__setattr__(rho, "allow_boundary", False)
+        return rho
+
     @property
     def size(self) -> int:
         return self.probs.shape[0]
@@ -195,7 +206,9 @@ def entropy(rho) -> float:
     """Shannon entropy -sum p log p, with 0 log 0 = 0 at the boundary."""
     p = rho.probs if isinstance(rho, FiniteDistribution) else np.asarray(rho, float)
     mask = p > 0
-    return float(-(p[mask] * np.log(p[mask])).sum())
+    if not mask.all():
+        p = p[mask]
+    return float(-(p * np.log(p)).sum())
 
 
 def alpha_embed(rho: FiniteDistribution, alpha: float) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, FeasibilityError
-from ..spectral import log_sum_exp
-from .distributions import FiniteDistribution
+from ..spectral import _log_sum_shifted, log_sum_exp
+from .distributions import FiniteDistribution, check_probabilities
 
 _GRAM_FLOOR = 1e-10
 _LEGENDRE_STEP = 1e-5
@@ -98,10 +98,16 @@ class ExponentialFamily:
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
 
     def _oracle(self, xi):
-        """The solver's oracle: Psi, eta, their covariance and s = b - xi . f."""
-        s, p = _weights(self, xi)
-        eta, _, cov = _moments(self.features, p)
-        return log_sum_exp(s), eta, cov, s
+        """The solver's oracle: Psi, eta, their covariance and s = b - xi . f.
+
+        One exp(s - max s) gives both p, formed as :func:`_weights` forms it,
+        and Psi, in :func:`..spectral.log_sum_exp`'s log1p form; both bitwise.
+        """
+        s = self.base_log_density - xi @ self.features
+        s_max = s.max()
+        w = np.exp(s - s_max)
+        eta, _, cov = _moments(self.features, w / w.sum())
+        return _log_sum_shifted(w, s == s_max, s_max), eta, cov, s
 
     def _point(self, xi, value, iterations) -> "CanonicalPoint":
         """The fitted point at xi, from the s and Psi of the oracle's value."""
@@ -172,7 +178,10 @@ class CanonicalPoint:
         object.__setattr__(self, "log_p", log_p)
 
     def distribution(self) -> FiniteDistribution:
-        return FiniteDistribution(self.probs())
+        """The point as a faithful distribution: exp(log p) passes one
+        :func:`.distributions.check_probabilities`, which raises
+        :class:`BoundaryError` for a cell at or below the floor."""
+        return FiniteDistribution._wrap(check_probabilities(self.probs()))
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_p)
@@ -327,13 +336,13 @@ def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
     if not np.isfinite(m).all():
         raise ValueError(f"target means must be finite, got {m.tolist()}")
 
-    if warm is not None and np.array_equal(warm.xi, xi):
+    warm_xi = None if warm is None else warm.xi
+    if warm_xi is not None and warm_xi.shape == xi.shape and (warm_xi == xi).all():
         value = warm.value
     else:
         value = family._oracle(xi)
     for it in range(max_iter):
         log_z, eta, hess, _ = value
-        obj = log_z + xi @ m
         grad = m - eta
         resid = float(np.abs(grad).max())
         if resid < tol:
@@ -356,6 +365,7 @@ def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
             xi = xi + step
             value = family._oracle(xi)
             continue
+        obj = log_z + xi @ m
         slope = float(grad @ step)
         t = 1.0
         while t > 1e-14:

@@ -13,6 +13,7 @@ Runs are deterministic: identical inputs produce identical trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,13 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     state of the wrong kind (a :class:`FiniteDistribution` for a generator,
     a :class:`DensityMatrix` otherwise) or size raises ``ValueError``.
 
+    A Markov step checks its output vector once, here, for everything that
+    :func:`.classical.distributions.check_probabilities` tests: a total more
+    than 1e-12 from 1 raises :class:`InfoGeoError` ("probability drifted"),
+    then a cell at or below the floor :class:`BoundaryError`, then a NaN
+    entry ``ValueError``.  The vector becomes a :class:`FiniteDistribution`
+    without a second check.
+
     A unitary step keeps the spectrum and is not re-diagonalised: the
     stepped state's eigenvectors are U V, carried over from the input
     state's decomposition (V, p).  Chaining steps on their own outputs
@@ -134,11 +142,16 @@ def micro_step(state, dynamics, dt: float, propagator=None):
         _check_state(state, FiniteDistribution, "generator", dynamics.size)
         prop = dynamics.propagator(dt) if propagator is None else propagator
         out = prop @ state.probs
-        if abs(out.sum() - 1.0) > _MASS_TOL:
-            raise InfoGeoError(f"probability drifted to {float(out.sum())!r}")
+        total = out.sum()
+        if abs(total - 1.0) > _MASS_TOL:
+            raise InfoGeoError(f"probability drifted to {float(total)!r}")
         if out.min() <= FAITHFULNESS_FLOOR:
             raise BoundaryError("microdynamics left the faithful interior")
-        return FiniteDistribution(out)
+        # a nan entry passes both tests above (its total is nan); any other
+        # non-finite entry has failed one of them
+        if math.isnan(total):
+            raise ValueError("probabilities must be finite")
+        return FiniteDistribution._wrap(out)
     if isinstance(dynamics, HamiltonianStep):
         _check_state(state, DensityMatrix, "Hamiltonian", len(dynamics.hamiltonian))
         u = dynamics.unitary(dt) if propagator is None else propagator
@@ -183,7 +196,9 @@ class ProjectionRun:
 
     @property
     def steps_completed(self) -> int:
-        return len(self.times) - 1
+        """Micro steps taken and projected: 0 also when the initial
+        projection failed and the run holds no record."""
+        return max(len(self.times) - 1, 0)
 
 
 def _project_classical(family, state, xi0, warm):
@@ -215,6 +230,8 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     classical = isinstance(family, ExponentialFamily)
     if classical and not isinstance(dynamics, MarkovGenerator):
         raise ValueError("classical families require a Markov generator")
@@ -269,12 +286,13 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
         etas.append(means)
         entropies.append(proj_entropy)
         defects.append(proj_entropy - micro_entropy)
+    n = family.n_features
     return ProjectionRun(
         family,
         dt,
         np.asarray(times),
-        np.asarray(xis),
-        np.asarray(etas),
+        np.asarray(xis).reshape(-1, n),
+        np.asarray(etas).reshape(-1, n),
         np.asarray(entropies),
         np.asarray(defects),
         truncated,

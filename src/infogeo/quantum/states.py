@@ -251,7 +251,10 @@ def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray
     L the logarithmic mean of p, the covariance is sum_ab L_ab C_j,ab
     conj(C_l,ab), one product over the stack.  L(e^a, e^b) = e^b expm1(a -
     b)/(a - b) with b >= a (e^a at a = b) is taken from log p, so it stays
-    finite where p underflows.
+    finite where p underflows.  The factor e^b is max(p_a, p_b) of the p
+    already formed (exp is monotone), and the quotient is 1 where a = b and
+    is divided only elsewhere.  Nothing is checked here: ``dec`` comes
+    validated from :func:`..spectral.eigh`, and log p is finite.
     """
     p = np.exp(log_p)
     u = dec.eigenvectors
@@ -259,10 +262,10 @@ def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray
     diagonals = centered[:, :: dec.dim + 1]
     means = (p * diagonals.real).sum(axis=-1)
     diagonals -= means[:, None]
-    b = np.maximum(log_p[:, None], log_p[None, :])
-    x = np.minimum(log_p[:, None], log_p[None, :]) - b
-    with np.errstate(invalid="ignore"):
-        k = np.exp(b) * np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    col = log_p[:, None]
+    x = np.minimum(col, log_p) - np.maximum(col, log_p)
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    k = np.maximum(p[:, None], p[None, :]) * ratio
     cov = ((k.reshape(-1) * centered) @ centered.conj().T).real
     return p, means, 0.5 * (cov + cov.T)
 

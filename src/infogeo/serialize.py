@@ -266,11 +266,11 @@ def geodesic_to_csv(path: GeodesicPath) -> str:
 
 
 def run_to_csv(run: ProjectionRun) -> str:
-    n = run.xis.shape[1] if len(run.xis) else 0
     rows = (
         [t, *xi, *eta, s, defect]
         for t, xi, eta, s, defect in zip(
             run.times, run.xis, run.etas, run.entropies, run.defects
         )
     )
-    return _csv(_trajectory_header(n, "entropy", "projection_defect"), rows)
+    header = _trajectory_header(run.xis.shape[1], "entropy", "projection_defect")
+    return _csv(header, rows)

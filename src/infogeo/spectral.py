@@ -183,9 +183,14 @@ def log_sum_exp(x: np.ndarray) -> float:
     41, 2021); the rounding is that of ``scipy.special.logsumexp``.
     """
     m = x.max()
-    top = x == m
+    return _log_sum_shifted(np.exp(x - m), x == m, m)
+
+
+def _log_sum_shifted(w: np.ndarray, top: np.ndarray, m: float) -> float:
+    """:func:`log_sum_exp` of x, bitwise, from exponentials already taken:
+    w = exp(x - m) with m = max x, and the mask top = (x == m).  Overwrites
+    ``w[top]`` with zeros."""
     k = np.count_nonzero(top)
-    w = np.exp(x - m)
     w[top] = 0.0
     if k == 1:
         # w / 1 and + log(1) = 0.0 are exact: the general formula, bitwise

@@ -296,14 +296,22 @@ class TestEstimateFromData:
 def test_infeasible_maxent_fit_normalises_only_inside_the_solver(monkeypatch):
     import infogeo.classical.families as families
 
+    # the normalisations: the oracle's fused one, and log_sum_exp for any
+    # point normalised outside the solver
     calls = []
     original = families.log_sum_exp
+    oracle = ExponentialFamily._oracle
 
     def counting(x):
         calls.append(1)
         return original(x)
 
+    def counting_oracle(family, xi):
+        calls.append(1)
+        return oracle(family, xi)
+
     monkeypatch.setattr(families, "log_sum_exp", counting)
+    monkeypatch.setattr(ExponentialFamily, "_oracle", counting_oracle)
     fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
     with pytest.raises(FeasibilityError, match="feature 0 with target 2.5"):
         fit_mixture_coords(fam, [2.5])

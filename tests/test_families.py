@@ -14,7 +14,7 @@ from infogeo.classical import (
     massieu,
     mixture_coords,
 )
-from infogeo.errors import ConvergenceError, FeasibilityError
+from infogeo.errors import BoundaryError, ConvergenceError, FeasibilityError
 
 
 def coin_family():
@@ -53,6 +53,14 @@ class TestExponentialFamily:
         fam = random_family(rng, 6, 2, base=True)
         pt = fam.point([0.3, -1.2])
         npt.assert_allclose(pt.probs().sum(), 1.0, atol=1e-14)
+
+    def test_distribution_refuses_the_floor(self):
+        rho = coin_family().point([0.5]).distribution()
+        npt.assert_array_equal(rho.probs, coin_family().point([0.5]).probs())
+        assert not rho.probs.flags.writeable and not rho.allow_boundary
+        # e^-40 / (1 + e^-40) is below the 1e-14 floor
+        with pytest.raises(BoundaryError, match="distribution is not faithful"):
+            coin_family().point([40.0]).distribution()
 
 
 class TestMassieuAndMoments:

@@ -5,6 +5,8 @@ import numpy.testing as npt
 import pytest
 from scipy.linalg import expm
 
+import infogeo.classical.distributions as distributions
+import infogeo.classical.families as families
 import infogeo.projection as projection
 from infogeo.classical import (
     ExponentialFamily,
@@ -13,7 +15,7 @@ from infogeo.classical import (
     full_simplex_family,
     uniform,
 )
-from infogeo.errors import BoundaryError, FeasibilityError
+from infogeo.errors import BoundaryError, FeasibilityError, InfoGeoError
 from infogeo.maps import QuantumCPUnitalMap, push_state
 from infogeo.projection import (
     HamiltonianStep,
@@ -23,6 +25,7 @@ from infogeo.projection import (
     roll,
 )
 from infogeo.quantum import DensityMatrix, QuantumExponentialFamily
+from infogeo.serialize import run_to_csv
 from infogeo.spectral import eigh, hermitian_part
 
 PAULI = {
@@ -138,8 +141,48 @@ class TestMicroStep:
         out = micro_step(rho, chan, 1.0)
         npt.assert_allclose(np.trace(out.matrix).real, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "prop, kind, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], ValueError, "probabilities must be finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], InfoGeoError, "probability drifted to inf"),
+            (1.001 * np.eye(2), InfoGeoError, "probability drifted to 1.001"),
+            ([[1.0, 1.0], [0.0, 0.0]], BoundaryError,
+             "microdynamics left the faithful interior"),
+            ([[1.1, 1.1], [-0.1, -0.1]], BoundaryError,
+             "microdynamics left the faithful interior"),
+        ],
+        ids=["nan", "inf", "mass", "sub-floor", "negative"],
+    )
+    def test_bad_propagator_output_is_refused(self, prop, kind, message):
+        # the step checks its own output: drift, then the floor, then a nan
+        with pytest.raises(kind) as info:
+            micro_step(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0), 0.1,
+                       propagator=np.array(prop))
+        assert type(info.value) is kind
+        assert str(info.value) == message
+
 
 class TestRoll:
+    def test_roll_checks_each_state_once(self, monkeypatch):
+        calls = []
+        check = distributions.check_probabilities
+
+        def counting(p, allow_boundary=False):
+            calls.append(1)
+            return check(p, allow_boundary)
+
+        for module in (distributions, families):
+            monkeypatch.setattr(module, "check_probabilities", counting)
+        initial = FiniteDistribution([0.5, 0.2, 0.2, 0.1])
+        calls.clear()
+        steps = 12
+        run = roll(initial, two_block_generator(), BLOCK_FAMILY, 0.25, steps)
+        assert not run.truncated and run.steps_completed == steps
+        # each projected state is checked once; a micro step checks its own
+        # output without the constructor's second pass
+        assert len(calls) == steps + 1
+
     def test_zero_generator_constant_trajectory(self):
         gen = MarkovGenerator(np.zeros((4, 4)))
         rho0 = FiniteDistribution([0.4, 0.3, 0.2, 0.1])
@@ -270,22 +313,39 @@ def test_roll_names_mismatched_input(state, dynamics, family, message):
     assert str(info.value) == message
 
 
-def test_failed_projection_truncates_with_diagnostic(monkeypatch):
+def _fit_failing_at(step):
+    """fit_mixture_coords, except that the projection at ``step`` raises."""
     fit = projection.fit_mixture_coords
     calls = []
 
-    def fails_at_step_two(*args, **kwargs):
+    def fails(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) == step + 1:
             raise FeasibilityError("target left the polytope")
         return fit(*args, **kwargs)
 
-    monkeypatch.setattr(projection, "fit_mixture_coords", fails_at_step_two)
+    return fails
+
+
+def test_failed_projection_truncates_with_diagnostic(monkeypatch):
     fam = ExponentialFamily(np.array([[0.0, 1.0]]))
+    monkeypatch.setattr(projection, "fit_mixture_coords", _fit_failing_at(2))
     run = roll(FiniteDistribution([0.8, 0.2]), two_state_generator(1.0), fam, 0.1, 5)
     assert run.truncated
     assert run.diagnostic == "projection at step 2: target left the polytope"
     assert len(run.times) == len(run.xis) == len(run.defects) == 2
+    assert run.steps_completed == 1
+
+    # a failed initial projection leaves no record and no step, and the
+    # empty coordinates keep one column per feature
+    monkeypatch.setattr(projection, "fit_mixture_coords", _fit_failing_at(0))
+    run = roll(FiniteDistribution([0.8, 0.2]), two_state_generator(1.0), fam, 0.1, 5)
+    assert run.truncated
+    assert run.diagnostic == "projection at step 0: target left the polytope"
+    assert run.steps_completed == 0
+    assert run.times.shape == run.entropies.shape == run.defects.shape == (0,)
+    assert run.xis.shape == run.etas.shape == (0, 1)
+    assert run_to_csv(run) == "t,xi_1,eta_1,entropy,projection_defect\n"
 
 
 @pytest.mark.parametrize(
@@ -300,6 +360,23 @@ def test_failed_projection_truncates_with_diagnostic(monkeypatch):
         (lambda: two_state_generator(1.0).propagator(0.0), "dt must be positive"),
         (lambda: MarkovGenerator(np.zeros((2, 3))),
          "generator must be square, got shape (2, 3)"),
+        # roll refuses dt before it steps, whatever the dynamics
+        (lambda: roll(DensityMatrix(np.diag([0.7, 0.3])), HamiltonianStep(PAULI["x"]),
+                      QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]]),
+                      -1.0, 0),
+         "dt must be positive"),
+        (lambda: roll(DensityMatrix(np.diag([0.7, 0.3])),
+                      QuantumCPUnitalMap([np.eye(2)]),
+                      QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]]),
+                      0.0, 0),
+         "dt must be positive"),
+        (lambda: roll(DensityMatrix(np.diag([0.7, 0.3])), HamiltonianStep(PAULI["x"]),
+                      QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]]),
+                      0.0, 3),
+         "dt must be positive"),
+        (lambda: roll(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0),
+                      ExponentialFamily(np.array([[0.0, 1.0]])), 0.0, 0),
+         "dt must be positive"),
     ],
 )
 def test_bad_step_arguments_raise(call, message):

@@ -19,7 +19,17 @@ from infogeo.quantum import (
     von_neumann_entropy,
 )
 from infogeo.quantum.states import gibbs_moments, gibbs_spectrum
-from infogeo.spectral import eigh, hermitian_part, logarithmic_mean_kernel
+from infogeo.spectral import (
+    SpectralDecomposition,
+    dagger,
+    eigh,
+    hermitian_part,
+    log_sum_exp,
+    logarithmic_mean_kernel,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -126,6 +136,52 @@ class TestStackedOracle:
             atol = 1e-13 * np.abs(ref_cov).max()
             npt.assert_allclose(cov, ref_cov, rtol=0, atol=atol)
             npt.assert_array_equal(cov, cov.T)
+
+
+def exp_max_gibbs_moments(dec, log_p, ops):
+    """gibbs_moments with the logarithmic mean's factor taken as exp(max log p)
+    and the quotient under ``where``: the formula the kernel must equal."""
+    p = np.exp(log_p)
+    u = dec.eigenvectors
+    centered = (dagger(u) @ ops @ u).reshape(len(ops), -1)
+    diagonals = centered[:, :: dec.dim + 1]
+    means = (p * diagonals.real).sum(axis=-1)
+    diagonals -= means[:, None]
+    b = np.maximum(log_p[:, None], log_p[None, :])
+    x = np.minimum(log_p[:, None], log_p[None, :]) - b
+    with np.errstate(invalid="ignore"):
+        k = np.exp(b) * np.where(x == 0.0, 1.0, np.expm1(x) / x)
+    cov = ((k.reshape(-1) * centered) @ centered.conj().T).real
+    return p, means, 0.5 * (cov + cov.T)
+
+
+@st.composite
+def gibbs_inputs(draw):
+    """A spectrum (random, tied, fully degenerate, or spread so wide that
+    weights underflow), a seeded eigenbasis and 1-3 Hermitian operators."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "tied", "degenerate", "underflow"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        w = rng.normal(scale=3.0, size=d)
+    elif kind == "tied":
+        w = rng.choice(rng.normal(size=max(1, d // 2)), size=d)
+    elif kind == "degenerate":
+        w = np.full(d, rng.normal())
+    else:
+        w = rng.uniform(0.0, 2000.0, size=d)
+    w = np.sort(w)
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    ops = np.stack([random_hermitian(rng, d) for _ in range(rng.integers(1, 4))])
+    return SpectralDecomposition(w, u), -w - log_sum_exp(-w), ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(gibbs_inputs())
+def test_gibbs_moments_equal_the_exp_max_formula(inputs):
+    # exp(max(a, b)) is max(e^a, e^b) of the weights already formed, bit for bit
+    for got, want in zip(gibbs_moments(*inputs), exp_max_gibbs_moments(*inputs)):
+        assert np.array_equal(got, want)
 
 
 class TestSharedMomentKernel:
