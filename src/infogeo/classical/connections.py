@@ -22,9 +22,13 @@ acceleration contracts the skewness with the velocity directly,
 
 with c the centered features, at O(n omega) per stage from the max-shifted
 weights of the raw xi array (no log Z); a stage builds no
-:class:`CanonicalPoint`.  :func:`geodesic` integrates it with the adaptive
-Dormand-Prince 5(4) pair at the relative tolerance ``_RTOL`` = 1e-10 and
-reads its samples, spaced ``dt`` apart, off the fourth-order dense output.
+:class:`CanonicalPoint`.  :func:`geodesic` integrates it with
+:func:`_integrate`, the one ODE integrator: adaptive Dormand-Prince 5(4) at
+the relative tolerance ``_RTOL`` = 1e-10, whose samples, spaced ``dt``
+apart, come off the fourth-order dense output.  ``geodesic`` refuses, by
+name, a dt that is not positive and finite, a t_max that is not
+nonnegative and finite, a non-finite alpha or velocity, and an xi_box that
+is not positive.
 """
 
 from __future__ import annotations
@@ -165,69 +169,35 @@ def _rms(x) -> float:
     return math.sqrt(float((x * x).sum()) / x.size)
 
 
-def geodesic(
-    pt0: CanonicalPoint,
-    v0,
-    alpha: float,
-    t_max: float,
-    dt: float = 1e-3,
-    xi_box: float = 50.0,
-) -> GeodesicPath:
-    """Integrate the alpha-geodesic from pt0 with initial velocity v0.
+def _integrate(rate, y0, times, n, box):
+    """Integrate y' = rate(y) from y0 at t = 0 to the samples at ``times``.
 
-    Adaptive Dormand-Prince 5(4) on the stacked state y = (xi, v), whose
-    last stage's rate starts the next step, so an accepted step costs six
+    The one ODE integrator: adaptive Dormand-Prince 5(4), whose last
+    stage's rate starts the next step, so an accepted step costs six
     stages.  A step passes when the rms of its error estimate over
     atol + rtol max(|y|, |y_new|), rtol = 1e-10 and atol = 1e-2 rtol, is at
     most 1; the step starts at Hairer's estimate and changes by
-    0.9 err^(-1/5) within [0.2, 10], not growing right after a rejection.  ``dt`` is the sample
-    spacing: the samples at t = k dt, k <= round(t_max / dt), come from the
-    fourth-order dense output.  At alpha = +1 the rate is (v, 0) and the
-    samples are the line xi_0 + t v_0 to rounding.
+    0.9 err^(-1/5) within [0.2, 10], not growing right after a rejection.
+    The samples, at ``times`` ascending from 0, come from the fourth-order
+    dense output.
 
-    The path is ``truncated`` when a sample or a step's end leaves the box
-    |xi_j| <= xi_box, and its samples stop at the last one inside.  A path
-    running into the boundary of the family, where xi diverges at a finite
-    t, is also truncated: when its step falls below 1e-12 t while max |xi_j|
-    grows.  A stage that fails at a finite xi outside the box (the family
-    may degenerate there) shortens its step five times if the step holds a
+    The box, collapse and failed-stage rules read the first ``n``
+    components, x.  The path is truncated when a sample or a step's end
+    leaves the box |x_j| <= box, its samples stopping at the last one
+    inside, and when its step falls below 1e-12 t while max |x_j| grows (x
+    diverges at a finite t).  A stage that raises ``ValueError`` at a finite
+    x outside the box shortens its step five times if the step holds a
     sample, and else truncates the path; any other failed stage raises, and
-    so do 2000 steps.
-
-    Each stage checks its raw xi array, takes the probabilities from
-    :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
-    and shares its acceleration kernel with :func:`geodesic_acceleration`:
-    2 + 6 (steps_accepted + steps_rejected) weight vectors per path, fewer
-    after a failed stage, and none at alpha = +1 or without a step.
+    so do 2000 steps.  Returns ``(samples, truncated, accepted, rejected,
+    max_error)``: the rows of y reached, the step counts and the largest
+    error norm of an accepted step.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    family = pt0.family
-    n = family.n_features
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (n,):
-        raise ValueError(f"velocity has shape {v0.shape}, expected ({n},)")
-
-    def rate(y):
-        xi, v = y[:n], y[n:]
-        families._check_xi(family, xi)
-        if alpha == 1.0:
-            return np.concatenate((v, np.zeros(n)))
-        # looked up on the module, so that rebinding it there reaches stages
-        p = families._weights(family, xi)[1]
-        return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
-
     rtol = _RTOL
     atol = 1e-2 * rtol
-    times = dt * np.arange(int(round(t_max / dt)) + 1)
     t_end = times[-1]
-    y = np.concatenate((pt0.xi, v0))
-    samples = [y[None]]
+    y, samples = y0, [y0[None]]
     accepted = rejected = 0
-    max_error = 0.0
-    truncated = False
+    max_error, truncated = 0.0, False
     if t_end > 0:
         k1 = rate(y)
         # starting step: Hairer, Norsett & Wanner, Solving ODEs I, II.4
@@ -257,11 +227,11 @@ def geodesic(
                 stage = y + h * _combine(row, ks)
                 ks.append(rate(stage))
         except ValueError:
-            # a stage past the box may sit where the family degenerates: the
+            # a stage past the box may sit where the rate degenerates: the
             # path leaves the box within this step, which ends the path
             # unless the step holds a sample, and then it is shortened
-            xi = stage[:n]
-            if not (np.isfinite(xi).all() and np.abs(xi).max() > xi_box):
+            head = stage[:n]
+            if not (np.isfinite(head).all() and np.abs(head).max() > box):
                 raise
             if t + h < times[i]:
                 truncated = True
@@ -288,19 +258,78 @@ def geodesic(
             th = ((times[i:j] - t) / h)[:, None]
             rest = 1.0 - th
             dense = y + th * (dy + rest * (bspl + th * (curl + rest * top)))
-            out = np.abs(dense[:, :n]).max(axis=1) > xi_box
+            out = np.abs(dense[:, :n]).max(axis=1) > box
             kept = int(out.argmax()) if out.any() else j - i
             samples.append(dense[:kept])
             i += kept
         new_reach = np.abs(stage[:n]).max()
-        if i < j or new_reach > xi_box:
+        if i < j or new_reach > box:
             truncated = True
             break
         outward, reach = new_reach > reach, new_reach
         y, k1, t = stage, ks[-1], t_new
         h *= factor if grow else min(factor, 1.0)
         grow = True
-    ys = np.concatenate(samples)
+    return np.concatenate(samples), truncated, accepted, rejected, max_error
+
+
+def geodesic(
+    pt0: CanonicalPoint,
+    v0,
+    alpha: float,
+    t_max: float,
+    dt: float = 1e-3,
+    xi_box: float = 50.0,
+) -> GeodesicPath:
+    """Integrate the alpha-geodesic from pt0 with initial velocity v0.
+
+    :func:`_integrate` runs on y = (xi, v) in the box |xi_j| <= xi_box, with
+    samples at t = k dt, k <= round(t_max / dt).  At alpha = +1 the rate is
+    (v, 0) and the samples are the line xi_0 + t v_0 to rounding.
+
+    dt must be positive and finite, t_max nonnegative and finite, alpha
+    finite, xi_box positive and v0 a finite vector of the family's size;
+    anything else raises ``ValueError`` naming the argument.
+
+    Each stage checks its raw xi array, takes the probabilities from
+    :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
+    and shares its acceleration kernel with :func:`geodesic_acceleration`:
+    2 + 6 (steps_accepted + steps_rejected) weight vectors per path, fewer
+    after a failed stage, and none at alpha = +1 or without a step.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
+    if not t_max >= 0:
+        raise ValueError("t_max must be nonnegative")
+    if not math.isfinite(t_max):
+        raise ValueError("t_max must be finite")
+    if not math.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    if not xi_box > 0:
+        raise ValueError("xi_box must be positive")
+    family = pt0.family
+    n = family.n_features
+    v0 = np.asarray(v0, dtype=float)
+    if v0.shape != (n,):
+        raise ValueError(f"velocity has shape {v0.shape}, expected ({n},)")
+    if not np.isfinite(v0).all():
+        raise ValueError("velocity must be finite")
+
+    def rate(y):
+        xi, v = y[:n], y[n:]
+        families._check_xi(family, xi)
+        if alpha == 1.0:
+            return np.concatenate((v, np.zeros(n)))
+        # looked up on the module, so that rebinding it there reaches stages
+        p = families._weights(family, xi)[1]
+        return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
+
+    times = dt * np.arange(int(round(t_max / dt)) + 1)
+    ys, truncated, accepted, rejected, max_error = _integrate(
+        rate, np.concatenate((pt0.xi, v0)), times, n, xi_box
+    )
     return GeodesicPath(
         family, times[: len(ys)], ys[:, :n], ys[:, n:], truncated,
         accepted, rejected, max_error,

@@ -30,6 +30,14 @@ from .spectral import check_finite, eigh, expm, hermitian_part
 _MASS_TOL = 1e-12
 
 
+def _check_dt(dt) -> None:
+    """Raise ``ValueError`` unless the time step is positive and finite."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not math.isfinite(dt):
+        raise ValueError("dt must be finite")
+
+
 @dataclass(frozen=True)
 class MarkovGenerator:
     """Probability-conserving rate matrix acting on column distributions.
@@ -67,8 +75,7 @@ class MarkovGenerator:
         A generator too stiff for the exponential at this step fails here
         with ``ValueError``, naming the drift and dt times the largest rate.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_dt(dt)
         prop = expm(dt * self.rates)
         drift = np.abs(prop.sum(axis=0) - 1.0).max()
         if not (drift <= _MASS_TOL and prop.min() >= -1e-15):
@@ -98,6 +105,8 @@ class HamiltonianStep:
         object.__setattr__(self, "hamiltonian", h)
 
     def unitary(self, dt: float) -> np.ndarray:
+        if not math.isfinite(dt):
+            raise ValueError("dt must be finite")
         w, u = eigh(self.hamiltonian)
         return (u * np.exp(-1j * dt * w)) @ u.conj().T
 
@@ -136,8 +145,7 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     ``ValueError``.  :func:`roll` steps a freshly decomposed projected state
     each time and is not affected.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if isinstance(dynamics, MarkovGenerator):
         _check_state(state, FiniteDistribution, "generator", dynamics.size)
         prop = dynamics.propagator(dt) if propagator is None else propagator
@@ -230,8 +238,7 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     classical = isinstance(family, ExponentialFamily)
     if classical and not isinstance(dynamics, MarkovGenerator):
         raise ValueError("classical families require a Markov generator")

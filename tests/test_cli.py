@@ -597,6 +597,17 @@ class TestWarningsAndInputErrors:
             "could not convert string to float: 'x'\n"
         )
 
+    def test_infinite_geodesic_time_exits_two(self, workdir, capsys):
+        fam = write(workdir / "coin.json", coin_family_doc())
+        code = run(
+            ["geodesic", "--family", fam, "--xi0", "0", "--v0", "1",
+             "--alpha", "0", "--t-max", "inf"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: t_max must be finite\n"
+
     def test_observable_reaches_the_bound(self, workdir, capsys):
         # the feature itself is the default observable; twice it is biased
         fam = write(workdir / "qf.json", QUBIT_FAMILY)

@@ -135,6 +135,12 @@ class TestGeodesics:
             ([0.5], 1.0, -0.1, "dt must be positive"),
             ([0.5], -1.0, 0.1, "t_max must be nonnegative"),
             ([0.5, 0.5], 1.0, 0.1, "velocity has shape (2,), expected (1,)"),
+            ([0.5], 1.0, np.nan, "dt must be positive"),
+            ([0.5], 1.0, np.inf, "dt must be finite"),
+            ([0.5], np.nan, 0.1, "t_max must be nonnegative"),
+            ([0.5], np.inf, 0.1, "t_max must be finite"),
+            ([np.inf], 1.0, 0.1, "velocity must be finite"),
+            ([np.nan], 1.0, 0.1, "velocity must be finite"),
         ],
     )
     def test_bad_arguments_raise(self, v0, t_max, dt, message):
@@ -142,6 +148,68 @@ class TestGeodesics:
         with pytest.raises(ValueError) as info:
             geodesic(fam.point([0.1]), v0, 0.0, t_max, dt=dt)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "alpha, xi_box, message",
+        [
+            (np.nan, 50.0, "alpha must be finite"),
+            (-np.inf, 50.0, "alpha must be finite"),
+            (0.0, 0.0, "xi_box must be positive"),
+            (0.0, np.nan, "xi_box must be positive"),
+        ],
+    )
+    def test_bad_alpha_or_box_raises(self, alpha, xi_box, message):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError) as info:
+            geodesic(fam.point([0.1]), [0.5], alpha, 1.0, dt=0.1, xi_box=xi_box)
+        assert str(info.value) == message
+
+
+class TestIntegrate:
+    """The Dormand-Prince core on rates with closed-form solutions."""
+
+    def test_rotation_follows_the_circle(self):
+        times = np.linspace(0.0, 2 * np.pi, 41)
+        ys, truncated, accepted, _, max_error = connections._integrate(
+            lambda y: np.array([y[1], -y[0]]), np.array([1.0, 0.0]), times, 2, 10.0
+        )
+        assert not truncated and len(ys) == len(times)
+        assert accepted > 0 and max_error <= 1.0
+        circle = np.column_stack((np.cos(times), -np.sin(times)))
+        assert np.abs(ys - circle).max() <= 1e-8
+
+    def test_growth_is_truncated_where_it_leaves_the_box(self):
+        times = np.linspace(0.0, 5.0, 51)
+        ys, truncated, *_ = connections._integrate(
+            lambda y: y, np.array([1.0]), times, 1, 20.0
+        )
+        # e^t crosses 20 at t = log 20 = 2.996
+        inside = times[times < np.log(20.0)]
+        assert truncated and len(ys) == len(inside)
+        assert ys[-1, 0] <= 20.0
+        npt.assert_allclose(ys[:, 0], np.exp(inside), rtol=1e-8)
+
+    def test_box_reads_the_leading_components_only(self):
+        def rate(y):
+            return np.array([1.0, y[1]])
+
+        times = np.linspace(0.0, 2.0, 21)
+        y0 = np.array([0.0, 1e3])
+        ys, truncated, *_ = connections._integrate(rate, y0, times, 1, 10.0)
+        assert not truncated and len(ys) == len(times)
+        npt.assert_allclose(ys[:, 1], 1e3 * np.exp(times), rtol=1e-8)
+        # the same trailing component truncates at once when the box reads it
+        ys, truncated, *_ = connections._integrate(rate, y0, times, 2, 10.0)
+        assert truncated and len(ys) == 1
+
+    def test_failing_stage_inside_the_box_raises(self):
+        def rate(y):
+            if y[0] > 0.5:
+                raise ValueError("no rate past 0.5")
+            return np.ones(1)
+
+        with pytest.raises(ValueError, match="^no rate past 0.5$"):
+            connections._integrate(rate, np.zeros(1), np.linspace(0.0, 1.0, 11), 1, 10.0)
 
 
 class TestFusedAcceleration:

@@ -373,15 +373,16 @@ class TestStageErrors:
         # makes the starting-step estimate nan, so the probe point, a step
         # along the first rate, is the first non-finite xi.  Away from
         # alpha = +1 the first rate's acceleration already meets inf - inf,
-        # which is not under test here.
+        # which is not under test here.  geodesic refuses such a v0 before
+        # its first stage.
         fam = full_simplex_family(4)
         pt0 = fam.point(np.zeros(3))
         v0 = np.array([0.1, np.inf, 0.2])
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError, match="xi must be finite"):
                 reference_geodesic(pt0, v0, alpha, 0.1, 0.01)
-            with pytest.raises(ValueError, match="xi must be finite"):
-                geodesic(pt0, v0, alpha, 0.1, dt=0.01)
+        with pytest.raises(ValueError, match="^velocity must be finite$"):
+            geodesic(pt0, v0, alpha, 0.1, dt=0.01)
 
     def test_underflowed_point_has_singular_covariance(self):
         # exp(-800) underflows, so one point carries all the mass and V = 0

@@ -93,3 +93,44 @@ def test_lapack_eigh_only_in_spectral():
         if path != src / "spectral.py" and (lines := _lapack_eigh_lines(path))
     }
     assert found == {}
+
+
+TABLEAU = {"_A", "_E", "_D"}
+
+
+def _tableau_reads(path):
+    """(line, enclosing function) of each read or import of a tableau name."""
+    reads = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name):
+            names = {node.id} if isinstance(node.ctx, ast.Load) else set()
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+        else:
+            names = set()
+        if names & TABLEAU:
+            reads.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return reads
+
+
+def test_dormand_prince_tableau_read_only_in_integrate():
+    # transport, shooting and quantum paths step through the one core
+    src = Path(infogeo.__file__).resolve().parent
+    core = src / "classical" / "connections.py"
+    found = {
+        str(path.relative_to(src)): reads
+        for path in sorted(src.rglob("*.py"))
+        if (reads := [r for r in _tableau_reads(path)
+                      if path != core or r[1] != "_integrate"])
+    }
+    assert found == {}
+    assert {function for _, function in _tableau_reads(core)} == {"_integrate"}

@@ -377,6 +377,28 @@ def test_failed_projection_truncates_with_diagnostic(monkeypatch):
         (lambda: roll(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0),
                       ExponentialFamily(np.array([[0.0, 1.0]])), 0.0, 0),
          "dt must be positive"),
+        # nan fails "dt > 0"; an infinite step is refused by name
+        (lambda: roll(DensityMatrix(np.diag([0.7, 0.3])), HamiltonianStep(PAULI["x"]),
+                      QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]]),
+                      np.nan, 0),
+         "dt must be positive"),
+        (lambda: roll(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0),
+                      ExponentialFamily(np.array([[0.0, 1.0]])), np.nan, 3),
+         "dt must be positive"),
+        (lambda: roll(FiniteDistribution([0.5, 0.5]), two_state_generator(1.0),
+                      ExponentialFamily(np.array([[0.0, 1.0]])), np.inf, 3),
+         "dt must be finite"),
+        (lambda: micro_step(FiniteDistribution([0.5, 0.5]),
+                            two_state_generator(1.0), np.nan),
+         "dt must be positive"),
+        (lambda: micro_step(FiniteDistribution([0.5, 0.5]),
+                            two_state_generator(1.0), np.inf),
+         "dt must be finite"),
+        (lambda: two_state_generator(1.0).propagator(np.nan), "dt must be positive"),
+        (lambda: two_state_generator(1.0).propagator(np.inf), "dt must be finite"),
+        # a unitary step may go back in time, but not by nan or inf
+        (lambda: HamiltonianStep(PAULI["x"]).unitary(np.nan), "dt must be finite"),
+        (lambda: HamiltonianStep(PAULI["x"]).unitary(-np.inf), "dt must be finite"),
     ],
 )
 def test_bad_step_arguments_raise(call, message):
