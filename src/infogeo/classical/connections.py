@@ -28,7 +28,7 @@ the relative tolerance ``_RTOL`` = 1e-10, whose samples, spaced ``dt``
 apart, come off the fourth-order dense output.  ``geodesic`` refuses, by
 name, a dt that is not positive and finite, a t_max that is not
 nonnegative and finite, a non-finite alpha or velocity, and an xi_box that
-is not positive.
+is not positive and finite.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..spectral import _real, _vector
 from . import families
 from .families import CanonicalPoint, ExponentialFamily, _moments, mixture_coords
 
@@ -151,6 +152,9 @@ _RTOL = 1e-10
 # geodesic takes 5 to 26 steps
 _MAX_STEPS = 2000
 
+# samples per geodesic; the workload's paths take at most about 500
+_MAX_SAMPLES = 10**6
+
 # a step below this multiple of t while |xi| grows has collapsed onto a point
 # where xi diverges (a face of the family): the path ends there, truncated
 _MIN_STEP = 1e-12
@@ -188,9 +192,10 @@ def _integrate(rate, y0, times, n, box):
     diverges at a finite t).  A stage that raises ``ValueError`` at a finite
     x outside the box shortens its step five times if the step holds a
     sample, and else truncates the path; any other failed stage raises, and
-    so do 2000 steps.  Returns ``(samples, truncated, accepted, rejected,
-    max_error)``: the rows of y reached, the step counts and the largest
-    error norm of an accepted step.
+    so do 2000 steps.  A starting rate whose rms over atol + rtol |y0| is not
+    finite raises ``OverflowError`` before any step.  Returns ``(samples,
+    truncated, accepted, rejected, max_error)``: the rows of y reached, the
+    step counts and the largest error norm of an accepted step.
     """
     rtol = _RTOL
     atol = 1e-2 * rtol
@@ -199,10 +204,13 @@ def _integrate(rate, y0, times, n, box):
     accepted = rejected = 0
     max_error, truncated = 0.0, False
     if t_end > 0:
-        k1 = rate(y)
         # starting step: Hairer, Norsett & Wanner, Solving ODEs I, II.4
-        scale = atol + rtol * np.abs(y)
-        d0, d1 = _rms(y / scale), _rms(k1 / scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rate(y)
+            scale = atol + rtol * np.abs(y)
+            d0, d1 = _rms(y / scale), _rms(k1 / scale)
+        if not math.isfinite(d1):
+            raise OverflowError(f"the starting rate's scaled rms norm is {d1}")
         h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         d2 = _rms((rate(y + h * k1) - k1) / scale) / h
         big = max(d1, d2)
@@ -288,8 +296,9 @@ def geodesic(
     (v, 0) and the samples are the line xi_0 + t v_0 to rounding.
 
     dt must be positive and finite, t_max nonnegative and finite, alpha
-    finite, xi_box positive and v0 a finite vector of the family's size;
-    anything else raises ``ValueError`` naming the argument.
+    finite, xi_box positive and finite, v0 a finite vector of the family's
+    size, t_max / dt at most 10^6 samples and v0 small enough for a finite
+    starting step; anything else raises ``ValueError`` naming the argument.
 
     Each stage checks its raw xi array, takes the probabilities from
     :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
@@ -297,39 +306,34 @@ def geodesic(
     2 + 6 (steps_accepted + steps_rejected) weight vectors per path, fewer
     after a failed stage, and none at alpha = +1 or without a step.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
-    if not t_max >= 0:
-        raise ValueError("t_max must be nonnegative")
-    if not math.isfinite(t_max):
-        raise ValueError("t_max must be finite")
-    if not math.isfinite(alpha):
-        raise ValueError("alpha must be finite")
-    if not xi_box > 0:
-        raise ValueError("xi_box must be positive")
+    dt = _real(dt, "dt", "positive")
+    t_max = _real(t_max, "t_max", "nonnegative")
+    alpha = _real(alpha, "alpha")
+    xi_box = _real(xi_box, "xi_box", "positive")
     family = pt0.family
     n = family.n_features
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (n,):
-        raise ValueError(f"velocity has shape {v0.shape}, expected ({n},)")
-    if not np.isfinite(v0).all():
-        raise ValueError("velocity must be finite")
+    v0 = _vector(v0, n, "velocity")
+    # round(t_max / dt) + 1 samples, counted before the grid is built
+    ratio = t_max / dt
+    if ratio >= _MAX_SAMPLES - 0.5:
+        raise ValueError(f"t_max / dt = {ratio:.6g}: more than {_MAX_SAMPLES} samples")
 
     def rate(y):
         xi, v = y[:n], y[n:]
-        families._check_xi(family, xi)
+        _vector(xi, n, "xi")
         if alpha == 1.0:
             return np.concatenate((v, np.zeros(n)))
         # looked up on the module, so that rebinding it there reaches stages
         p = families._weights(family, xi)[1]
         return np.concatenate((v, _acceleration(family.features, p, v, alpha)))
 
-    times = dt * np.arange(int(round(t_max / dt)) + 1)
-    ys, truncated, accepted, rejected, max_error = _integrate(
-        rate, np.concatenate((pt0.xi, v0)), times, n, xi_box
-    )
+    times = dt * np.arange(round(ratio) + 1)
+    try:
+        ys, truncated, accepted, rejected, max_error = _integrate(
+            rate, np.concatenate((pt0.xi, v0)), times, n, xi_box
+        )
+    except OverflowError as exc:
+        raise ValueError(f"velocity is too large: {exc}") from None
     return GeodesicPath(
         family, times[: len(ys)], ys[:, :n], ys[:, n:], truncated,
         accepted, rejected, max_error,

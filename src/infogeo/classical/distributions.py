@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundaryError
-from ..spectral import any_set, at_index, worst_index
+from ..spectral import _known, _vector, any_set, at_index, worst_index
 
 #: Distributions with a cell below this are rejected unless an operation
 #: documents a boundary override; scores and log densities blow up there.
@@ -121,13 +121,8 @@ class ClassicalTangent:
     vec: np.ndarray
 
     def __post_init__(self):
-        if self.rep not in (MIXTURE, EXPONENTIAL):
-            raise ValueError(f"unknown representation {self.rep!r}")
-        v = np.asarray(self.vec, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"tangent vector must be 1-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("tangent vector must be finite")
+        _known((MIXTURE, EXPONENTIAL), self.rep, "representation")
+        v = _vector(self.vec, np.size(self.vec), "tangent vector")
         if self.rep == MIXTURE and abs(v.sum()) > _ZERO_SUM_TOL * max(
             1.0, np.abs(v).max()
         ):
@@ -169,8 +164,7 @@ def tangent_convert(
     independent.
     """
     _check_size(rho, t)
-    if target_rep not in (MIXTURE, EXPONENTIAL):
-        raise ValueError(f"unknown representation {target_rep!r}")
+    _known((MIXTURE, EXPONENTIAL), target_rep, "representation")
     if t.rep == target_rep:
         return t
     p = rho.probs
@@ -263,10 +257,9 @@ def parallel_transport(
     if rho.size != sigma.size:
         raise ValueError("transport endpoints live on different sample spaces")
     _check_size(rho, t)
+    _known(("minus", "plus"), which, "transport")
     if which == "minus":
         v = tangent_convert(rho, t, MIXTURE).vec
         return ClassicalTangent(MIXTURE, v)
-    if which == "plus":
-        x = as_score(rho, t)
-        return ClassicalTangent(EXPONENTIAL, x - sigma.probs @ x)
-    raise ValueError(f"unknown transport {which!r}; expected 'plus' or 'minus'")
+    x = as_score(rho, t)
+    return ClassicalTangent(EXPONENTIAL, x - sigma.probs @ x)

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import BiasedEstimatorError
+from ..spectral import _count, _known, _vector
 from .distributions import FiniteDistribution
 from .families import CanonicalPoint, ExponentialFamily, _moments, fit_mixture_coords
 
@@ -49,6 +50,7 @@ class ParametricFamily:
         in canonical coordinates, and the covariance-inverse contraction of the
         same centered features in mixture coordinates.
         """
+        _known((CANONICAL, MIXTURE_COORDS), parametrization, "parametrization")
         if parametrization == CANONICAL:
 
             def dist(theta):
@@ -57,7 +59,7 @@ class ParametricFamily:
             def scores(p):
                 return -_moments(family.features, p)[1]
 
-        elif parametrization == MIXTURE_COORDS:
+        else:
 
             def dist(theta):
                 return fit_mixture_coords(family, theta).distribution()
@@ -67,8 +69,6 @@ class ParametricFamily:
                 # d log rho / d eta = V^{-1} (f - eta)
                 return np.linalg.solve(cov, centered)
 
-        else:
-            raise ValueError(f"unknown parametrization {parametrization!r}")
         return ParametricFamily(
             family.n_features, family.omega_size, dist, scores
         )
@@ -83,7 +83,7 @@ class ParametricFamily:
         return ParametricFamily(param_dim, omega_size, fn)
 
     def distribution(self, theta) -> FiniteDistribution:
-        theta = self._check_theta(theta)
+        theta = _vector(theta, self.param_dim, "theta")
         rho = self._map(theta)
         if rho.size != self.omega_size:
             raise ValueError(
@@ -93,7 +93,7 @@ class ParametricFamily:
 
     def scores(self, theta) -> np.ndarray:
         """Score vectors d log rho/d theta_j as rows, zero mean under rho."""
-        theta = self._check_theta(theta)
+        theta = _vector(theta, self.param_dim, "theta")
         return self._scores_at(theta, self.distribution(theta))
 
     def _scores_at(self, theta: np.ndarray, rho: FiniteDistribution) -> np.ndarray:
@@ -116,14 +116,6 @@ class ParametricFamily:
             out[j] = dp / rho.probs
         return out
 
-    def _check_theta(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.param_dim,):
-            raise ValueError(
-                f"theta has shape {theta.shape}, expected ({self.param_dim},)"
-            )
-        return theta
-
 
 def fisher_information_matrix(fam: ParametricFamily, theta) -> np.ndarray:
     """Fisher information G_ij = E[score_i score_j] at theta.
@@ -131,7 +123,7 @@ def fisher_information_matrix(fam: ParametricFamily, theta) -> np.ndarray:
     Symmetric positive semidefinite; raises with a diagnostic when the state
     sits too close to the boundary for the scores to be reliable.
     """
-    theta = fam._check_theta(theta)
+    theta = _vector(theta, fam.param_dim, "theta")
     return _information(fam, theta, fam.distribution(theta))
 
 
@@ -227,8 +219,7 @@ def maxent_fit(
 
 def sample(rho: FiniteDistribution, m: int, seed) -> np.ndarray:
     """Histogram of m independent draws from rho; deterministic given seed."""
-    if m < 1:
-        raise ValueError("need at least one draw")
+    _count(m, "m", 1)
     rng = np.random.default_rng(seed)
     return rng.multinomial(m, rho.probs / rho.probs.sum())
 
@@ -278,8 +269,5 @@ def estimate_from_data(family: ExponentialFamily, hist) -> CanonicalPoint:
     feature means of the raw histogram.
     """
     h, m = _check_histogram(hist)
-    if h.size != family.omega_size:
-        raise ValueError(
-            f"histogram has shape {h.shape}, expected ({family.omega_size},)"
-        )
+    h = _vector(h, family.omega_size, "histogram")
     return maxent_fit(family, family.features @ (h / m))

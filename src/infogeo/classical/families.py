@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, FeasibilityError
-from ..spectral import _log_sum_shifted, log_sum_exp
+from ..spectral import _log_sum_shifted, _vector, check_finite, log_sum_exp
 from .distributions import FiniteDistribution, check_probabilities
 
 _GRAM_FLOOR = 1e-10
@@ -54,8 +54,7 @@ class ExponentialFamily:
         f = np.atleast_2d(np.asarray(self.features, dtype=float))
         if f.size == 0:
             raise ValueError("need at least one feature")
-        if not np.all(np.isfinite(f)):
-            raise ValueError("features must be finite")
+        check_finite(f, "features must be finite")
         n, omega = f.shape
         if n >= omega:
             raise ValueError(
@@ -65,11 +64,7 @@ class ExponentialFamily:
         if self.base_log_density is None:
             b = np.zeros(omega)
         else:
-            b = np.asarray(self.base_log_density, dtype=float)
-            if b.shape != (omega,):
-                raise ValueError(
-                    f"base log density has shape {b.shape}, expected ({omega},)"
-                )
+            b = _vector(self.base_log_density, omega, "base log density")
         f = f.copy()
         f.setflags(write=False)
         b = b.copy()
@@ -87,12 +82,12 @@ class ExponentialFamily:
 
     def log_probs(self, xi) -> np.ndarray:
         """Normalized log density at canonical coordinates xi."""
-        s, psi = _log_normalize(self, _check_xi(self, xi))
+        s, psi = _log_normalize(self, _vector(xi, self.n_features, "xi"))
         return s - psi
 
     def massieu(self, xi) -> float:
         """log Z at xi, evaluated by log-sum-exp (never overflows)."""
-        return _log_normalize(self, _check_xi(self, xi))[1]
+        return _log_normalize(self, _vector(xi, self.n_features, "xi"))[1]
 
     def point(self, xi) -> "CanonicalPoint":
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
@@ -128,18 +123,6 @@ def _check_independent(rows: np.ndarray, modulo: str) -> None:
         )
 
 
-def _check_xi(family, xi) -> np.ndarray:
-    """xi as a finite vector, one entry per feature (classical or quantum)."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (family.n_features,):
-        raise ValueError(
-            f"xi has shape {xi.shape}, expected ({family.n_features},)"
-        )
-    if not np.isfinite(xi).all():
-        raise ValueError("xi must be finite")
-    return xi
-
-
 def _log_normalize(family: ExponentialFamily, xi: np.ndarray):
     """Unnormalized log density s = b - xi . f and Psi = log sum exp(s)."""
     s = family.base_log_density - xi @ family.features
@@ -165,7 +148,7 @@ class CanonicalPoint:
     log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xi = _check_xi(self.family, self.xi)
+        xi = _vector(self.xi, self.family.n_features, "xi")
         self._fill(xi, *_log_normalize(self.family, xi))
 
     def _fill(self, xi, s, psi):
@@ -329,12 +312,9 @@ def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
     raises :class:`FeasibilityError` when some |xi_j| exceeds 10, else
     :class:`ConvergenceError`.
     """
-    xi = np.zeros(family.n_features) if xi0 is None else _check_xi(family, xi0).copy()
-    m = np.asarray(m, dtype=float)
-    if m.shape != xi.shape:
-        raise ValueError(f"target means have shape {m.shape}, expected {xi.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"target means must be finite, got {m.tolist()}")
+    n = family.n_features
+    xi = np.zeros(n) if xi0 is None else _vector(xi0, n, "xi").copy()
+    m = _vector(m, n, "target means")
 
     warm_xi = None if warm is None else warm.xi
     if warm_xi is not None and warm_xi.shape == xi.shape and (warm_xi == xi).all():

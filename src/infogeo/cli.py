@@ -41,6 +41,7 @@ from .quantum.families import (
 )
 from .quantum.metrics import quantum_cramer_rao
 from .quantum.states import mixture_entropy_bound, von_neumann_entropy
+from .spectral import _count, _real
 
 _DEFAULT_FIT_TOL = 1e-10
 
@@ -154,26 +155,27 @@ def _cmd_kubo_expand(args) -> str:
 
 def _cmd_project_simulate(args) -> str:
     cfg = _load(args.config)
-    for key in ("family", "dt", "steps", "initial"):
-        if key not in cfg:
-            raise ValueError(f"run config is missing {key!r}")
+    family = ser._field(cfg, "family", "run config")
+    dt = ser._field(cfg, "dt", "run config", _real, "positive")
+    steps = ser._field(cfg, "steps", "run config", _count, 0)
+    initial = ser._field(cfg, "initial", "run config")
     if "generator" in cfg:
-        dynamics = MarkovGenerator(np.asarray(cfg["generator"], dtype=float))
-        family = ser.family_from_json(cfg["family"])
-        initial = ser.distribution_from_json(cfg["initial"])
+        dynamics = MarkovGenerator(cfg["generator"])
+        family = ser.family_from_json(family)
+        initial = ser.distribution_from_json(initial)
     elif "hamiltonian" in cfg:
         dynamics = HamiltonianStep(ser.matrix_from_json(cfg["hamiltonian"]))
-        family = ser.qfamily_from_json(cfg["family"])
-        initial = ser.density_from_json(cfg["initial"])
+        family = ser.qfamily_from_json(family)
+        initial = ser.density_from_json(initial)
     elif "kraus" in cfg:
         dynamics = ser.kraus_from_json(cfg["kraus"])
-        family = ser.qfamily_from_json(cfg["family"])
-        initial = ser.density_from_json(cfg["initial"])
+        family = ser.qfamily_from_json(family)
+        initial = ser.density_from_json(initial)
     else:
         raise ValueError(
             "run config needs one of 'generator', 'hamiltonian', 'kraus'"
         )
-    run = roll(initial, dynamics, family, float(cfg["dt"]), int(cfg["steps"]))
+    run = roll(initial, dynamics, family, dt, steps)
     text = ser.run_to_csv(run)
     if run.truncated:
         sys.stderr.write(f"warning: run truncated: {run.diagnostic}\n")

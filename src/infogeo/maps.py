@@ -45,7 +45,9 @@ from .quantum.states import (
 )
 from .spectral import (
     SpectralDecomposition,
+    _count,
     _identity_residual,
+    _known,
     at_index,
     check_finite,
     dagger,
@@ -208,7 +210,7 @@ def _squared_lengths(metric: str, spectra, tangents) -> np.ndarray:
     and tangents (..., d, d) for a quantum metric."""
     if metric == FISHER:
         return (tangents * tangents / spectra).sum(axis=-1)
-    return _kernel_lengths(spectra, tangents, _metric_kernel(metric, FISHER))
+    return _kernel_lengths(spectra, tangents, _metric_kernel(metric))
 
 
 def _faithful(spectra) -> np.ndarray:
@@ -266,9 +268,8 @@ def _one_pair(metric: str, state, tangent):
     distribution for fisher and a density matrix otherwise, and the tangent
     (a tangent object of the same kind, or its array) has the state's size.
     """
+    _known((FISHER, *METRIC_KERNELS), metric, "metric")
     classical = metric == FISHER
-    if not classical:
-        _metric_kernel(metric, FISHER)
     _check_kind(metric, state, FiniteDistribution if classical else DensityMatrix)
     if isinstance(tangent, (ClassicalTangent, QuantumTangent)):
         _check_kind(metric, tangent, ClassicalTangent if classical else QuantumTangent)
@@ -335,8 +336,7 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
     """
     metric = BKM if metric is None else metric
     if isinstance(mapping, ClassicalStochasticMap):
-        if metric != FISHER:
-            _metric_kernel(metric, FISHER)
+        _known((FISHER, *METRIC_KERNELS), metric, "metric")
         if fam.param_dim != 1:
             raise ValueError("information audit supports one-parameter families")
         theta = np.asarray(theta, dtype=float)
@@ -381,13 +381,11 @@ def random_cp_unital_map(
 
 def random_map(kind: str, dims, seed):
     """Dispatcher: kind 'classical' (rows, cols) or 'quantum' (d_in, d_out)."""
+    _known(("classical", "quantum"), kind, "map kind")
+    n_in, n_out = (dims, dims) if np.isscalar(dims) else dims
     if kind == "classical":
-        n_in, n_out = (dims, dims) if np.isscalar(dims) else dims
         return random_stochastic_map(n_in, n_out, seed)
-    if kind == "quantum":
-        d_in, d_out = (dims, dims) if np.isscalar(dims) else dims
-        return random_cp_unital_map(d_in, d_out, seed=seed)
-    raise ValueError(f"unknown map kind {kind!r}")
+    return random_cp_unital_map(n_in, n_out, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -499,15 +497,9 @@ def run_contraction_audit(
     push its ratios above 1, but the sweep finds no violation at d = 2...32
     (seed 7, 50 trials, worst -0.17 to -0.75).
     """
-    if metric != FISHER:
-        _metric_kernel(metric, FISHER)
-    if dim < 2:
-        raise ValueError(
-            f"dim must be >= 2 (dimension 1 has no nonzero mixture tangent), "
-            f"got {dim}"
-        )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _known((FISHER, *METRIC_KERNELS), metric, "metric")
+    _count(dim, "dim", 2, " (dimension 1 has no nonzero mixture tangent)")
+    _count(trials, "trials", 1)
     children = np.random.SeedSequence(seed).spawn(trials)
     size = max(1, _PASS_ENTRIES // dim**2)
     ratios = np.concatenate(

@@ -24,18 +24,10 @@ from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
 from .quantum.states import DensityMatrix, von_neumann_entropy
-from .spectral import check_finite, eigh, expm, hermitian_part
+from .spectral import _count, _real, check_finite, eigh, expm, hermitian_part
 
 # Probability a classical step or propagator column may gain or lose.
 _MASS_TOL = 1e-12
-
-
-def _check_dt(dt) -> None:
-    """Raise ``ValueError`` unless the time step is positive and finite."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
 
 
 @dataclass(frozen=True)
@@ -75,7 +67,7 @@ class MarkovGenerator:
         A generator too stiff for the exponential at this step fails here
         with ``ValueError``, naming the drift and dt times the largest rate.
         """
-        _check_dt(dt)
+        _real(dt, "dt", "positive")
         prop = expm(dt * self.rates)
         drift = np.abs(prop.sum(axis=0) - 1.0).max()
         if not (drift <= _MASS_TOL and prop.min() >= -1e-15):
@@ -105,8 +97,7 @@ class HamiltonianStep:
         object.__setattr__(self, "hamiltonian", h)
 
     def unitary(self, dt: float) -> np.ndarray:
-        if not math.isfinite(dt):
-            raise ValueError("dt must be finite")
+        _real(dt, "dt")
         w, u = eigh(self.hamiltonian)
         return (u * np.exp(-1j * dt * w)) @ u.conj().T
 
@@ -145,7 +136,7 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     ``ValueError``.  :func:`roll` steps a freshly decomposed projected state
     each time and is not affected.
     """
-    _check_dt(dt)
+    _real(dt, "dt", "positive")
     if isinstance(dynamics, MarkovGenerator):
         _check_state(state, FiniteDistribution, "generator", dynamics.size)
         prop = dynamics.propagator(dt) if propagator is None else propagator
@@ -236,9 +227,8 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     solve's last evaluation (log Z, means, Hessian and, for a quantum
     family, the Gibbs spectrum) instead of evaluating there again.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    _check_dt(dt)
+    _real(_count(steps, "steps"), "steps", "nonnegative")
+    _real(dt, "dt", "positive")
     classical = isinstance(family, ExponentialFamily)
     if classical and not isinstance(dynamics, MarkovGenerator):
         raise ValueError("classical families require a Markov generator")

@@ -22,11 +22,10 @@ import numpy as np
 from ..classical.distributions import entropy
 from ..classical.families import (
     _check_independent,
-    _check_xi,
     _dual_newton,
     _WarmStart,
 )
-from ..spectral import hermitian_part, kernel_apply, logarithmic_mean_kernel
+from ..spectral import _vector, hermitian_part, kernel_apply, logarithmic_mean_kernel
 from .states import (
     DensityMatrix,
     gibbs_density,
@@ -82,7 +81,7 @@ class QuantumExponentialFamily:
         return len(self.features)
 
     def hamiltonian(self, xi) -> np.ndarray:
-        xi = _check_xi(self, xi)
+        xi = _vector(xi, self.n_features, "xi")
         h = self.h0
         for c, f in zip(xi, self.features):
             h = h + c * f
@@ -165,7 +164,7 @@ def _entropy_relative_to_base(fam: QuantumExponentialFamily, dec, p) -> float:
 
 def quantum_legendre_residual(fam: QuantumExponentialFamily, xi) -> float:
     """|S_rel - (log Z + xi . eta)| at xi, from one decomposition of H(xi)."""
-    xi = _check_xi(fam, xi)
+    xi = _vector(xi, fam.n_features, "xi")
     log_z, eta, _, state = fam._oracle(xi)
     s_rel = _entropy_relative_to_base(fam, *state)
     return abs(s_rel - (log_z + float(xi @ eta)))

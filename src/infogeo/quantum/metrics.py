@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import BiasedEstimatorError
 from ..spectral import (
     Kernel,
+    _known,
     hermitian_part,
     kernel_apply,
     log_difference_kernel,
@@ -45,17 +46,9 @@ METRIC_KERNELS = {
 }
 
 
-def _known(table: dict, name: str, kind: str, *other_names: str):
-    """``table[name]``; other names raise, listing the known ones."""
-    if name not in table:
-        known = sorted([*table, *other_names])
-        raise ValueError(f"unknown {kind} {name!r}; expected one of {known}")
-    return table[name]
-
-
-def _metric_kernel(metric: str, *other_names: str) -> Kernel:
-    """Kernel of a metric of the table; ``other_names`` are known elsewhere."""
-    return _known(METRIC_KERNELS, metric, "metric", *other_names)[0]
+def _metric_kernel(metric: str) -> Kernel:
+    """Kernel of a metric of the table; other names raise."""
+    return METRIC_KERNELS[_known(METRIC_KERNELS, metric, "metric")][0]
 
 
 def _kernel_lengths(spectra, tangents: np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -179,7 +172,8 @@ def quantum_fisher_info(
     All three coincide with the classical Fisher information when the path
     commutes with its derivative.
     """
-    kernel = _known(_info_kernels(), which, "information kind")
+    kernels = _info_kernels()
+    kernel = kernels[_known(kernels, which, "information kind")]
     return _info(*_resolve_drho(path, t0, drho), kernel)
 
 

@@ -19,6 +19,7 @@ from ..errors import BoundaryError
 from ..spectral import (
     _RECONSTRUCTION_RTOL,
     SpectralDecomposition,
+    _known,
     any_set,
     at_index,
     check_finite,
@@ -335,8 +336,7 @@ class QuantumTangent:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.rep not in (MIXTURE, SCORE):
-            raise ValueError(f"unknown representation {self.rep!r}")
+        _known((MIXTURE, SCORE), self.rep, "representation")
         _check_one_matrix(self.matrix)
         m = hermitian_part(self.matrix)
         if self.rep == MIXTURE:
@@ -372,8 +372,7 @@ def quantum_tangent_convert(
     """
     if t.dim != rho.dim:
         raise ValueError(f"tangent dim {t.dim} != state dim {rho.dim}")
-    if target_rep not in (MIXTURE, SCORE):
-        raise ValueError(f"unknown representation {target_rep!r}")
+    _known((MIXTURE, SCORE), target_rep, "representation")
     if t.rep == target_rep:
         return t
     if t.rep == SCORE:

@@ -22,6 +22,7 @@ from .maps import ContractionReport, QuantumCPUnitalMap
 from .projection import ProjectionRun
 from .quantum.families import QuantumExponentialFamily
 from .quantum.states import DensityMatrix
+from .spectral import _count, _real
 
 
 def format_float(x: float) -> str:
@@ -72,6 +73,19 @@ def _emit(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _field(doc, key: str, what: str, read=None, *args, need=None, default=None):
+    """``doc[key]`` through ``read(value, "{what} '{key}'", *args)`` if given, or
+    ``default`` if given and the key is absent; a ``doc`` that is not a JSON
+    object, or a missing key, raises ValueError ("{what} needs {need}")."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is not None:
+            return default
+        raise ValueError(f"{what} needs {need or repr(key)}")
+    return doc[key] if read is None else read(doc[key], f"{what} {key!r}", *args)
+
+
 def _csv(header, rows) -> str:
     """A header line, then one line of ``format_float`` values per row."""
     lines = [",".join(header)]
@@ -92,13 +106,12 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
-    if "re" not in doc:
-        raise ValueError("matrix document needs an 're' block")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+    what = "matrix document"
+    re = np.asarray(_field(doc, "re", what, need="an 're' block"), dtype=float)
+    im = np.asarray(_field(doc, "im", what, default=np.zeros_like(re)), dtype=float)
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"matrix blocks must be square and matching: {re.shape}")
-    dim = doc.get("dim", re.shape[0])
+    dim = _field(doc, "dim", what, _count, default=re.shape[0])
     if dim != re.shape[0]:
         raise ValueError(f"declared dim {dim} != block size {re.shape[0]}")
     return re + 1j * im
@@ -108,7 +121,8 @@ def density_from_json(doc: dict, allow_boundary: bool = False) -> DensityMatrix:
     """Read a density matrix; an optional 'trace_tol' permits renormalizing
     a trace that drifted by at most that much in transit."""
     m = matrix_from_json(doc)
-    tol = float(doc.get("trace_tol", 0.0))
+    tol = _field(doc, "trace_tol", "density document", _real, "nonnegative",
+                 default=0.0)
     tr = float(np.trace(m).real)
     if tol > 0.0 and abs(tr - 1.0) <= tol and tr > 0:
         m = m / tr
@@ -124,11 +138,11 @@ def distribution_to_json(rho: FiniteDistribution) -> dict:
 
 
 def distribution_from_json(doc: dict, allow_boundary: bool = False) -> FiniteDistribution:
-    if "probs" not in doc:
-        raise ValueError("distribution document needs a 'probs' vector")
-    p = np.asarray(doc["probs"], dtype=float)
-    if "omega" in doc and int(doc["omega"]) != p.size:
-        raise ValueError(f"declared omega {doc['omega']} != vector size {p.size}")
+    what = "distribution document"
+    p = np.asarray(_field(doc, "probs", what, need="a 'probs' vector"), dtype=float)
+    omega = _field(doc, "omega", what, _count, default=p.size)
+    if omega != p.size:
+        raise ValueError(f"declared omega {omega} != vector size {p.size}")
     return FiniteDistribution(p, allow_boundary=allow_boundary)
 
 
@@ -144,23 +158,18 @@ def family_to_json(family: ExponentialFamily, xi=None) -> dict:
 
 
 def family_from_json(doc: dict) -> ExponentialFamily:
-    if "features" not in doc:
-        raise ValueError("family document needs a 'features' block")
-    features = np.asarray(doc["features"], dtype=float)
-    base = doc.get("base_log_density")
-    family = ExponentialFamily(features, None if base is None else np.asarray(base))
-    if "omega" in doc and int(doc["omega"]) != family.omega_size:
-        raise ValueError(
-            f"declared omega {doc['omega']} != feature length {family.omega_size}"
-        )
+    what = "family document"
+    features = _field(doc, "features", what, need="a 'features' block")
+    family = ExponentialFamily(features, doc.get("base_log_density"))
+    omega = _field(doc, "omega", what, _count, default=family.omega_size)
+    if omega != family.omega_size:
+        raise ValueError(f"declared omega {omega} != feature length {family.omega_size}")
     return family
 
 
 def point_from_json(doc: dict) -> CanonicalPoint:
     family = family_from_json(doc)
-    if "xi" not in doc:
-        raise ValueError("point document needs 'xi'")
-    return CanonicalPoint(family, np.asarray(doc["xi"], dtype=float))
+    return CanonicalPoint(family, _field(doc, "xi", "point document"))
 
 
 def tangent_to_json(t: ClassicalTangent) -> dict:
@@ -169,9 +178,9 @@ def tangent_to_json(t: ClassicalTangent) -> dict:
 
 
 def tangent_from_json(doc: dict) -> ClassicalTangent:
-    if "rep" not in doc or "vec" not in doc:
-        raise ValueError("tangent document needs 'rep' and 'vec'")
-    return ClassicalTangent(doc["rep"], np.asarray(doc["vec"], dtype=float))
+    rep = _field(doc, "rep", "tangent document", need="'rep' and 'vec'")
+    vec = _field(doc, "vec", "tangent document", need="'rep' and 'vec'")
+    return ClassicalTangent(rep, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +196,12 @@ def qfamily_to_json(fam: QuantumExponentialFamily) -> dict:
 
 
 def qfamily_from_json(doc: dict) -> QuantumExponentialFamily:
-    if "features" not in doc:
-        raise ValueError("quantum family document needs a 'features' list")
-    feats = [matrix_from_json(d) for d in doc["features"]]
+    what = "quantum family document"
+    docs = _field(doc, "features", what, need="a 'features' list")
+    feats = [matrix_from_json(d) for d in docs]
     if not feats:
         raise ValueError("quantum family document has an empty 'features' list")
-    dim = int(doc.get("dim", feats[0].shape[0]))
+    dim = _field(doc, "dim", what, _count, default=feats[0].shape[0])
     h0 = matrix_from_json(doc["H0"]) if "H0" in doc else np.zeros((dim, dim))
     if h0.shape[0] != dim:
         raise ValueError(f"declared dim {dim} != H0 size {h0.shape[0]}")

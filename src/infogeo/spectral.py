@@ -81,6 +81,52 @@ def check_finite(x: np.ndarray, message: str, core: int = 2) -> None:
         raise ValueError(f"{at_index(worst_index(bad))}{message}")
 
 
+# The readers: what a valid argument or document field is, and how the
+# ValueError names it.  Each formats its message only when it raises.
+
+
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """x as a finite float array of shape (n,)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _real(x, name: str, sign: str = "finite") -> float:
+    """x (a number, not a bool) as a finite float, > 0 if ``sign`` is
+    "positive" and >= 0 if "nonnegative"; a NaN fails the sign first."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {x!r}")
+    if (sign == "positive" and not x > 0) or (sign == "nonnegative" and not x >= 0):
+        raise ValueError(f"{name} must be {sign}")
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # a Python int past the largest float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
+    return float(x)
+
+
+def _count(x, name: str, minimum: int | None = None, why: str = "") -> int:
+    """x as an int: an integer (not a bool) and >= ``minimum`` if one is given."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}{why}, got {x}")
+    return int(x)
+
+
+def _known(table, name, kind: str):
+    """``name`` if the names ``table`` (a tuple or dict) holds it; else raise."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {sorted(table)}")
+    return name
+
+
 class SpectralDecomposition(NamedTuple):
     """Eigendecomposition a = U diag(w) U† with w ascending and U unitary.
 

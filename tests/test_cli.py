@@ -633,3 +633,78 @@ class TestWarningsAndInputErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: tangent document needs 'rep' and 'vec'\n"
+
+
+def _run_config(**fields):
+    return {
+        "generator": [[-1.0, 1.0], [1.0, -1.0]], "family": coin_family_doc(),
+        "dt": 0.1, "steps": 2, "initial": {"omega": 2, "probs": [0.8, 0.2]},
+        **fields,
+    }
+
+
+NAN_BASE = {"omega": 3, "features": [[0.0, 1.0, 2.0]],
+            "base_log_density": [0.0, float("nan"), 0.0]}
+THREE = {"omega": 3, "features": [[0.0, 1.0, 2.0]]}
+
+
+def _geodesic(v0="1", alpha="0.5", *extra):
+    return ["geodesic", "--family", "doc.json", "--xi0", "0.1", "--v0", v0,
+            "--alpha", alpha, "--t-max", "1", *extra]
+
+
+# (input document, argv reading it as doc.json, what the message must contain)
+BAD_INPUTS = {
+    "null family": (None, ["fit-classical", "--family", "doc.json", "--means", "1"],
+                    "family document must be a JSON object"),
+    **{
+        f"omega {value!r}": (
+            {**THREE, "omega": value},
+            ["fit-classical", "--family", "doc.json", "--means", "1"],
+            "family document 'omega' must be an integer",
+        )
+        for value in ("3", 3.5, True)
+    },
+    **{
+        f"steps {value!r}": (_run_config(steps=value),
+                             ["project-simulate", "--config", "doc.json"],
+                             "run config 'steps' must be an integer")
+        for value in ("5", 2.5, True)
+    },
+    "dim '2'": ({"dim": "2", "re": [[1.0, 0.0], [0.0, -1.0]]},
+                ["kubo-expand", "--h0", "doc.json", "--v", "doc.json"],
+                "matrix document 'dim' must be an integer"),
+    "nan base, geodesic": (NAN_BASE, _geodesic(), "base log density must be finite"),
+    "nan base, cramer-rao": (NAN_BASE, ["cramer-rao", "--family", "doc.json",
+                                        "--theta", "1"],
+                             "base log density must be finite"),
+    **{
+        f"theta nan, {p}": (THREE, ["cramer-rao", "--family", "doc.json",
+                                    "--theta", "nan", "--parametrization", p],
+                            "theta must be finite")
+        for p in ("mixture", "canonical")
+    },
+    **{
+        f"v0 1e300, alpha {alpha}": (THREE, _geodesic("1e300", alpha),
+                                     "velocity is too large")
+        for alpha in ("1", "0.5")
+    },
+    "t_max / dt 1e310": (
+        THREE, _geodesic("1", "0.5", "--t-max", "1e300", "--dt", "1e-10"),
+        "t_max / dt = inf: more than 1000000 samples",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_two_naming_the_field(workdir, capsys, case):
+    doc, argv, names = BAD_INPUTS[case]
+    (workdir / "doc.json").write_text(json.dumps(doc))
+    argv = [str(workdir / a) if a == "doc.json" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert names in captured.err

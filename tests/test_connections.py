@@ -164,6 +164,35 @@ class TestGeodesics:
             geodesic(fam.point([0.1]), [0.5], alpha, 1.0, dt=0.1, xi_box=xi_box)
         assert str(info.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "v0, alpha, t_max, dt, message",
+        [
+            # the sample count is refused before a grid of that size exists
+            ([0.5], 0.0, 2.0, 1e-6,
+             "t_max / dt = 2e+06: more than 1000000 samples"),
+            ([0.5], 0.0, 1e300, 1e-10,
+             "t_max / dt = inf: more than 1000000 samples"),
+            # the starting step's scaled rate norm overflows
+            ([1e300], 1.0, 1.0, 0.1,
+             "velocity is too large: the starting rate's scaled rms norm is inf"),
+            ([1e300], 0.5, 1.0, 0.1,
+             "velocity is too large: the starting rate's scaled rms norm is nan"),
+            ([0.5], 0.0, 1.0, "0.1", "dt must be a real number, got '0.1'"),
+            ([0.5], True, 1.0, 0.1, "alpha must be a real number, got True"),
+        ],
+    )
+    def test_huge_or_mistyped_arguments_raise(self, v0, alpha, t_max, dt, message):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError) as info:
+            geodesic(fam.point([0.1]), v0, alpha, t_max, dt=dt)
+        assert str(info.value) == message
+
+    def test_infinite_box_is_refused(self):
+        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
+        with pytest.raises(ValueError, match="^xi_box must be finite$"):
+            geodesic(fam.point([0.1]), [0.5], 0.0, 1.0, dt=0.1, xi_box=np.inf)
+
 
 class TestIntegrate:
     """The Dormand-Prince core on rates with closed-form solutions."""

@@ -88,6 +88,22 @@ class TestTangentConvert:
         with pytest.raises(ValueError, match="match"):
             tangent_convert(uniform(3), mixture_tangent([0.1, -0.1]), "mixture")
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: score_tangent([[0.1, -0.1]]),
+             r"^tangent vector has shape \(1, 2\), expected \(2,\)$"),
+            (lambda: score_tangent(0.5), r"^tangent vector has shape \(\), expected \(1,\)$"),
+            (lambda: score_tangent([0.1, np.nan]), "^tangent vector must be finite$"),
+            (lambda: tangent_convert(uniform(2), score_tangent([0.1, -0.1]), "score"),
+             r"^unknown representation 'score'; expected one of "
+             r"\['exponential', 'mixture'\]$"),
+        ],
+    )
+    def test_bad_tangent_names_the_fault(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestFisherMetric:
     def test_zero_tangent(self):

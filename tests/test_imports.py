@@ -134,3 +134,35 @@ def test_dormand_prince_tableau_read_only_in_integrate():
     }
     assert found == {}
     assert {function for _, function in _tableau_reads(core)} == {"_integrate"}
+
+
+def _raw_document_reads(path):
+    """Lines of ``path`` that pass a subscript or a ``.get(...)`` straight to
+    ``int``, ``float`` or ``np.asarray``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        f, arg = node.func, node.args[0]
+        converts = (isinstance(f, ast.Name) and f.id in {"int", "float"}) or (
+            isinstance(f, ast.Attribute) and f.attr == "asarray"
+        )
+        raw = isinstance(arg, ast.Subscript) or (
+            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
+            and arg.func.attr == "get"
+        )
+        if converts and raw:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_documents_are_read_through_the_readers():
+    # a field converted in place would accept "3", 3.5 or true for an integer
+    # and name neither the document nor the field when it fails
+    src = Path(infogeo.__file__).resolve().parent
+    found = {
+        name: lines
+        for name in ("serialize.py", "cli.py")
+        if (lines := _raw_document_reads(src / name))
+    }
+    assert found == {}

@@ -10,6 +10,10 @@ from infogeo.projection import HamiltonianStep
 from infogeo.quantum import DensityMatrix, bkm_metric
 from infogeo.spectral import (
     Kernel,
+    _count,
+    _known,
+    _real,
+    _vector,
     eigh,
     expm,
     hermitian_part,
@@ -49,6 +53,57 @@ def bkm_quadrature(rho, x, order=64):
     for ai, wi in zip(a, w):
         acc += wi * (p**ai)[:, None] * xt * (p ** (1 - ai))[None, :]
     return u @ acc @ u.conj().T
+
+
+class TestReaders:
+    def test_count_takes_python_and_numpy_integers(self):
+        assert _count(np.int64(3), "n", 1) == 3
+        assert type(_count(np.int64(3), "n")) is int
+        assert _count(7, "n") == 7
+
+    @pytest.mark.parametrize("bad", [True, False, "3", 3.0, 2.5, np.float64(3.0), None])
+    def test_count_refuses_what_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=r"^n must be an integer, got "):
+            _count(bad, "n")
+
+    def test_count_minimum_names_the_value(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 2 \(why\), got 1$"):
+            _count(1, "n", 2, " (why)")
+
+    @pytest.mark.parametrize(
+        "bad", [np.float64(0.5), [0.5], [[0.5, 0.5]], np.zeros((2, 1))]
+    )
+    def test_vector_refuses_other_shapes(self, bad):
+        with pytest.raises(ValueError, match=r"^v has shape \(.*\), expected \(2,\)$"):
+            _vector(bad, 2, "v")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vector_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="^v must be finite$"):
+            _vector([0.0, bad], 2, "v")
+
+    @pytest.mark.parametrize(
+        "x, sign, message",
+        [(np.nan, "positive", "must be positive"),
+         (0.0, "positive", "must be positive"),
+         (-1e-300, "nonnegative", "must be nonnegative"),
+         (np.inf, "positive", "must be finite"),
+         (np.nan, "finite", "must be finite"),
+         (-(10**400), "nonnegative", "must be nonnegative"),
+         (10**400, "positive", "must be finite"),
+         (True, "finite", "must be a real number"),
+         ("0.1", "finite", "must be a real number")],
+    )
+    def test_real_sign_then_finite(self, x, sign, message):
+        with pytest.raises(ValueError, match=f"^x {message}"):
+            _real(x, "x", sign)
+        assert _real(np.float32(0.5), "x", sign) == 0.5
+        assert _real(0, "x", "nonnegative") == 0.0
+
+    def test_known_lists_the_names(self):
+        assert _known(("a", "b"), "b", "letter") == "b"
+        with pytest.raises(ValueError, match=r"^unknown letter 'c'; expected one of \['a', 'b'\]$"):
+            _known({"b": 1, "a": 2}, "c", "letter")
 
 
 class TestEigh:
