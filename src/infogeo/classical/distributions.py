@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import BoundaryError
-from ..spectral import _known, _vector, any_set, at_index, worst_index
+from ..spectral import _known, _refuse, _vector
 
 #: Distributions with a cell below this are rejected unless an operation
 #: documents a boundary override; scores and log densities blow up there.
@@ -38,24 +38,18 @@ def check_probabilities(p, allow_boundary: bool = False) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if not np.isfinite(p).all():
         raise ValueError("probabilities must be finite")
-    if any_set(p < 0):
-        lo = p.min(axis=-1)
-        i = worst_index(-lo)
-        raise ValueError(f"{at_index(i)}negative probability {float(lo[i])!r}")
+    _refuse(p < 0, lambda: -p.min(axis=-1),
+            lambda i: f"negative probability {float(p[i].min())!r}")
     error = abs(p.sum(axis=-1) - 1.0)
-    if any_set(error > _NORMALIZATION_TOL):
-        i = worst_index(error)
-        total = float(p[i].sum())
-        raise ValueError(f"{at_index(i)}probabilities sum to {total!r}, not 1")
+    _refuse(error > _NORMALIZATION_TOL, error,
+            lambda i: f"probabilities sum to {float(p[i].sum())!r}, not 1")
     if not allow_boundary:
         lo = p.min(axis=-1)
-        if any_set(lo <= FAITHFULNESS_FLOOR):
-            i = worst_index(-lo)
-            raise BoundaryError(
-                f"{at_index(i)}distribution is not faithful: min probability "
-                f"{float(lo[i])!r} <= {FAITHFULNESS_FLOOR}; pass allow_boundary=True "
-                f"where the operation supports it"
-            )
+        _refuse(lo <= FAITHFULNESS_FLOOR, lambda: -lo, lambda i: (
+            f"distribution is not faithful: min probability {float(lo[i])!r} <= "
+            f"{FAITHFULNESS_FLOOR}; pass allow_boundary=True where the operation "
+            f"supports it"
+        ), BoundaryError)
     return p
 
 

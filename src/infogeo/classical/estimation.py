@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import BiasedEstimatorError
-from ..spectral import _count, _known, _vector
+from ..spectral import _count, _known, _vector, check_finite
 from .distributions import FiniteDistribution
 from .families import CanonicalPoint, ExponentialFamily, _moments, fit_mixture_coords
 
@@ -148,6 +148,7 @@ def _check_estimators(fam: ParametricFamily, estimators) -> np.ndarray:
         raise ValueError(
             f"{est.shape[0]} estimators for {fam.param_dim} parameters"
         )
+    check_finite(est, "estimators must be finite")
     return est
 
 

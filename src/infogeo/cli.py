@@ -8,7 +8,8 @@ CSV comes out, with all numbers at 17 significant digits.
 
 Exit codes: 0 on success; 1 on a domain failure of valid input (infeasible
 moment target, biased estimator, boundary hit); 2 on input, parse, or usage
-errors.
+errors, including floating-point overflow or invalid arithmetic on input
+values.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .classical.estimation import (
 from .classical.families import mixture_coords
 from .errors import InfoGeoError
 from .kubomori import PerturbationProblem, expand_log_z
-from .maps import FISHER, METRIC_KERNELS, run_contraction_audit
+from .maps import FISHER, METRIC_KERNELS, QuantumCPUnitalMap, run_contraction_audit
 from .projection import HamiltonianStep, MarkovGenerator, roll
 from .quantum.families import (
     mean_parametrized_path,
@@ -41,7 +42,7 @@ from .quantum.families import (
 )
 from .quantum.metrics import quantum_cramer_rao
 from .quantum.states import mixture_entropy_bound, von_neumann_entropy
-from .spectral import _count, _real
+from .spectral import _count, _numbers, _real
 
 _DEFAULT_FIT_TOL = 1e-10
 
@@ -92,7 +93,7 @@ def _cmd_cramer_rao(args) -> str:
     fam = ParametricFamily.from_exponential(efam, args.parametrization)
     theta = _vector(args.theta)
     if args.estimators is not None:
-        estimators = np.asarray(_load(args.estimators), dtype=float)
+        estimators = _numbers(_load(args.estimators), "estimators file")
     else:
         estimators = efam.features
     rep = cramer_rao_report(fam, theta, estimators)
@@ -154,21 +155,21 @@ def _cmd_kubo_expand(args) -> str:
 
 
 def _cmd_project_simulate(args) -> str:
-    cfg = _load(args.config)
-    family = ser._field(cfg, "family", "run config")
-    dt = ser._field(cfg, "dt", "run config", _real, "positive")
-    steps = ser._field(cfg, "steps", "run config", _count, 0)
-    initial = ser._field(cfg, "initial", "run config")
+    cfg, what = _load(args.config), "run config"
+    family = ser._field(cfg, "family", what, ser._document)
+    dt = ser._field(cfg, "dt", what, _real, "positive")
+    steps = ser._field(cfg, "steps", what, _count, 0)
+    initial = ser._field(cfg, "initial", what, ser._document)
     if "generator" in cfg:
-        dynamics = MarkovGenerator(cfg["generator"])
+        dynamics = MarkovGenerator(ser._field(cfg, "generator", what, _numbers))
         family = ser.family_from_json(family)
         initial = ser.distribution_from_json(initial)
     elif "hamiltonian" in cfg:
-        dynamics = HamiltonianStep(ser.matrix_from_json(cfg["hamiltonian"]))
+        dynamics = HamiltonianStep(ser._field(cfg, "hamiltonian", what, ser._matrix))
         family = ser.qfamily_from_json(family)
         initial = ser.density_from_json(initial)
     elif "kraus" in cfg:
-        dynamics = ser.kraus_from_json(cfg["kraus"])
+        dynamics = QuantumCPUnitalMap(ser._field(cfg, "kraus", what, ser._matrices))
         family = ser.qfamily_from_json(family)
         initial = ser.density_from_json(initial)
     else:
@@ -292,7 +293,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text = args.fn(args)
+        with np.errstate(all="raise", under="ignore"):
+            text = args.fn(args)
         if args.out is None:
             sys.stdout.write(text)
         else:
@@ -301,7 +303,8 @@ def run(argv=None) -> int:
     except InfoGeoError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError,
+            FloatingPointError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     return 0

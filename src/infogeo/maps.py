@@ -48,11 +48,10 @@ from .spectral import (
     _count,
     _identity_residual,
     _known,
-    at_index,
+    _refuse,
     check_finite,
     dagger,
     hermitian_part,
-    worst_index,
 )
 
 FISHER = "fisher"
@@ -71,16 +70,11 @@ _ROW_SUM_TOL = 1e-12
 def _check_stochastic(m: np.ndarray) -> np.ndarray:
     """Validate row-stochastic matrices (..., n_in, n_out); clip them at 0."""
     check_finite(m, "stochastic map has non-finite entries")
-    if np.any(m < -1e-15):
-        lo = m.min(axis=(-2, -1))
-        i = worst_index(-lo)
-        raise ValueError(f"{at_index(i)}negative transition rate {float(lo[i])!r}")
+    _refuse(m < -1e-15, lambda: -m.min(axis=(-2, -1)),
+            lambda i: f"negative transition rate {float(m[i].min())!r}")
     row_err = np.abs(m.sum(axis=-1) - 1.0).max(axis=-1)
-    if np.any(row_err > _ROW_SUM_TOL):
-        i = worst_index(row_err)
-        raise ValueError(
-            f"{at_index(i)}rows must sum to 1 (max deviation {row_err[i]:.3e})"
-        )
+    _refuse(row_err > _ROW_SUM_TOL, row_err,
+            lambda i: f"rows must sum to 1 (max deviation {row_err[i]:.3e})")
     return np.clip(m, 0.0, None)
 
 
@@ -89,12 +83,8 @@ def _check_unital(kraus: np.ndarray) -> None:
     (..., k, d_out, d_in)."""
     check_finite(kraus, "Kraus operators have non-finite entries", 3)
     err = _identity_residual((dagger(kraus) @ kraus).sum(axis=-3))
-    if np.any(err > _UNITALITY_TOL):
-        i = worst_index(err)
-        raise ValueError(
-            f"{at_index(i)}Kraus operators are not unital: "
-            f"|sum A†A - I| = {err[i]:.3e}"
-        )
+    _refuse(err > _UNITALITY_TOL, err,
+            lambda i: f"Kraus operators are not unital: |sum A†A - I| = {err[i]:.3e}")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,7 @@ from ..spectral import (
     _RECONSTRUCTION_RTOL,
     SpectralDecomposition,
     _known,
-    any_set,
-    at_index,
+    _refuse,
     check_finite,
     dagger,
     eigh,
@@ -31,7 +30,6 @@ from ..spectral import (
     log_sum_exp,
     logarithmic_mean_kernel,
     unitarity_residual,
-    worst_index,
 )
 
 #: States with an eigenvalue at or below this are rejected unless the
@@ -54,24 +52,21 @@ def _check_one_matrix(matrix):
 def _check_trace(m):
     # the diagonal sum that np.trace forms, bitwise, without its dispatch cost
     tr = m.diagonal(0, -2, -1).sum(-1).real
-    if any_set(abs(tr - 1.0) > _TRACE_TOL):
-        i = worst_index(abs(tr - 1.0))
-        raise ValueError(f"{at_index(i)}trace is {float(tr[i])!r}, not 1")
+    dev = abs(tr - 1.0)
+    _refuse(dev > _TRACE_TOL, dev,
+            lambda i: f"trace is {float(tr[i])!r}, not 1")
 
 
 def _check_floor(lo, allow_boundary: bool):
     """Reject least eigenvalues ``lo`` (one per matrix) below what is allowed."""
     if allow_boundary:
-        if any_set(lo < -1e-12):
-            i = worst_index(-lo)
-            raise ValueError(f"{at_index(i)}negative eigenvalue {float(lo[i])!r}")
-    elif any_set(lo <= EIGENVALUE_FLOOR):
-        i = worst_index(-lo)
-        raise BoundaryError(
-            f"{at_index(i)}state is not faithful: min eigenvalue "
-            f"{float(lo[i])!r} <= {EIGENVALUE_FLOOR}; pass allow_boundary=True "
-            f"where supported"
-        )
+        _refuse(lo < -1e-12, lambda: -lo,
+                lambda i: f"negative eigenvalue {float(lo[i])!r}")
+    else:
+        _refuse(lo <= EIGENVALUE_FLOOR, lambda: -lo, lambda i: (
+            f"state is not faithful: min eigenvalue {float(lo[i])!r} <= "
+            f"{EIGENVALUE_FLOOR}; pass allow_boundary=True where supported"
+        ), BoundaryError)
 
 
 def check_density(matrix, allow_boundary: bool = False):
@@ -112,31 +107,21 @@ def compose_density(p, u, allow_boundary: bool = False):
             f"{p.shape} and {u.shape}"
         )
     # a unitary u keeps every entry of the Hermitian part, and the trace,
-    # within 2d times the largest weight; nan fails the test too
+    # within 2d times the largest weight; nan fails the test too, and then
+    # check_finite (which returns None) names a non-finite entry instead
     top = np.maximum.reduce(abs(p), axis=-1, initial=0.0)
-    if any_set(~(top <= _WEIGHT_LIMIT / max(p.shape[-1], 1))):
+    _refuse(~(top <= _WEIGHT_LIMIT / max(p.shape[-1], 1)), top, lambda i: (
         check_finite(p, "weights have non-finite entries", 1)
-        i = worst_index(top)
-        raise ValueError(
-            f"{at_index(i)}weights up to {float(top[i])!r} overflow the trace"
-        )
+        or f"weights up to {float(top[i])!r} overflow the trace"))
     # no entry of a unitary exceeds 1, so larger ones (which could overflow
     # U†U) are refused first; nan fails the test too
     big = np.maximum.reduce(abs(u), axis=(-2, -1), initial=0.0)
-    if any_set(~(big <= 1.0 + _RECONSTRUCTION_RTOL)):
+    _refuse(~(big <= 1.0 + _RECONSTRUCTION_RTOL), big, lambda i: (
         check_finite(u, "eigenvectors have non-finite entries")
-        i = worst_index(big)
-        raise ValueError(
-            f"{at_index(i)}eigenvectors are not unitary: an entry of modulus "
-            f"{float(big[i]):.3e}"
-        )
+        or f"eigenvectors are not unitary: an entry of modulus {float(big[i]):.3e}"))
     unit_err = unitarity_residual(u)
-    if any_set(unit_err > _RECONSTRUCTION_RTOL):
-        i = worst_index(unit_err)
-        raise ValueError(
-            f"{at_index(i)}eigenvectors are not unitary: residual "
-            f"{unit_err[i]:.3e}"
-        )
+    _refuse(unit_err > _RECONSTRUCTION_RTOL, unit_err,
+            lambda i: f"eigenvectors are not unitary: residual {unit_err[i]:.3e}")
     return _compose(p, u, allow_boundary)
 
 

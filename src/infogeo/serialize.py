@@ -18,11 +18,13 @@ from .classical.connections import GeodesicPath
 from .classical.distributions import ClassicalTangent, FiniteDistribution, entropy
 from .classical.families import CanonicalPoint, ExponentialFamily, mixture_coords
 from .kubomori import SERIES_CONVENTION, SeriesReport
-from .maps import ContractionReport, QuantumCPUnitalMap
+from .maps import ContractionReport
 from .projection import ProjectionRun
 from .quantum.families import QuantumExponentialFamily
 from .quantum.states import DensityMatrix
-from .spectral import _count, _real
+from .spectral import _count, _known, _numbers, _real
+
+_NEEDED = object()  # the default of a field that must be present
 
 
 def format_float(x: float) -> str:
@@ -73,14 +75,19 @@ def _emit(obj, out):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _field(doc, key: str, what: str, read=None, *args, need=None, default=None):
+def _document(doc, what: str) -> dict:
+    """``doc`` if it is a JSON object; else a ValueError naming ``what``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc, key: str, what: str, read=None, *args, need=None, default=_NEEDED):
     """``doc[key]`` through ``read(value, "{what} '{key}'", *args)`` if given, or
     ``default`` if given and the key is absent; a ``doc`` that is not a JSON
     object, or a missing key, raises ValueError ("{what} needs {need}")."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        if default is not None:
+    if key not in _document(doc, what):
+        if default is not _NEEDED:
             return default
         raise ValueError(f"{what} needs {need or repr(key)}")
     return doc[key] if read is None else read(doc[key], f"{what} {key!r}", *args)
@@ -106,15 +113,26 @@ def matrix_to_json(m) -> dict:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
-    what = "matrix document"
-    re = np.asarray(_field(doc, "re", what, need="an 're' block"), dtype=float)
-    im = np.asarray(_field(doc, "im", what, default=np.zeros_like(re)), dtype=float)
+    return _matrix(doc, "matrix document")
+
+
+def _matrix(doc, what: str) -> np.ndarray:
+    """The matrix document ``doc``, named ``what`` in errors."""
+    re = _field(doc, "re", what, _numbers, need="an 're' block")
+    im = _field(doc, "im", what, _numbers, default=np.zeros_like(re))
     if re.shape != im.shape or re.ndim != 2 or re.shape[0] != re.shape[1]:
         raise ValueError(f"matrix blocks must be square and matching: {re.shape}")
     dim = _field(doc, "dim", what, _count, default=re.shape[0])
     if dim != re.shape[0]:
         raise ValueError(f"declared dim {dim} != block size {re.shape[0]}")
     return re + 1j * im
+
+
+def _matrices(docs, what: str) -> list:
+    """The matrices of ``docs``, a JSON list of matrix documents."""
+    if not isinstance(docs, list):
+        raise ValueError(f"{what} must be a list of matrix documents")
+    return [_matrix(d, f"{what}[{k}]") for k, d in enumerate(docs)]
 
 
 def density_from_json(doc: dict, allow_boundary: bool = False) -> DensityMatrix:
@@ -139,7 +157,7 @@ def distribution_to_json(rho: FiniteDistribution) -> dict:
 
 def distribution_from_json(doc: dict, allow_boundary: bool = False) -> FiniteDistribution:
     what = "distribution document"
-    p = np.asarray(_field(doc, "probs", what, need="a 'probs' vector"), dtype=float)
+    p = _field(doc, "probs", what, _numbers, need="a 'probs' vector")
     omega = _field(doc, "omega", what, _count, default=p.size)
     if omega != p.size:
         raise ValueError(f"declared omega {omega} != vector size {p.size}")
@@ -159,8 +177,9 @@ def family_to_json(family: ExponentialFamily, xi=None) -> dict:
 
 def family_from_json(doc: dict) -> ExponentialFamily:
     what = "family document"
-    features = _field(doc, "features", what, need="a 'features' block")
-    family = ExponentialFamily(features, doc.get("base_log_density"))
+    features = _field(doc, "features", what, _numbers, need="a 'features' block")
+    base = _field(doc, "base_log_density", what, _numbers, default=None)
+    family = ExponentialFamily(features, base)
     omega = _field(doc, "omega", what, _count, default=family.omega_size)
     if omega != family.omega_size:
         raise ValueError(f"declared omega {omega} != feature length {family.omega_size}")
@@ -169,7 +188,7 @@ def family_from_json(doc: dict) -> ExponentialFamily:
 
 def point_from_json(doc: dict) -> CanonicalPoint:
     family = family_from_json(doc)
-    return CanonicalPoint(family, _field(doc, "xi", "point document"))
+    return CanonicalPoint(family, _field(doc, "xi", "point document", _numbers))
 
 
 def tangent_to_json(t: ClassicalTangent) -> dict:
@@ -178,9 +197,10 @@ def tangent_to_json(t: ClassicalTangent) -> dict:
 
 
 def tangent_from_json(doc: dict) -> ClassicalTangent:
-    rep = _field(doc, "rep", "tangent document", need="'rep' and 'vec'")
-    vec = _field(doc, "vec", "tangent document", need="'rep' and 'vec'")
-    return ClassicalTangent(rep, vec)
+    what, need = "tangent document", "'rep' and 'vec'"
+    rep = _known(("mixture", "exponential"), _field(doc, "rep", what, need=need),
+                 f"{what} 'rep'")
+    return ClassicalTangent(rep, _field(doc, "vec", what, _numbers, need=need))
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +217,14 @@ def qfamily_to_json(fam: QuantumExponentialFamily) -> dict:
 
 def qfamily_from_json(doc: dict) -> QuantumExponentialFamily:
     what = "quantum family document"
-    docs = _field(doc, "features", what, need="a 'features' list")
-    feats = [matrix_from_json(d) for d in docs]
+    feats = _field(doc, "features", what, _matrices, need="a 'features' list")
     if not feats:
         raise ValueError("quantum family document has an empty 'features' list")
     dim = _field(doc, "dim", what, _count, default=feats[0].shape[0])
-    h0 = matrix_from_json(doc["H0"]) if "H0" in doc else np.zeros((dim, dim))
+    h0 = _field(doc, "H0", what, _matrix, default=np.zeros((dim, dim)))
     if h0.shape[0] != dim:
         raise ValueError(f"declared dim {dim} != H0 size {h0.shape[0]}")
     return QuantumExponentialFamily(h0, feats)
-
-
-def kraus_from_json(docs: list) -> QuantumCPUnitalMap:
-    return QuantumCPUnitalMap([matrix_from_json(d) for d in docs])
 
 
 # ---------------------------------------------------------------------------

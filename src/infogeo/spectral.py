@@ -58,36 +58,52 @@ def any_set(mask) -> bool:
     return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) > 0
 
 
-def worst_index(values) -> tuple:
-    """Stack index of the largest entry of a per-matrix array; () for one."""
-    values = np.asarray(values)
+def _refuse(bad, badness, message, error=ValueError) -> None:
+    """Raise ``error`` if any entry of the mask ``bad`` is set.
+
+    A failing stack is named by the index i of the largest entry of the
+    per-matrix array ``badness``, the first on ties; one matrix (a 0-d
+    ``badness``) has no index.  The error reads "stack index i: " and then
+    ``message(i)``.  ``message``, and ``badness`` where forming it is work
+    that only a failure needs, are callables that run only on failure, so a
+    passing check costs the mask alone.
+    """
+    if not any_set(bad):
+        return
+    values = np.asarray(badness() if callable(badness) else badness)
     if values.ndim == 0:
-        return ()
-    return tuple(int(i) for i in np.unravel_index(np.argmax(values), values.shape))
-
-
-def at_index(index: tuple) -> str:
-    """Error-message prefix naming a matrix of a stack; empty for one matrix."""
-    if not index:
-        return ""
-    return f"stack index {index[0] if len(index) == 1 else index}: "
+        raise error(message(()))
+    i = tuple(int(k) for k in np.unravel_index(np.argmax(values), values.shape))
+    raise error(f"stack index {i[0] if len(i) == 1 else i}: {message(i)}")
 
 
 def check_finite(x: np.ndarray, message: str, core: int = 2) -> None:
     """Raise ``ValueError(message)`` unless x is finite; x is one array of
     (at most) ``core`` axes or a stack of them, whose first bad index is named."""
     bad = ~np.isfinite(x).all(axis=tuple(range(-min(core, np.ndim(x)), 0)))
-    if any_set(bad):
-        raise ValueError(f"{at_index(worst_index(bad))}{message}")
+    _refuse(bad, bad, lambda i: message)
 
 
 # The readers: what a valid argument or document field is, and how the
 # ValueError names it.  Each formats its message only when it raises.
 
 
+def _numbers(x, name: str) -> np.ndarray:
+    """x as a float array whose entries were integers or floats: strings,
+    booleans, null, objects and ragged lists are refused."""
+    try:
+        kind = x.dtype.kind if isinstance(x, np.ndarray) else np.asarray(x).dtype.kind
+    except ValueError:  # a ragged list
+        kind = "O"
+    if kind not in "iuf":
+        raise ValueError(f"{name} must be an array of numbers")
+    return np.asarray(x, dtype=float)
+
+
 def _vector(x, n: int, name: str) -> np.ndarray:
     """x as a finite float array of shape (n,)."""
-    x = np.asarray(x, dtype=float)
+    if type(x) is not np.ndarray or x.dtype.char != "d":  # float64 passes as it is
+        x = _numbers(x, name)
     if x.shape != (n,):
         raise ValueError(f"{name} has shape {x.shape}, expected ({n},)")
     if not np.isfinite(x).all():
@@ -208,14 +224,11 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     recon = _frobenius((u * w_check[..., None, :]) @ uh - a)
     unit_err = _identity_residual(uh @ u)
     tol = _RECONSTRUCTION_RTOL
-    if any_set((recon > tol * scale) | (unit_err > tol)):
-        recon_err = recon / np.maximum(scale, 1e-300)
-        i = worst_index(np.maximum(recon_err, unit_err))
-        raise ValueError(
-            f"{at_index(i)}eigendecomposition failed validation: "
-            f"reconstruction residual {recon_err[i]:.3e}, unitarity residual "
-            f"{unit_err[i]:.3e}"
-        )
+    _refuse((recon > tol * scale) | (unit_err > tol),
+            lambda: np.maximum(recon / np.maximum(scale, 1e-300), unit_err),
+            lambda i: ("eigendecomposition failed validation: reconstruction "
+                       f"residual {recon[i] / np.maximum(scale[i], 1e-300):.3e}, "
+                       f"unitarity residual {unit_err[i]:.3e}"))
     return SpectralDecomposition(w, u)
 
 
@@ -463,13 +476,10 @@ def kernel_apply(rho, x: np.ndarray, kernel: Kernel) -> np.ndarray:
         )
     k = kernel.matrix(dec.eigenvalues)
     bad = ~np.isfinite(k)
-    if any_set(bad):
-        *stack, i, j = np.argwhere(bad)[0]
-        pi, pj = dec.eigenvalues[(*stack, i)], dec.eigenvalues[(*stack, j)]
-        raise ValueError(
-            f"{at_index(tuple(int(n) for n in stack))}kernel {kernel.name!r} "
-            f"non-finite at eigenvalue pair ({pi!r}, {pj!r})"
-        )
+    # a failing matrix s is named with its first bad eigenvalue pair
+    _refuse(bad, lambda: bad.any(axis=(-2, -1)), lambda s: (
+        f"kernel {kernel.name!r} non-finite at eigenvalue pair "
+        f"{tuple(dec.eigenvalues[s][np.argwhere(bad[s])[0]])!r}"))
     u = dec.eigenvectors
     uh = dagger(u)
     xt = uh @ x @ u

@@ -643,6 +643,9 @@ def _run_config(**fields):
     }
 
 
+FIT = ["fit-classical", "--family", "doc.json", "--means", "1"]
+FIT_QUANTUM = ["fit-quantum", "--family", "doc.json", "--means", "0.2"]
+SAMPLE = ["sample", "--dist", "doc.json", "--count", "10", "--seed", "1"]
 NAN_BASE = {"omega": 3, "features": [[0.0, 1.0, 2.0]],
             "base_log_density": [0.0, float("nan"), 0.0]}
 THREE = {"omega": 3, "features": [[0.0, 1.0, 2.0]]}
@@ -693,6 +696,46 @@ BAD_INPUTS = {
         THREE, _geodesic("1", "0.5", "--t-max", "1e300", "--dt", "1e-10"),
         "t_max / dt = inf: more than 1000000 samples",
     ),
+    **{
+        f"features {value!r}": (
+            {"omega": 3, "features": value}, FIT, "family document 'features' must be "
+            "an array of numbers",
+        )
+        for value in ([[0.0, {}, 2.0]], [["0", "1", "2"]],
+                      [[0.0, 1.0, 2.0], [0.0, 1.0]], None)
+    },
+    **{
+        f"base {value!r}": ({**THREE, "base_log_density": value}, FIT,
+                            "family document 'base_log_density' must be an array")
+        for value in ([0.0, {}, 0.0], None)
+    },
+    **{
+        f"probs {value!r}": ({"omega": 2, "probs": value}, SAMPLE,
+                             "distribution document 'probs' must be an array")
+        for value in ([0.5, {}], ["0.5", "0.5"], [True, False])
+    },
+    "vec {}": ({"omega": 2, "probs": [0.5, 0.5], "rep": "mixture", "vec": [0.1, {}]},
+               ["transport", "--rho", "doc.json", "--sigma", "doc.json", "--tangent",
+                "doc.json", "--which", "plus"],
+               "tangent document 'vec' must be an array of numbers"),
+    "generator {}": (_run_config(generator=[[-1.0, {}], [1.0, -1.0]]),
+                     ["project-simulate", "--config", "doc.json"],
+                     "run config 'generator' must be an array of numbers"),
+    "kraus 7": ({"kraus": 7, "family": QUBIT_FAMILY, "dt": 0.1, "steps": 2,
+                 "initial": {"dim": 2, "re": [[0.8, 0.0], [0.0, 0.2]]}},
+                ["project-simulate", "--config", "doc.json"],
+                "run config 'kraus' must be a list of matrix documents"),
+    **{
+        f"{key} {value!r}": ({"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]], key: value},
+                             ["kubo-expand", "--h0", "doc.json", "--v", "doc.json"],
+                             f"matrix document {key!r} must be an array of numbers")
+        for key, value in (("im", {}), ("im", None), ("re", "x"), ("re", None))
+    },
+    "quantum features 5": ({**QUBIT_FAMILY, "features": 5}, FIT_QUANTUM,
+                           "quantum family document 'features' must be a list of "
+                           "matrix documents"),
+    "H0 null": ({**QUBIT_FAMILY, "H0": None}, FIT_QUANTUM,
+                "quantum family document 'H0' must be a JSON object, got NoneType"),
 }
 
 
@@ -708,3 +751,17 @@ def test_bad_input_exits_two_naming_the_field(workdir, capsys, case):
     assert captured.err.startswith("input error: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert names in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, names", [
+    ([0.0, {}, 2.0], "estimators file must be an array of numbers"),
+    ([0.0, float("nan"), 2.0], "estimators must be finite"),
+])
+def test_bad_estimators_file_exits_two_naming_it(workdir, capsys, row, names):
+    family = write(workdir / "f.json", THREE)
+    (workdir / "e.json").write_text(json.dumps([row]))
+    argv = ["cramer-rao", "--family", family, "--theta", "1",
+            "--estimators", str(workdir / "e.json")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"input error: {names}\n"

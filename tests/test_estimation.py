@@ -162,6 +162,15 @@ class TestCramerRao:
             cramer_rao_report(fam, [0.4], [[0.5, 1.5]])
         assert err.value.residual is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_estimator_rejected(self, bad):
+        # a NaN residual passes the bias test, so finiteness is checked first
+        fam = ParametricFamily.from_exponential(
+            ExponentialFamily(np.array([[0.0, 1.0, 2.0]])), "mixture"
+        )
+        with pytest.raises(ValueError, match="^estimators must be finite$"):
+            cramer_rao_report(fam, [1.0], [[0.0, bad, 2.0]])
+
 
 class TestMaxentFit:
     def test_symmetry_forces_uniform(self):

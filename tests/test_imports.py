@@ -136,9 +136,18 @@ def test_dormand_prince_tableau_read_only_in_integrate():
     assert {function for _, function in _tableau_reads(core)} == {"_integrate"}
 
 
+def _called_name(node):
+    """The name a call node calls, ``f`` or ``module.f``; None otherwise."""
+    if isinstance(node, ast.Call):
+        f = node.func
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+    return None
+
+
 def _raw_document_reads(path):
-    """Lines of ``path`` that pass a subscript or a ``.get(...)`` straight to
-    ``int``, ``float`` or ``np.asarray``."""
+    """Lines of ``path`` that pass a subscript, a ``.get(...)``, a
+    ``_field(...)`` or a ``_load(...)`` straight to ``int``, ``float`` or
+    ``np.asarray``."""
     lines = []
     for node in ast.walk(ast.parse(path.read_text())):
         if not (isinstance(node, ast.Call) and node.args):
@@ -148,8 +157,7 @@ def _raw_document_reads(path):
             isinstance(f, ast.Attribute) and f.attr == "asarray"
         )
         raw = isinstance(arg, ast.Subscript) or (
-            isinstance(arg, ast.Call) and isinstance(arg.func, ast.Attribute)
-            and arg.func.attr == "get"
+            _called_name(arg) in {"get", "_field", "_load"}
         )
         if converts and raw:
             lines.append(node.lineno)
@@ -164,5 +172,31 @@ def test_documents_are_read_through_the_readers():
         name: lines
         for name in ("serialize.py", "cli.py")
         if (lines := _raw_document_reads(src / name))
+    }
+    assert found == {}
+
+
+def _stack_naming_lines(path):
+    """Lines of ``path`` that name ``worst_index`` or ``at_index``."""
+    names = {"worst_index", "at_index"}
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            found = any(alias.name in names for alias in node.names)
+        else:
+            found = getattr(node, "id", getattr(node, "attr", None)) in names
+        if found:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_stack_failures_are_named_only_in_spectral():
+    # every stack check refuses through spectral._refuse, which alone knows
+    # how the worst matrix of a stack is picked and named
+    src = Path(infogeo.__file__).resolve().parent
+    found = {
+        str(path.relative_to(src)): lines
+        for path in sorted(src.rglob("*.py"))
+        if path != src / "spectral.py" and (lines := _stack_naming_lines(path))
     }
     assert found == {}
