@@ -116,6 +116,8 @@ class ClassicalTangent:
 
     def __post_init__(self):
         _known((MIXTURE, EXPONENTIAL), self.rep, "representation")
+        if np.size(self.vec) == 0:
+            raise ValueError("tangent vector must be non-empty")
         v = _vector(self.vec, np.size(self.vec), "tangent vector")
         if self.rep == MIXTURE and abs(v.sum()) > _ZERO_SUM_TOL * max(
             1.0, np.abs(v).max()

@@ -15,6 +15,7 @@ values.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -286,10 +287,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it takes milliseconds,
+    most of an in-process run, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

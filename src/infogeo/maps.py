@@ -33,7 +33,7 @@ from .classical.distributions import (
     mixture_tangent,
 )
 from .errors import BoundaryError
-from .quantum.metrics import METRIC_KERNELS, _kernel_lengths, _metric_kernel
+from .quantum.metrics import METRIC_KERNELS, _metric_kernel
 from .quantum.states import (
     EIGENVALUE_FLOOR,
     DensityMatrix,
@@ -47,6 +47,7 @@ from .spectral import (
     SpectralDecomposition,
     _count,
     _identity_residual,
+    _kernel_pairing,
     _known,
     _refuse,
     check_finite,
@@ -200,7 +201,7 @@ def _squared_lengths(metric: str, spectra, tangents) -> np.ndarray:
     and tangents (..., d, d) for a quantum metric."""
     if metric == FISHER:
         return (tangents * tangents / spectra).sum(axis=-1)
-    return _kernel_lengths(spectra, tangents, _metric_kernel(metric))
+    return _kernel_pairing(spectra, tangents, tangents, _metric_kernel(metric))
 
 
 def _faithful(spectra) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import BiasedEstimatorError
 from ..spectral import (
     Kernel,
+    _kernel_pairing,
     _known,
     hermitian_part,
     kernel_apply,
@@ -51,12 +52,6 @@ def _metric_kernel(metric: str) -> Kernel:
     return METRIC_KERNELS[_known(METRIC_KERNELS, metric, "metric")][0]
 
 
-def _kernel_lengths(spectra, tangents: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Tr[D K(D)] of mixture tangents (..., d, d) at states or decompositions."""
-    score = kernel_apply(spectra, tangents, kernel)
-    return np.trace(tangents @ score, axis1=-2, axis2=-1).real
-
-
 def _as_score(rho: DensityMatrix, x) -> np.ndarray:
     m = x.matrix if hasattr(x, "matrix") else x
     if hasattr(x, "rep") and x.rep != "score":
@@ -77,14 +72,13 @@ def gns_metric(rho: DensityMatrix, x, y) -> float:
 def bkm_metric(rho: DensityMatrix, x, y) -> float:
     """integral_0^1 Tr[rho^a X rho^(1-a) Y] da on scores.
 
-    Evaluated in closed form through the logarithmic-mean kernel; never by
-    quadrature (a quadrature evaluation exists in the tests as an oracle).
+    Evaluated in closed form as the eigenbasis pairing of the
+    logarithmic-mean kernel; never by quadrature (a quadrature evaluation
+    exists in the tests as an oracle).
     """
     xs = _as_score(rho, x)
     ys = _as_score(rho, y)
-    return float(
-        np.trace(kernel_apply(rho.spectral, xs, logarithmic_mean_kernel) @ ys).real
-    )
+    return float(_kernel_pairing(rho.spectral, xs, ys, logarithmic_mean_kernel))
 
 
 def path_derivative(
@@ -159,7 +153,7 @@ def _info(rho: DensityMatrix, d: np.ndarray, kernel: Kernel | None) -> float:
     if kernel is None:  # RIGHT: Tr[rho L_r* L_r]
         l = np.linalg.inv(rho.matrix) @ d
         return float(np.trace(rho.matrix @ l.conj().T @ l).real)
-    return float(_kernel_lengths(rho.spectral, d, kernel))
+    return float(_kernel_pairing(rho.spectral, d, d, kernel))
 
 
 def quantum_fisher_info(

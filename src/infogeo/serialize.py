@@ -200,7 +200,10 @@ def tangent_from_json(doc: dict) -> ClassicalTangent:
     what, need = "tangent document", "'rep' and 'vec'"
     rep = _known(("mixture", "exponential"), _field(doc, "rep", what, need=need),
                  f"{what} 'rep'")
-    return ClassicalTangent(rep, _field(doc, "vec", what, _numbers, need=need))
+    vec = _field(doc, "vec", what, _numbers, need=need)
+    if vec.size == 0:
+        raise ValueError(f"{what} 'vec' must be non-empty")
+    return ClassicalTangent(rep, vec)
 
 
 # ---------------------------------------------------------------------------

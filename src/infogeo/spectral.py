@@ -6,7 +6,9 @@ two-argument kernels applied in the eigenbasis (Daleckii-Krein style).  The
 kernels of interest here are the logarithmic mean, its reciprocal, and the
 inverse arithmetic mean, which realize respectively the noncommutative
 analogue of multiplication by the state, the derivative of the matrix
-logarithm, and the symmetric (Lyapunov) division by the state.
+logarithm, and the symmetric (Lyapunov) division by the state.  Lengths
+and pairings through a kernel are quadratic forms in the eigenbasis, so
+they never form the kernel image.
 
 The library's one matrix exponential, ``expm``, lives here too: the
 Kubo-Mori series and the Markov propagators take it from this module.
@@ -459,6 +461,27 @@ symmetric_inverse_kernel = Kernel(
 )
 
 
+def _operand(x, dim: int) -> np.ndarray:
+    """Hermitian part of an operand (or stack) of a state of dimension ``dim``."""
+    x = hermitian_part(x)
+    if x.shape[-1] != dim:
+        raise ValueError(f"operand dimension {x.shape[-1]} != state dimension {dim}")
+    return x
+
+
+def _checked_kernel(kernel: Kernel, dec: SpectralDecomposition) -> np.ndarray:
+    """K = kernel(p_i, p_j) on the spectra of ``dec``; raises ``ValueError``
+    naming the eigenvalue pair (and, in a stack, the matrix) where it is
+    non-finite."""
+    k = kernel.matrix(dec.eigenvalues)
+    bad = ~np.isfinite(k)
+    # a failing matrix s is named with its first bad eigenvalue pair
+    _refuse(bad, lambda: bad.any(axis=(-2, -1)), lambda s: (
+        f"kernel {kernel.name!r} non-finite at eigenvalue pair "
+        f"{tuple(dec.eigenvalues[s][np.argwhere(bad[s])[0]])!r}"))
+    return k
+
+
 def kernel_apply(rho, x: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Scale x entrywise by kernel(p_i, p_j) in the eigenbasis of rho.
 
@@ -469,18 +492,30 @@ def kernel_apply(rho, x: np.ndarray, kernel: Kernel) -> np.ndarray:
     matrix) if the kernel is non-finite there.
     """
     dec = _as_decomposition(rho)
-    x = hermitian_part(x)
-    if x.shape[-1] != dec.dim:
-        raise ValueError(
-            f"operand dimension {x.shape[-1]} != state dimension {dec.dim}"
-        )
-    k = kernel.matrix(dec.eigenvalues)
-    bad = ~np.isfinite(k)
-    # a failing matrix s is named with its first bad eigenvalue pair
-    _refuse(bad, lambda: bad.any(axis=(-2, -1)), lambda s: (
-        f"kernel {kernel.name!r} non-finite at eigenvalue pair "
-        f"{tuple(dec.eigenvalues[s][np.argwhere(bad[s])[0]])!r}"))
+    x = _operand(x, dec.dim)
+    k = _checked_kernel(kernel, dec)
     u = dec.eigenvectors
     uh = dagger(u)
     xt = uh @ x @ u
     return hermitian_part(u @ (k * xt) @ uh)
+
+
+def _kernel_pairing(rho, x, y, kernel: Kernel) -> np.ndarray:
+    """Re Tr[y K(x)] as the eigenbasis form Re sum K ∘ X ∘ conj(Y).
+
+    X = U† herm(x) U and Y = U† herm(y) U, so the kernel image is never
+    formed nor rotated back: two matrix products per operand.  With ``y is
+    x`` Y is X, and the form is sum K ((Re X)² + (Im X)²), a squared length
+    when K > 0.  Inputs and failures are those of :func:`kernel_apply`; a stack
+    gives one value per matrix, bitwise those of one call per matrix.
+    """
+    same = y is x
+    dec = _as_decomposition(rho)
+    x = _operand(x, dec.dim)
+    y = x if same else _operand(y, dec.dim)
+    k = _checked_kernel(kernel, dec)
+    u = dec.eigenvectors
+    uh = dagger(u)
+    xt = uh @ x @ u
+    yt = xt if same else uh @ y @ u
+    return (k * (xt.real * yt.real + xt.imag * yt.imag)).sum(axis=(-2, -1))

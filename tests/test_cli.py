@@ -718,6 +718,10 @@ BAD_INPUTS = {
                ["transport", "--rho", "doc.json", "--sigma", "doc.json", "--tangent",
                 "doc.json", "--which", "plus"],
                "tangent document 'vec' must be an array of numbers"),
+    "vec []": ({"omega": 2, "probs": [0.5, 0.5], "rep": "mixture", "vec": []},
+               ["transport", "--rho", "doc.json", "--sigma", "doc.json", "--tangent",
+                "doc.json", "--which", "plus"],
+               "tangent document 'vec' must be non-empty"),
     "generator {}": (_run_config(generator=[[-1.0, {}], [1.0, -1.0]]),
                      ["project-simulate", "--config", "doc.json"],
                      "run config 'generator' must be an array of numbers"),

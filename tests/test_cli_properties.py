@@ -8,7 +8,6 @@ field (null, a string, a boolean, an object or a ragged list) must exit 2
 with a message that names the field.
 """
 
-import functools
 import json
 import math
 import warnings
@@ -128,19 +127,11 @@ def folder(tmp_path_factory):
     return tmp_path_factory.mktemp("documents")
 
 
-@pytest.fixture(scope="module")
-def one_parser():
-    # building the parser is most of the time of a run, and it never changes
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
-        yield
-
-
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_any_field_value_exits_cleanly(folder, one_parser, capsys, command, data):
+def test_any_field_value_exits_cleanly(folder, capsys, command, data):
     docs, key, named, kind = data.draw(edits(command))
     paths = {}
     for name, doc in docs.items():

@@ -95,6 +95,7 @@ class TestTangentConvert:
              r"^tangent vector has shape \(1, 2\), expected \(2,\)$"),
             (lambda: score_tangent(0.5), r"^tangent vector has shape \(\), expected \(1,\)$"),
             (lambda: score_tangent([0.1, np.nan]), "^tangent vector must be finite$"),
+            (lambda: mixture_tangent([]), "^tangent vector must be non-empty$"),
             (lambda: tangent_convert(uniform(2), score_tangent([0.1, -0.1]), "score"),
              r"^unknown representation 'score'; expected one of "
              r"\['exponential', 'mixture'\]$"),

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 from scipy.special import logsumexp
 
@@ -8,9 +11,12 @@ import infogeo.kubomori as kubomori
 from infogeo.kubomori import PerturbationProblem, expand_log_z
 from infogeo.projection import HamiltonianStep
 from infogeo.quantum import DensityMatrix, bkm_metric
+from infogeo.maps import run_contraction_audit
 from infogeo.spectral import (
     Kernel,
+    SpectralDecomposition,
     _count,
+    _kernel_pairing,
     _known,
     _real,
     _vector,
@@ -322,6 +328,134 @@ class TestKernelApply:
         npt.assert_array_equal(k, np.diag([0.0, 0.0, 0.5]))
         stacked = logarithmic_mean_kernel.matrix(np.array([[0.0, 0.0, 0.5]] * 2))
         npt.assert_array_equal(stacked, [k, k])
+
+
+KERNELS = [logarithmic_mean_kernel, log_difference_kernel, symmetric_inverse_kernel]
+
+
+def drawn_spectrum(rng, kind, d):
+    """Weights summing to 1: Dirichlet, spread over 12 decades (both ends
+    present), or near-confluent, each 1 +- 1e-13 before normalising."""
+    if kind == "dirichlet":
+        w = rng.dirichlet(np.ones(d))
+    elif kind == "decades":
+        w = 10.0 ** rng.uniform(-12.0, 0.0, d)
+        w[:2] = 1.0, 1e-12
+    else:
+        w = 1.0 + 1e-13 * rng.choice([-1.0, 1.0], d)
+    return np.sort(w / w.sum())
+
+
+def drawn_decomposition(rng, kind, d, stack):
+    """A decomposition (p, u) of drawn spectra and unitaries, of shape ``stack``."""
+    p = np.stack([drawn_spectrum(rng, kind, d) for _ in range(int(np.prod(stack)))])
+    u, _ = np.linalg.qr(rng.normal(size=(len(p), d, d)) + 1j * rng.normal(size=(len(p), d, d)))
+    return SpectralDecomposition(p.reshape(*stack, d), u.reshape(*stack, d, d))
+
+
+def pairing_inputs(seed, kind, d, stack):
+    rng = np.random.default_rng(seed)
+    dec = drawn_decomposition(rng, kind, d, stack)
+    # non-Hermitian operands: the pairing takes their Hermitian parts
+    x, y = (rng.normal(size=(*stack, d, d)) + 1j * rng.normal(size=(*stack, d, d))
+            for _ in range(2))
+    return dec, x, y
+
+
+class TestKernelPairing:
+    """``_kernel_pairing`` against ``Re Tr[y kernel_apply(rho, x)]``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dirichlet", "decades", "confluent"]),
+        d=st.sampled_from([2, 3, 5, 8, 16, 32]),
+        stack=st.sampled_from([(), (1,), (3,), (2, 2)]),
+        kernel=st.sampled_from(KERNELS),
+    )
+    def test_matches_the_traced_kernel_image(self, seed, kind, d, stack, kernel):
+        dec, x, y = pairing_inputs(seed, kind, d, stack)
+        xy = _kernel_pairing(dec, x, y, kernel)
+        xx = _kernel_pairing(dec, x, x, kernel)
+        yy = _kernel_pairing(dec, y, y, kernel)
+        assert xy.shape == xx.shape == stack
+        assert (xx >= 0).all() and (yy >= 0).all()
+        image = kernel_apply(dec, x, kernel)
+        traced = np.trace(y @ image, axis1=-2, axis2=-1).real
+        squared = np.trace(x @ image, axis1=-2, axis2=-1).real
+        # both sides round the rotations of x at the scale |K(x)| |y| (at
+        # least xx for y = x), which at 12 decades exceeds the value itself
+        # when x has little weight where K is large
+        norm = lambda a: np.linalg.norm(a, axis=(-2, -1))
+        npt.assert_array_less(np.abs(xy - traced), 1e-12 * norm(image) * norm(hermitian_part(y)))
+        npt.assert_array_less(np.abs(xx - squared), 1e-12 * norm(image) * norm(hermitian_part(x)))
+        # an equal copy of x takes the general path to the same bits
+        npt.assert_array_equal(_kernel_pairing(dec, x, x.copy(), kernel), xx)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dirichlet", "decades", "confluent"]),
+        d=st.sampled_from([2, 3, 5, 8, 16, 32]),
+        kernel=st.sampled_from(KERNELS),
+    )
+    def test_stack_matches_per_matrix(self, seed, kind, d, kernel):
+        dec, x, y = pairing_inputs(seed, kind, d, (4,))
+        xy = _kernel_pairing(dec, x, y, kernel)
+        xx = _kernel_pairing(dec, x, x, kernel)
+        for i in range(4):
+            one = SpectralDecomposition(dec.eigenvalues[i], dec.eigenvectors[i])
+            assert _kernel_pairing(one, x[i], y[i], kernel).tobytes() == xy[i].tobytes()
+            assert _kernel_pairing(one, x[i], x[i], kernel).tobytes() == xx[i].tobytes()
+
+    def test_state_matrix_is_decomposed(self):
+        rng = np.random.default_rng(50)
+        rho, x = random_density(rng, 4), random_hermitian(rng, 4)
+        npt.assert_array_equal(
+            _kernel_pairing(rho, x, x, log_difference_kernel),
+            _kernel_pairing(eigh(rho), x, x, log_difference_kernel))
+
+    @pytest.mark.parametrize("states", [
+        np.diag([1.0, 0.0]),
+        np.stack([np.diag([0.5, 0.5]), np.diag([0.7, 0.3]), np.diag([1.0, 0.0])]),
+    ])
+    def test_failures_read_as_kernel_apply(self, states):
+        ops = np.broadcast_to(PAULI_X, states.shape)
+        messages = []
+        for call in (lambda: kernel_apply(states, ops, log_difference_kernel),
+                     lambda: _kernel_pairing(states, ops, ops, log_difference_kernel),
+                     lambda: _kernel_pairing(states, ops, 2 * ops, log_difference_kernel)):
+            with pytest.raises(ValueError, match="non-finite at eigenvalue pair") as info:
+                call()
+            messages.append(str(info.value))
+        assert messages[1] == messages[2] == messages[0]
+
+    def test_operand_dimension_reads_as_kernel_apply(self):
+        rho = np.eye(3) / 3
+        with pytest.raises(ValueError) as want:
+            kernel_apply(rho, PAULI_X, logarithmic_mean_kernel)
+        for x, y in ((PAULI_X, PAULI_X), (PAULI_X, np.eye(3)), (np.eye(3), PAULI_X)):
+            with pytest.raises(ValueError) as info:
+                _kernel_pairing(rho, x, y, logarithmic_mean_kernel)
+            assert str(info.value) == str(want.value)
+
+    @pytest.mark.parametrize("metric", ["gns", "bkm"])
+    def test_sweep_never_applies_a_kernel(self, metric, monkeypatch):
+        # one Kernel.matrix per side of each pass (dim 32: 7 passes of at
+        # most 8 trials; dim 4: one pass), no kernel image at all
+        applied, matrices = [], []
+        for module in [m for name, m in sys.modules.items() if name.startswith("infogeo")]:
+            if hasattr(module, "kernel_apply"):
+                monkeypatch.setattr(module, "kernel_apply",
+                                    lambda *a: applied.append(a) or kernel_apply(*a))
+        matrix = Kernel.matrix
+        monkeypatch.setattr(Kernel, "matrix",
+                            lambda self, p: matrices.append(p.shape) or matrix(self, p))
+        for dim, passes in ((4, 1), (32, 7)):
+            matrices.clear()
+            run_contraction_audit(metric, dim, 50, 11)
+            assert len(matrices) == 2 * passes
+        assert applied == []
 
 
 class TestKernelMatrix:
