@@ -8,6 +8,11 @@ the moment-matching contract and can only raise the entropy, so the
 recorded per-step entropy gain is exactly the information discarded by the
 coarse-graining.
 
+A quantum run works on spectra: each projected state is kept as the Gibbs
+spectrum its fit evaluated, a unitary step is read in the Heisenberg picture
+(the means of U rho U† at F are those of rho at U† F U), and a channel step
+decomposes its output once.  No projected state is composed as a matrix.
+
 Runs are deterministic: identical inputs produce identical trajectories.
 """
 
@@ -23,8 +28,23 @@ from .classical.families import ExponentialFamily, _WarmStart, fit_mixture_coord
 from .errors import BoundaryError, InfoGeoError
 from .maps import QuantumCPUnitalMap, push_state
 from .quantum.families import QuantumExponentialFamily, quantum_maxent_fit
-from .quantum.states import DensityMatrix, von_neumann_entropy
-from .spectral import _count, _real, check_finite, eigh, expm, hermitian_part
+from .quantum.states import (
+    EIGENVALUE_FLOOR,
+    DensityMatrix,
+    check_density,
+    von_neumann_entropy,
+)
+from .spectral import (
+    _RECONSTRUCTION_RTOL,
+    _count,
+    _real,
+    check_finite,
+    dagger,
+    eigh,
+    expm,
+    hermitian_part,
+    unitarity_residual,
+)
 
 # Probability a classical step or propagator column may gain or lose.
 _MASS_TOL = 1e-12
@@ -133,8 +153,9 @@ def micro_step(state, dynamics, dt: float, propagator=None):
     state's decomposition (V, p).  Chaining steps on their own outputs
     therefore accumulates rounding in U^k V, and once U^k V fails the 1e-10
     unitarity check of :meth:`DensityMatrix.from_spectrum` the step raises
-    ``ValueError``.  :func:`roll` steps a freshly decomposed projected state
-    each time and is not affected.
+    ``ValueError``.  :func:`roll` is not affected: it carries each projected
+    state as its fit's Gibbs spectrum and reads a unitary step's means
+    through U† F U, so no product of propagators builds up.
     """
     _real(dt, "dt", "positive")
     if isinstance(dynamics, MarkovGenerator):
@@ -207,11 +228,36 @@ def _project_classical(family, state, xi0, warm):
     return pt.xi, means, projected, entropy(projected), entropy(state)
 
 
+def _step_quantum(state, dynamics, dt, features):
+    """One micro step of a projected quantum state carried as its spectrum.
+
+    ``state`` is (u, p, S): eigenvectors, weights and entropy.  Returns the
+    stepped state's feature means and entropy, which is all a projection
+    reads.  A unitary step keeps the spectrum, and ``features`` are the
+    Heisenberg-picture features U† F U: the means of U rho U† at F are
+    sum_i p_i Re(u† U† F U u)_ii and the entropy is S.  A channel step
+    builds sum_k (A_k u) p (A_k u)†, checks and decomposes it once, as
+    :func:`micro_step` does, refuses a result at or below the faithfulness
+    floor with :class:`BoundaryError`, and reads the means Tr[m F] off the
+    checked matrix m.  ``dt`` is unused: the step comes with its features.
+    """
+    u, p, s = state
+    if isinstance(dynamics, HamiltonianStep):
+        return ((features @ u) * u.conj()).real.sum(axis=-2) @ p, s
+    b = dynamics.kraus @ u
+    m, dec = check_density(((b * p) @ dagger(b)).sum(axis=0), allow_boundary=True)
+    w = dec.eigenvalues
+    if w[0] <= EIGENVALUE_FLOOR:  # eigenvalues ascend
+        raise BoundaryError("channel step left the faithful interior")
+    return np.trace(m @ features, axis1=1, axis2=2).real, entropy(w)
+
+
 def _project_quantum(family, state, xi0, warm):
-    means = np.trace(state.matrix @ family.features, axis1=1, axis2=2).real
+    means, micro_entropy = state
     fit = quantum_maxent_fit(family, means, xi0=xi0, _warm=warm)
-    rho = fit.state
-    return fit.xi, means, rho, von_neumann_entropy(rho), von_neumann_entropy(state)
+    dec, p = fit.spectrum
+    s = entropy(p)
+    return fit.xi, means, (dec.eigenvectors, p, s), s, micro_entropy
 
 
 def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRun:
@@ -226,6 +272,14 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     Each solve starts where the previous one stopped, and it reuses that
     solve's last evaluation (log Z, means, Hessian and, for a quantum
     family, the Gibbs spectrum) instead of evaluating there again.
+
+    A classical run steps with :func:`micro_step` and one propagator.  A
+    quantum run carries each projected state as the Gibbs spectrum (u, p)
+    of its fit and never composes it as a matrix.  A Hamiltonian step's means
+    are sum_i p_i Re(u† U† F_j U u)_ii, with U checked unitary to 1e-10 and
+    U† F U formed once per run, and its entropy is the projected entropy.  A
+    channel step pushes the spectrum through the Kraus operators and
+    decomposes the result once.
     """
     _real(_count(steps, "steps"), "steps", "nonnegative")
     _real(dt, "dt", "positive")
@@ -251,23 +305,31 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
     for name, n in sizes.items():
         if n != size:
             raise ValueError(f"{name} has size {n} but the family has size {size}")
-    project = _project_classical if classical else _project_quantum
-    propagator = None
-    if isinstance(dynamics, MarkovGenerator):
-        propagator = dynamics.propagator(dt)
-    elif isinstance(dynamics, HamiltonianStep):
-        propagator = dynamics.unitary(dt)
+    if classical:
+        step, project, state = micro_step, _project_classical, initial_state
+        # the propagator, computed once and passed to every step
+        prepared = dynamics.propagator(dt)
+    else:
+        step, project = _step_quantum, _project_quantum
+        prepared = family.features
+        means = np.trace(initial_state.matrix @ family.features, axis1=1, axis2=2).real
+        state = (means, von_neumann_entropy(initial_state))
+        if isinstance(dynamics, HamiltonianStep):
+            u = dynamics.unitary(dt)
+            err = float(unitarity_residual(u))
+            if err > _RECONSTRUCTION_RTOL:
+                raise ValueError(f"propagator is not unitary: residual {err:.3e}")
+            prepared = dagger(u) @ prepared @ u
 
     times, xis, etas, entropies, defects = [], [], [], [], []
     truncated = False
     diagnostic = None
     xi = np.zeros(family.n_features, dtype=float)
     warm = _WarmStart()
-    state = initial_state
     for k in range(steps + 1):
         if k > 0:
             try:
-                state = micro_step(state, dynamics, dt, propagator=propagator)
+                state = step(state, dynamics, dt, prepared)
             except (BoundaryError, InfoGeoError) as exc:
                 truncated, diagnostic = True, f"micro step {k}: {exc}"
                 break

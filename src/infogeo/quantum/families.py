@@ -10,12 +10,14 @@ whose Hessian is that BKM covariance, and infeasible targets are classified
 the same way on both sides.  The xi check and the feature independence check
 are the classical ones.  Every spectrum and log Z comes from
 :func:`.states.gibbs_spectrum`, once per point: the family's ``_point``
-builds the fitted state from the solver's last evaluation.
+keeps the Gibbs spectrum of the solver's last evaluation, and the fit builds
+its state from that spectrum when the state is first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from ..classical.families import (
 from ..spectral import _vector, hermitian_part, kernel_apply, logarithmic_mean_kernel
 from .states import (
     DensityMatrix,
+    _check_gibbs,
     gibbs_density,
     gibbs_moments,
     gibbs_spectrum,
@@ -94,8 +97,10 @@ class QuantumExponentialFamily:
         return log_z, eta, cov, (dec, p)
 
     def _point(self, xi, value, iterations) -> "QuantumFitResult":
-        """The fit at xi, its state built from the oracle's spectrum there."""
-        return QuantumFitResult(xi, gibbs_density(*value[3]), value[0], iterations)
+        """The fit at xi, keeping the oracle's Gibbs spectrum there once
+        :func:`.states._check_gibbs` has passed it."""
+        _check_gibbs(*value[3])
+        return QuantumFitResult(xi, value[0], iterations, value[3])
 
 
 def state_from_score(fam: QuantumExponentialFamily, xi) -> DensityMatrix:
@@ -115,10 +120,25 @@ def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumFitResult:
+    """A member of a quantum family fitted by :func:`quantum_maxent_fit`.
+
+    ``xi`` are its canonical coordinates, ``log_z`` is log Z there and
+    ``iterations`` counts the solver's Newton steps.  ``spectrum`` is the
+    Gibbs spectrum (dec, p) of the solver's last evaluation: ``dec`` the
+    validated decomposition of H(xi), p the weights exp(-w)/Z, which are
+    finite, sum to 1 within 1e-12 and lie above the faithfulness floor.
+    ``state`` is built from that spectrum by :func:`.states.gibbs_density`,
+    with all of its checks, when it is first read, and kept.
+    """
+
     xi: np.ndarray
-    state: DensityMatrix
     log_z: float
     iterations: int
+    spectrum: tuple
+
+    @cached_property
+    def state(self) -> DensityMatrix:
+        return gibbs_density(*self.spectrum)
 
 
 def quantum_maxent_fit(
@@ -136,8 +156,11 @@ def quantum_maxent_fit(
     function log Z(xi) + xi . m from ``xi0`` (default 0); gradient
     m - eta(xi), Hessian the BKM covariance of the centered features.  Bad
     targets and stops raise as in :func:`..classical.fit_mixture_coords`.
-    The state is built from the Gibbs spectrum of the solver's evaluation at
-    the returned xi, without decomposing the Hamiltonian or the state again.
+    The fit keeps the Gibbs spectrum of the solver's evaluation at the
+    returned xi, and its state is built from it when read, without
+    decomposing the Hamiltonian or the state again.  A spectrum whose least
+    weight reaches the faithfulness floor raises :class:`..errors.BoundaryError`
+    here, as :func:`.states.gibbs_density` would.
 
     ``_warm`` is private: the ``_WarmStart`` of a chain of solves of one
     family, in :func:`..projection.roll` or along a mean-parametrized path.

@@ -256,20 +256,20 @@ def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray
     return p, means, 0.5 * (cov + cov.T)
 
 
-def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
-    """The state sum_i p_i |u_i><u_i| for Gibbs weights p in the eigenbasis of H.
+def _check_gibbs(dec: SpectralDecomposition, p: np.ndarray) -> None:
+    """Refuse Gibbs weights p that are not a faithful state, composing none.
 
     ``dec`` is the decomposition of H that :func:`gibbs_spectrum` returned
-    and p = exp(-w)/Z its normalised weights.  The state keeps (p, u) as its
-    decomposition: H has been decomposed, so the state is not.  The
-    finiteness, trace and floor checks of :meth:`DensityMatrix.from_spectrum`
-    run; the unitarity of u does not, because :func:`..spectral.eigh` has
-    just checked it.  A spectrum so wide that the smallest weight reaches the
-    faithfulness floor raises :class:`BoundaryError` naming the spread.
+    and p = exp(-w)/Z its weights.  Weights whose sum is not finite or lies
+    more than 1e-12 from 1 raise ``ValueError``.  A spectrum so wide that
+    the smallest weight reaches the faithfulness floor raises
+    :class:`BoundaryError` naming the spread.
     """
-    try:
-        return DensityMatrix._from_unitary(p, dec.eigenvectors)
-    except BoundaryError as exc:
+    total = float(p.sum())
+    # a non-finite weight makes the sum nan or infinite, which fails too
+    if not abs(total - 1.0) <= _TRACE_TOL:
+        raise ValueError(f"Gibbs weights sum to {total!r}, not 1")
+    if p.min() <= EIGENVALUE_FLOOR:
         w = dec.eigenvalues
         raise BoundaryError(
             f"Gibbs state exp(-H)/Z is not faithful: the eigenvalues of H "
@@ -277,7 +277,22 @@ def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
             f"{p.min():.3e} is at or below the floor {EIGENVALUE_FLOOR} "
             f"(spreads above about -log({EIGENVALUE_FLOOR}) = "
             f"{-np.log(EIGENVALUE_FLOOR):.1f} reach it)"
-        ) from exc
+        )
+
+
+def gibbs_density(dec: SpectralDecomposition, p: np.ndarray) -> DensityMatrix:
+    """The state sum_i p_i |u_i><u_i| for Gibbs weights p in the eigenbasis of H.
+
+    ``dec`` is the decomposition of H that :func:`gibbs_spectrum` returned
+    and p = exp(-w)/Z its normalised weights.  The state keeps (p, u) as its
+    decomposition: H has been decomposed, so the state is not.  The weights
+    pass :func:`_check_gibbs` first; then the finiteness, trace and floor
+    checks of :meth:`DensityMatrix.from_spectrum` run on the state, but the
+    unitarity of u does not, because :func:`..spectral.eigh` has just
+    checked it.
+    """
+    _check_gibbs(dec, p)
+    return DensityMatrix._from_unitary(p, dec.eigenvectors)
 
 
 def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:

@@ -201,6 +201,8 @@ def tangent_from_json(doc: dict) -> ClassicalTangent:
     rep = _known(("mixture", "exponential"), _field(doc, "rep", what, need=need),
                  f"{what} 'rep'")
     vec = _field(doc, "vec", what, _numbers, need=need)
+    if vec.ndim != 1:
+        raise ValueError(f"{what} 'vec' must be a 1-d list, got shape {vec.shape}")
     if vec.size == 0:
         raise ValueError(f"{what} 'vec' must be non-empty")
     return ClassicalTangent(rep, vec)

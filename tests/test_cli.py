@@ -722,6 +722,15 @@ BAD_INPUTS = {
                ["transport", "--rho", "doc.json", "--sigma", "doc.json", "--tangent",
                 "doc.json", "--which", "plus"],
                "tangent document 'vec' must be non-empty"),
+    **{
+        f"vec {value!r}": (
+            {"omega": 2, "probs": [0.5, 0.5], "rep": "mixture", "vec": value},
+            ["transport", "--rho", "doc.json", "--sigma", "doc.json", "--tangent",
+             "doc.json", "--which", "plus"],
+            f"tangent document 'vec' must be a 1-d list, got shape {shape}",
+        )
+        for value, shape in (([[0.1, -0.1]], (1, 2)), (0.5, ()))
+    },
     "generator {}": (_run_config(generator=[[-1.0, {}], [1.0, -1.0]]),
                      ["project-simulate", "--config", "doc.json"],
                      "run config 'generator' must be an array of numbers"),

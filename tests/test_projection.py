@@ -3,11 +3,13 @@ import sys
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 import infogeo.classical.distributions as distributions
 import infogeo.classical.families as families
 import infogeo.projection as projection
+import infogeo.quantum.states as states
 from infogeo.classical import (
     ExponentialFamily,
     FiniteDistribution,
@@ -25,6 +27,7 @@ from infogeo.projection import (
     roll,
 )
 from infogeo.quantum import DensityMatrix, QuantumExponentialFamily
+from infogeo.quantum.states import project_traceless
 from infogeo.serialize import run_to_csv
 from infogeo.spectral import eigh, hermitian_part
 
@@ -313,9 +316,10 @@ def test_roll_names_mismatched_input(state, dynamics, family, message):
     assert str(info.value) == message
 
 
-def _fit_failing_at(step):
-    """fit_mixture_coords, except that the projection at ``step`` raises."""
-    fit = projection.fit_mixture_coords
+def _fit_failing_at(name, step):
+    """The fit ``projection.<name>``, except that the projection at ``step``
+    raises."""
+    fit = getattr(projection, name)
     calls = []
 
     def fails(*args, **kwargs):
@@ -328,24 +332,33 @@ def _fit_failing_at(step):
 
 
 def test_failed_projection_truncates_with_diagnostic(monkeypatch):
-    fam = ExponentialFamily(np.array([[0.0, 1.0]]))
-    monkeypatch.setattr(projection, "fit_mixture_coords", _fit_failing_at(2))
-    run = roll(FiniteDistribution([0.8, 0.2]), two_state_generator(1.0), fam, 0.1, 5)
-    assert run.truncated
-    assert run.diagnostic == "projection at step 2: target left the polytope"
-    assert len(run.times) == len(run.xis) == len(run.defects) == 2
-    assert run.steps_completed == 1
+    qubit = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI["z"]])
+    cases = [
+        ("fit_mixture_coords", FiniteDistribution([0.8, 0.2]),
+         two_state_generator(1.0), ExponentialFamily(np.array([[0.0, 1.0]]))),
+        ("quantum_maxent_fit", DensityMatrix(np.diag([0.8, 0.2])),
+         HamiltonianStep(PAULI["x"]), qubit),
+    ]
+    for name, initial, dynamics, fam in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, name, _fit_failing_at(name, 2))
+            run = roll(initial, dynamics, fam, 0.1, 5)
+        assert run.truncated
+        assert run.diagnostic == "projection at step 2: target left the polytope"
+        assert len(run.times) == len(run.xis) == len(run.defects) == 2
+        assert run.steps_completed == 1
 
-    # a failed initial projection leaves no record and no step, and the
-    # empty coordinates keep one column per feature
-    monkeypatch.setattr(projection, "fit_mixture_coords", _fit_failing_at(0))
-    run = roll(FiniteDistribution([0.8, 0.2]), two_state_generator(1.0), fam, 0.1, 5)
-    assert run.truncated
-    assert run.diagnostic == "projection at step 0: target left the polytope"
-    assert run.steps_completed == 0
-    assert run.times.shape == run.entropies.shape == run.defects.shape == (0,)
-    assert run.xis.shape == run.etas.shape == (0, 1)
-    assert run_to_csv(run) == "t,xi_1,eta_1,entropy,projection_defect\n"
+        # a failed initial projection leaves no record and no step, and the
+        # empty coordinates keep one column per feature
+        with monkeypatch.context() as patch:
+            patch.setattr(projection, name, _fit_failing_at(name, 0))
+            run = roll(initial, dynamics, fam, 0.1, 5)
+        assert run.truncated
+        assert run.diagnostic == "projection at step 0: target left the polytope"
+        assert run.steps_completed == 0
+        assert run.times.shape == run.entropies.shape == run.defects.shape == (0,)
+        assert run.xis.shape == run.etas.shape == (0, 1)
+        assert run_to_csv(run) == "t,xi_1,eta_1,entropy,projection_defect\n"
 
 
 @pytest.mark.parametrize(
@@ -496,23 +509,39 @@ def test_channel_step_to_the_boundary_raises():
         micro_step(rho, identity, 1.0)
 
 
-def _series_input(seed, d=4):
+def _series_input(seed, d=4, dynamics="hamiltonian"):
     """A quantum-series-style roll: zero base Hamiltonian, two random
-    features, a Gibbs initial state and a random Hamiltonian step."""
+    features, a Gibbs initial state and a random Hamiltonian step, or a
+    random channel sqrt(1 - q) I plus sqrt(q) times the blocks of a random
+    3d x d isometry.
+
+    The features are traceless and orthonormal in Tr[A B].  Two random
+    features at d = 2 can be nearly parallel modulo the identity; the fits
+    then reach |xi| of 70 and amplify rounding in the means by 1e5."""
     rng = np.random.default_rng(seed)
 
     def rand_h(scale=1.0):
         a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         return scale * hermitian_part(a)
 
-    fam = QuantumExponentialFamily(np.zeros((d, d)), [rand_h(), rand_h()])
+    a, b = project_traceless(np.stack([rand_h(), rand_h()]))
+    a /= np.linalg.norm(a)
+    b -= np.vdot(a, b).real * a
+    fam = QuantumExponentialFamily(np.zeros((d, d)), [a, b / np.linalg.norm(b)])
     rho0 = expm(-rand_h(2.0))
-    return fam, DensityMatrix(rho0 / np.trace(rho0).real), HamiltonianStep(rand_h(2.0))
+    step = HamiltonianStep(rand_h(2.0))
+    if dynamics == "channel":
+        q = rng.uniform(0.05, 0.5)
+        g = rng.normal(size=(3 * d, d)) + 1j * rng.normal(size=(3 * d, d))
+        iso, _ = np.linalg.qr(g)
+        step = QuantumCPUnitalMap(
+            [np.sqrt(1 - q) * np.eye(d)]
+            + [np.sqrt(q) * iso[k * d:(k + 1) * d] for k in range(3)]
+        )
+    return fam, DensityMatrix(rho0 / np.trace(rho0).real), step
 
 
 def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
-    fam, rho0, step = _series_input(21)
-    steps = 12
     oracle = QuantumExponentialFamily._oracle
     calls = {"oracle": 0, "eigh": 0, "eigh_outside": 0}
     inside = []
@@ -534,52 +563,85 @@ def test_quantum_roll_decomposes_only_in_the_oracle(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("infogeo") and vars(mod).get("eigh") is eigh:
             monkeypatch.setattr(mod, "eigh", counting_eigh)
-    run = roll(rho0, step, fam, dt=0.1, steps=steps)
-    assert run.steps_completed == steps
-    # the one decomposition outside the oracle is the step's unitary
-    assert calls["eigh_outside"] == 1
-    assert calls["eigh"] == calls["oracle"] + 1
-    rolled = calls["oracle"]
-
-    # the same solves one by one, each evaluating its start again: N more calls
     from infogeo.quantum import quantum_maxent_fit
 
-    calls["oracle"] = 0
-    starts = [np.zeros(2), *run.xis[:-1]]
-    for xi0, means, xi in zip(starts, run.etas, run.xis):
-        assert np.array_equal(quantum_maxent_fit(fam, means, xi0=xi0).xi, xi)
-    assert calls["oracle"] == rolled + steps
+    steps = 12
+    # outside the oracle, a Hamiltonian run decomposes once, for its unitary,
+    # and a channel run once per step, for the pushed state
+    for dynamics, outside in (("hamiltonian", 1), ("channel", steps)):
+        fam, rho0, step = _series_input(21, dynamics=dynamics)
+        for key in calls:
+            calls[key] = 0
+        run = roll(rho0, step, fam, dt=0.1, steps=steps)
+        assert run.steps_completed == steps
+        assert calls["eigh_outside"] == outside
+        assert calls["eigh"] == calls["oracle"] + outside
+        rolled = calls["oracle"]
+
+        # the same solves one by one, each evaluating its start again: N more
+        calls["oracle"] = 0
+        starts = [np.zeros(2), *run.xis[:-1]]
+        for xi0, means, xi in zip(starts, run.etas, run.xis):
+            assert np.array_equal(quantum_maxent_fit(fam, means, xi0=xi0).xi, xi)
+        assert calls["oracle"] == rolled + steps
 
 
 @pytest.mark.parametrize("dynamics", ["hamiltonian", "channel"])
-def test_quantum_roll_matches_state_from_score_reference(dynamics):
+def test_quantum_roll_composes_no_state(monkeypatch, dynamics):
+    fam, rho0, step = _series_input(24, dynamics=dynamics)
+    composed = []
+    compose = states._compose
+
+    def counting(*args):
+        composed.append(1)
+        return compose(*args)
+
+    monkeypatch.setattr(states, "_compose", counting)
+    run = roll(rho0, step, fam, dt=0.1, steps=10)
+    assert run.steps_completed == 10
+    assert composed == []
+
+
+def test_roll_checks_the_unitary_once(monkeypatch):
+    calls = []
+    unitary = HamiltonianStep.unitary
+
+    def checked(self, dt):
+        calls.append(1)
+        return unitary(self, dt)
+
+    fam, rho0, step = _series_input(25)
+    monkeypatch.setattr(HamiltonianStep, "unitary", checked)
+    assert roll(rho0, step, fam, dt=0.1, steps=10).steps_completed == 10
+    assert calls == [1]
+    monkeypatch.setattr(HamiltonianStep, "unitary",
+                        lambda self, dt: (1.0 + 1e-9) * unitary(self, dt))
+    with pytest.raises(ValueError, match=r"^propagator is not unitary: residual"):
+        roll(rho0, step, fam, dt=0.1, steps=10)
+
+
+@pytest.mark.parametrize("dynamics", ["hamiltonian", "channel"])
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_quantum_roll_matches_state_from_score_reference(dynamics, d, seed):
     from infogeo.quantum import (
         quantum_maxent_fit,
         state_from_score,
         von_neumann_entropy,
     )
 
-    fam, rho0, step = _series_input(22)
-    if dynamics == "channel":
-        q = 0.2
-        rng = np.random.default_rng(23)
-        g = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
-        iso, _ = np.linalg.qr(g)
-        step = QuantumCPUnitalMap(
-            [np.sqrt(1 - q) * np.eye(4)]
-            + [np.sqrt(q) * iso[4 * k:4 * k + 4] for k in range(3)]
-        )
-    dt, steps = 0.1, 20
+    fam, rho0, step = _series_input(seed, d, dynamics)
+    dt, steps = 0.1, 8
     run = roll(rho0, step, fam, dt=dt, steps=steps)
     assert run.steps_completed == steps
 
-    # every state decomposed afresh: the parent's path through the roll
+    # the Schroedinger picture, every projected state composed and its
+    # stepped state decomposed afresh
     u = step.unitary(dt) if dynamics == "hamiltonian" else None
     xi, state, ref = np.zeros(2), rho0, []
     for k in range(steps + 1):
         if k > 0:
-            state = (DensityMatrix(u @ state.matrix @ u.conj().T) if u is not None
-                     else push_state(step, state))
+            state = micro_step(state, step, dt, propagator=u)
         means = np.array([np.trace(state.matrix @ f).real for f in fam.features])
         xi = quantum_maxent_fit(fam, means, xi0=xi).xi
         projected = state_from_score(fam, xi)

@@ -18,7 +18,8 @@ from infogeo.quantum import (
     state_from_score,
     von_neumann_entropy,
 )
-from infogeo.quantum.states import gibbs_moments, gibbs_spectrum
+import infogeo.quantum.families as qfamilies
+from infogeo.quantum.states import gibbs_density, gibbs_moments, gibbs_spectrum
 from infogeo.spectral import (
     SpectralDecomposition,
     dagger,
@@ -246,6 +247,41 @@ class TestQuantumMaxent:
         fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
         with pytest.raises(FeasibilityError):
             quantum_maxent_fit(fam, [1.5])  # spectrum of sigma_z is [-1, 1]
+
+    def test_state_is_composed_once_when_read(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        fam = QuantumExponentialFamily(
+            random_hermitian(rng, 4), [random_hermitian(rng, 4) for _ in range(2)]
+        )
+        target = quantum_mixture_coords(fam, [0.3, -0.2])
+        calls = []
+
+        def counting(dec, p):
+            calls.append(1)
+            return gibbs_density(dec, p)
+
+        monkeypatch.setattr(qfamilies, "gibbs_density", counting)
+        fit = quantum_maxent_fit(fam, target)
+        assert calls == []
+        state = fit.state
+        assert fit.state is state and calls == [1]
+        ref = gibbs_density(*fit.spectrum)
+        assert state.matrix.tobytes() == ref.matrix.tobytes()
+        assert state.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
+        assert (state.spectral.eigenvectors.tobytes()
+                == ref.spectral.eigenvectors.tobytes())
+
+    def test_non_faithful_gibbs_point_raises_from_the_fit(self):
+        # at xi = -400 the target 1.0 is met to rounding, but the weight
+        # e^-800 of the fitted state is below the floor
+        fam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        with pytest.raises(BoundaryError) as info:
+            quantum_maxent_fit(fam, [1.0], xi0=[-400.0])
+        assert str(info.value) == (
+            "Gibbs state exp(-H)/Z is not faithful: the eigenvalues of H spread "
+            "over 800, so its smallest weight 0.000e+00 is at or below the floor "
+            "1e-14 (spreads above about -log(1e-14) = 32.2 reach it)"
+        )
 
 
 class TestLegendre:
