@@ -152,13 +152,6 @@ def _check_estimators(fam: ParametricFamily, estimators) -> np.ndarray:
     return est
 
 
-def check_unbiased(fam: ParametricFamily, theta, estimators) -> np.ndarray:
-    """Residual E_theta[f_i] - theta_i per estimator."""
-    theta = np.asarray(theta, dtype=float)
-    est = _check_estimators(fam, estimators)
-    return est @ fam.distribution(theta).probs - theta
-
-
 @dataclass(frozen=True)
 class CramerRaoReport:
     """Covariance V, information G, and the gap V - G^{-1}.
@@ -225,50 +218,17 @@ def sample(rho: FiniteDistribution, m: int, seed) -> np.ndarray:
     return rng.multinomial(m, rho.probs / rho.probs.sum())
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Empirical distribution of a histogram, with smoothing metadata.
-
-    Zero cells are only admissible after additive smoothing; when applied,
-    ``smoothing_epsilon`` records the per-cell probability mass added before
-    renormalization (1/(m * omega)), and the distribution carries the
-    boundary override.  Histograms without empty cells are returned exactly.
-    """
-
-    distribution: FiniteDistribution
-    counts: np.ndarray
-    smoothing_epsilon: float | None
-
-
-def _check_histogram(hist):
-    """The counts as a float array and their total; they must form a 1-d
-    vector of finite nonnegative numbers with a positive sum."""
-    h = np.asarray(hist, dtype=float)
-    if h.ndim != 1 or not np.isfinite(h).all() or np.any(h < 0):
-        raise ValueError("histogram must be a 1-d finite nonnegative vector")
-    m = h.sum()
-    if m <= 0:
-        raise ValueError("histogram is empty")
-    return h, m
-
-
-def empirical_distribution(hist) -> EmpiricalDistribution:
-    h, m = _check_histogram(hist)
-    if h.min() > 0:
-        return EmpiricalDistribution(FiniteDistribution(h / m), h, None)
-    eps = 1.0 / (m * h.size)
-    probs = (h / m + eps) / (1.0 + h.size * eps)
-    return EmpiricalDistribution(
-        FiniteDistribution(probs, allow_boundary=True), h, eps
-    )
-
-
 def estimate_from_data(family: ExponentialFamily, hist) -> CanonicalPoint:
     """Moment-matching projection of a data histogram onto the family.
 
     Fits the max-entropy member whose feature means equal the empirical
     feature means of the raw histogram.
     """
-    h, m = _check_histogram(hist)
+    h = np.asarray(hist, dtype=float)
+    if h.ndim != 1 or not np.isfinite(h).all() or np.any(h < 0):
+        raise ValueError("histogram must be a 1-d finite nonnegative vector")
+    m = h.sum()
+    if m <= 0:
+        raise ValueError("histogram is empty")
     h = _vector(h, family.omega_size, "histogram")
     return maxent_fit(family, family.features @ (h / m))

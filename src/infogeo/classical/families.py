@@ -80,15 +80,6 @@ class ExponentialFamily:
     def omega_size(self) -> int:
         return self.features.shape[1]
 
-    def log_probs(self, xi) -> np.ndarray:
-        """Normalized log density at canonical coordinates xi."""
-        s, psi = _log_normalize(self, _vector(xi, self.n_features, "xi"))
-        return s - psi
-
-    def massieu(self, xi) -> float:
-        """log Z at xi, evaluated by log-sum-exp (never overflows)."""
-        return _log_normalize(self, _vector(xi, self.n_features, "xi"))[1]
-
     def point(self, xi) -> "CanonicalPoint":
         return CanonicalPoint(self, np.asarray(xi, dtype=float))
 
@@ -168,11 +159,6 @@ class CanonicalPoint:
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_p)
-
-
-def massieu(pt: CanonicalPoint) -> float:
-    """The normalizer Psi = log Z at the point."""
-    return pt.psi
 
 
 def mixture_coords(pt: CanonicalPoint) -> np.ndarray:

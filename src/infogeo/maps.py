@@ -30,7 +30,6 @@ from .classical.distributions import (
     ClassicalTangent,
     FiniteDistribution,
     check_probabilities,
-    mixture_tangent,
 )
 from .errors import BoundaryError
 from .quantum.metrics import METRIC_KERNELS, _metric_kernel
@@ -40,7 +39,6 @@ from .quantum.states import (
     QuantumTangent,
     check_density,
     compose_density,
-    mixture_qtangent,
     project_traceless,
 )
 from .spectral import (
@@ -52,7 +50,6 @@ from .spectral import (
     _refuse,
     check_finite,
     dagger,
-    hermitian_part,
 )
 
 FISHER = "fisher"
@@ -144,15 +141,6 @@ class QuantumCPUnitalMap:
         return self.kraus.shape[-2]
 
 
-def compose(second, first):
-    """The map 'first then second' on states."""
-    if isinstance(first, ClassicalStochasticMap):
-        return ClassicalStochasticMap(first.matrix @ second.matrix)
-    return QuantumCPUnitalMap(
-        [b @ a for b in second.kraus for a in first.kraus]
-    )
-
-
 def _push_vectors(matrix: np.ndarray, p: np.ndarray) -> np.ndarray:
     """p S for stacks of row-stochastic S (..., n, m) and vectors p (..., n).
 
@@ -176,23 +164,6 @@ def push_state(mapping, rho):
         return FiniteDistribution(_push_vectors(mapping.matrix, p), allow_boundary=True)
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
     return DensityMatrix(_kraus_push(mapping.kraus, m), allow_boundary=True)
-
-
-def push_observable(mapping, x):
-    """Observable-side action: S f componentwise, or sum A† X A."""
-    if isinstance(mapping, ClassicalStochasticMap):
-        return mapping.matrix @ np.asarray(x, dtype=float)
-    x = hermitian_part(x)
-    return hermitian_part(_kraus_push(dagger(mapping.kraus), x))
-
-
-def push_mixture_tangent(mapping, t):
-    """Tangents in the mixture representation push exactly like states."""
-    if isinstance(mapping, ClassicalStochasticMap):
-        v = t.vec if isinstance(t, ClassicalTangent) else np.asarray(t, float)
-        return mixture_tangent(_push_vectors(mapping.matrix, v))
-    m = t.matrix if isinstance(t, QuantumTangent) else np.asarray(t)
-    return mixture_qtangent(project_traceless(_kraus_push(mapping.kraus, m)))
 
 
 def _squared_lengths(metric: str, spectra, tangents) -> np.ndarray:
@@ -368,15 +339,6 @@ def random_cp_unital_map(
     return QuantumCPUnitalMap(
         [q[k * dim_out : (k + 1) * dim_out, :] for k in range(n_kraus)]
     )
-
-
-def random_map(kind: str, dims, seed):
-    """Dispatcher: kind 'classical' (rows, cols) or 'quantum' (d_in, d_out)."""
-    _known(("classical", "quantum"), kind, "map kind")
-    n_in, n_out = (dims, dims) if np.isscalar(dims) else dims
-    if kind == "classical":
-        return random_stochastic_map(n_in, n_out, seed)
-    return random_cp_unital_map(n_in, n_out, seed=seed)
 
 
 @dataclass(frozen=True)

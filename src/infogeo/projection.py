@@ -4,9 +4,14 @@ A microstate evolves by exact linear dynamics (a probability-conserving
 Markov generator, a Hamiltonian step, or a fixed channel); after every time
 step it is replaced by the max-entropy state matching its current
 slow-variable means.  The projection preserves the just-measured means by
-the moment-matching contract and can only raise the entropy, so the
-recorded per-step entropy gain is exactly the information discarded by the
-coarse-graining.
+the moment-matching contract.  Only when the family's base is flat (a
+constant ``base_log_density``, or H0 a multiple of the identity) is the
+projection the state of greatest entropy at those means; then it can only
+raise the entropy, and the recorded per-step entropy gain is the
+information discarded by the coarse-graining.  With any other base the
+projection is the state nearest the base in relative entropy at those
+means, and the recorded gain is neither that information nor nonnegative
+(ROADMAP.md, item 9).
 
 A quantum run works on spectra: each projected state is kept as the Gibbs
 spectrum its fit evaluated, a unitary step is read in the Heisenberg picture
@@ -98,10 +103,6 @@ class MarkovGenerator:
                 f"(dt times the largest rate is {stiffness:.3e})"
             )
         return prop
-
-    def is_doubly_stochastic(self) -> bool:
-        """Rows also sum to zero: the uniform state is stationary."""
-        return bool(np.abs(self.rates.sum(axis=1)).max() < 1e-12)
 
 
 @dataclass(frozen=True)
@@ -357,13 +358,3 @@ def roll(initial_state, dynamics, family, dt: float, steps: int) -> ProjectionRu
         truncated,
         diagnostic,
     )
-
-
-def entropy_production(run: ProjectionRun) -> np.ndarray:
-    """Entropy of the projected state at each recorded instant.
-
-    For doubly stochastic classical generators the series is nondecreasing:
-    the micro step cannot lower entropy (uniform is stationary) and the
-    projection maximizes it at fixed means.
-    """
-    return run.entropies.copy()

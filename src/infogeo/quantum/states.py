@@ -301,10 +301,6 @@ def gibbs_state(h: np.ndarray) -> tuple[DensityMatrix, float]:
     return gibbs_density(dec, np.exp(log_p)), log_z
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(np.eye(dim) / dim)
-
-
 def project_traceless(x: np.ndarray) -> np.ndarray:
     """Remove the trace component of a Hermitian matrix or of a stack."""
     x = hermitian_part(x)

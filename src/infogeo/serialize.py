@@ -6,7 +6,7 @@ round-trip exactly through text.  Matrices travel as
 
     {"dim": n, "re": [[...]], "im": [[...]]}
 
-with the imaginary block optional (defaults to zero); families, points and
+with the imaginary block optional (defaults to zero); families and
 distributions as plain JSON objects documented on their readers below.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical.connections import GeodesicPath
 from .classical.distributions import ClassicalTangent, FiniteDistribution, entropy
-from .classical.families import CanonicalPoint, ExponentialFamily, mixture_coords
+from .classical.families import ExponentialFamily, mixture_coords
 from .kubomori import SERIES_CONVENTION, SeriesReport
 from .maps import ContractionReport
 from .projection import ProjectionRun
@@ -151,10 +151,6 @@ def density_from_json(doc: dict, allow_boundary: bool = False) -> DensityMatrix:
 # classical objects
 
 
-def distribution_to_json(rho: FiniteDistribution) -> dict:
-    return {"omega": rho.size, "probs": rho.probs.tolist()}
-
-
 def distribution_from_json(doc: dict, allow_boundary: bool = False) -> FiniteDistribution:
     what = "distribution document"
     p = _field(doc, "probs", what, _numbers, need="a 'probs' vector")
@@ -162,17 +158,6 @@ def distribution_from_json(doc: dict, allow_boundary: bool = False) -> FiniteDis
     if omega != p.size:
         raise ValueError(f"declared omega {omega} != vector size {p.size}")
     return FiniteDistribution(p, allow_boundary=allow_boundary)
-
-
-def family_to_json(family: ExponentialFamily, xi=None) -> dict:
-    doc = {
-        "omega": family.omega_size,
-        "features": family.features.tolist(),
-        "base_log_density": family.base_log_density.tolist(),
-    }
-    if xi is not None:
-        doc["xi"] = np.asarray(xi, dtype=float).tolist()
-    return doc
 
 
 def family_from_json(doc: dict) -> ExponentialFamily:
@@ -184,11 +169,6 @@ def family_from_json(doc: dict) -> ExponentialFamily:
     if omega != family.omega_size:
         raise ValueError(f"declared omega {omega} != feature length {family.omega_size}")
     return family
-
-
-def point_from_json(doc: dict) -> CanonicalPoint:
-    family = family_from_json(doc)
-    return CanonicalPoint(family, _field(doc, "xi", "point document", _numbers))
 
 
 def tangent_to_json(t: ClassicalTangent) -> dict:
@@ -210,14 +190,6 @@ def tangent_from_json(doc: dict) -> ClassicalTangent:
 
 # ---------------------------------------------------------------------------
 # quantum objects
-
-
-def qfamily_to_json(fam: QuantumExponentialFamily) -> dict:
-    return {
-        "dim": fam.dim,
-        "H0": matrix_to_json(fam.h0),
-        "features": [matrix_to_json(f) for f in fam.features],
-    }
 
 
 def qfamily_from_json(doc: dict) -> QuantumExponentialFamily:

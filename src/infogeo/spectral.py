@@ -1,14 +1,14 @@
 """Spectral calculus on Hermitian matrices.
 
-Everything on the quantum side of the library reduces to three primitives:
-an eigendecomposition, scalar functions applied through it, and entrywise
-two-argument kernels applied in the eigenbasis (Daleckii-Krein style).  The
-kernels of interest here are the logarithmic mean, its reciprocal, and the
-inverse arithmetic mean, which realize respectively the noncommutative
-analogue of multiplication by the state, the derivative of the matrix
-logarithm, and the symmetric (Lyapunov) division by the state.  Lengths
-and pairings through a kernel are quadratic forms in the eigenbasis, so
-they never form the kernel image.
+Everything on the quantum side of the library reduces to two primitives:
+an eigendecomposition and entrywise two-argument kernels applied in the
+eigenbasis (Daleckii-Krein style).  The kernels of interest here are the
+logarithmic mean, its reciprocal, and the inverse arithmetic mean, which
+realize respectively the noncommutative analogue of multiplication by the
+state, the derivative of the matrix logarithm, and the symmetric
+(Lyapunov) division by the state.  Lengths and pairings through a kernel
+are quadratic forms in the eigenbasis, so they never form the kernel
+image.
 
 The library's one matrix exponential, ``expm``, lives here too: the
 Kubo-Mori series and the Markov propagators take it from this module.
@@ -387,24 +387,6 @@ def _as_decomposition(a) -> SpectralDecomposition:
     if isinstance(a, SpectralDecomposition):
         return a
     return eigh(a)
-
-
-def matrix_function(a, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function through the eigendecomposition: U f(w) U†.
-
-    ``a`` may be a Hermitian matrix or a precomputed decomposition.  Raises
-    ``ValueError`` naming the offending eigenvalue when ``f`` is undefined
-    (non-finite) there, e.g. log of a nonpositive eigenvalue.
-    """
-    dec = _as_decomposition(a)
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(dec.eigenvalues), dtype=float)
-    bad = ~np.isfinite(fw)
-    if np.any(bad):
-        ev = float(dec.eigenvalues[bad][0])
-        raise ValueError(f"scalar function undefined on eigenvalue {ev!r}")
-    u = dec.eigenvectors
-    return hermitian_part((u * fw) @ u.conj().T)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from infogeo.maps import (
     ClassicalStochasticMap,
     QuantumCPUnitalMap,
     audit_metric_contraction,
-    mixture_qtangent,
     run_contraction_audit,
 )
 from infogeo.projection import MarkovGenerator, roll
@@ -43,6 +42,7 @@ from infogeo.quantum import (
     mean_parametrized_path,
     mean_path_derivative,
     mixture_entropy_bound,
+    mixture_qtangent,
     quantum_cramer_rao,
     state_from_score,
 )
@@ -85,7 +85,7 @@ def test_criterion_01_legendre_reciprocity():
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            fd = (fam.massieu(xi + e) - fam.massieu(xi - e)) / (2 * h)
+            fd = (fam.point(xi + e).psi - fam.point(xi - e).psi) / (2 * h)
             worst_grad = max(worst_grad, abs(fd + eta[j]) / max(1.0, abs(eta[j])))
         g = fisher_information_matrix(
             ParametricFamily.from_exponential(fam, "mixture"), eta

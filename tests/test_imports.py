@@ -200,3 +200,105 @@ def test_stack_failures_are_named_only_in_spectral():
         if path != src / "spectral.py" and (lines := _stack_naming_lines(path))
     }
     assert found == {}
+
+
+#: Public names that nothing in ``src/``, ``demos/`` or ``perfbench/`` loads,
+#: each kept for the reason given.  Every other public name needs a caller.
+UNCALLED = {
+    "spectral.SpectralDecomposition.reconstruct":
+        "the tests' oracle for every eigh: U diag(w) U† against the input",
+    "maps.random_stochastic_map":
+        "tests draw row-stochastic maps of any shape from it",
+    "maps.random_cp_unital_map":
+        "tests draw channels of any shape and Kraus count from it; the sweep "
+        "draws only square 3-Kraus stacks, from its own streams",
+    "maps.mixture_squared_length":
+        "its property test states the module's commuting-reduction identity",
+    "classical.connections.skewness_tensor":
+        "the paper's skewness tensor T, the alpha part of the connection",
+    "classical.connections.christoffel":
+        "the paper's alpha-connection coefficients behind the covariant derivative",
+    "classical.connections.geodesic_acceleration":
+        "the connection coefficients contracted twice with a velocity",
+    "classical.families.legendre_check":
+        "Legendre reciprocity of Psi and the entropy, a stated invariant",
+    "quantum.families.quantum_legendre_residual":
+        "Legendre reciprocity on the quantum side",
+    "quantum.families.quantum_entropy_relative_to_base":
+        "the entropy half of the quantum Legendre pair",
+    "quantum.families.quantum_massieu":
+        "the only public log Z at an arbitrary xi on the quantum side",
+    "quantum.states.score_qtangent":
+        "the score picture of a quantum tangent, twin of score_tangent",
+    "quantum.states.quantum_tangent_convert":
+        "mixture/score conversion of quantum tangents, twin of tangent_convert",
+    "serialize.matrix_to_json":
+        "the writer of the matrix document the CLI reads; tests write their "
+        "H0, V and feature files with it",
+}
+
+
+def _public(body):
+    return [
+        node for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _loads(tree):
+    """name -> the definitions enclosing each load of it, as sets of node ids.
+
+    A load is an ``ast.Name`` or ``ast.Attribute`` in Load context, so an
+    import or a string in ``__all__`` is not one.
+    """
+    loads = {}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {id(node)}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            loads.setdefault(name, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return loads
+
+
+def _uncalled_public_names():
+    """Each public top-level function or class of ``infogeo``, and each public
+    method of a public class, that nothing outside its own body loads in
+    ``src/infogeo``, ``demos/*.py`` or ``perfbench/*.py``."""
+    src = Path(infogeo.__file__).resolve().parent
+    repo = src.parents[1]
+    paths = [*src.rglob("*.py"), *repo.glob("demos/*.py"), *repo.glob("perfbench/*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in sorted(paths)}
+    loads = {}
+    for tree in trees.values():
+        for name, where in _loads(tree).items():
+            loads.setdefault(name, []).extend(where)
+    uncalled = set()
+    for path, tree in trees.items():
+        if src not in path.parents:
+            continue
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        for top in _public(tree.body):
+            members = [(top, top.name)]
+            if isinstance(top, ast.ClassDef):
+                members += [(m, f"{top.name}.{m.name}") for m in _public(top.body)]
+            for node, name in members:
+                if all(id(node) in where for where in loads.get(node.name, [])):
+                    uncalled.add(f"{module}.{name}")
+    return uncalled
+
+
+def test_every_public_name_has_a_caller():
+    # a public name that only its own tests call is surface to maintain
+    # without a user; UNCALLED states why each exception stays
+    uncalled = _uncalled_public_names()
+    extra = sorted(uncalled - UNCALLED.keys())
+    assert not extra, f"public names that nothing calls: {extra}"
+    stale = sorted(UNCALLED.keys() - uncalled)
+    assert not stale, f"UNCALLED entries that now have a caller: {stale}"

@@ -15,7 +15,7 @@ from infogeo.kubomori import (
     kubo_n_point,
     massieu_derivative_check,
 )
-from infogeo.quantum import DensityMatrix, bkm_metric, maximally_mixed
+from infogeo.quantum import DensityMatrix, bkm_metric
 from infogeo.spectral import (
     eigh,
     hermitian_part,
@@ -198,7 +198,7 @@ class TestKuboNPoint:
                 npt.assert_allclose(kubo_n_point(rho, args), oracle.real, atol=1e-12)
 
     def test_order_cap(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="n <= 8"):
             kubo_n_point(rho, [np.eye(2)] * 9)
 
@@ -211,7 +211,7 @@ class TestKuboNPoint:
     )
     def test_bad_perturbations_raise(self, vs, message):
         with pytest.raises(ValueError) as info:
-            kubo_n_point(maximally_mixed(2), vs)
+            kubo_n_point(DensityMatrix(np.eye(2) / 2), vs)
         assert str(info.value) == message
 
 
@@ -444,7 +444,7 @@ class TestMassieuDerivativeCheck:
         # the metric side of the check is exact: kernel value at the
         # degenerate spectrum is 1/d
         npt.assert_allclose(
-            bkm_metric(maximally_mixed(d), v, v), np.trace(v @ v).real / d,
+            bkm_metric(DensityMatrix(np.eye(d) / d), v, v), np.trace(v @ v).real / d,
             atol=1e-12,
         )
 

@@ -22,7 +22,6 @@ from infogeo.maps import QuantumCPUnitalMap, push_state
 from infogeo.projection import (
     HamiltonianStep,
     MarkovGenerator,
-    entropy_production,
     micro_step,
     roll,
 )
@@ -105,7 +104,7 @@ class TestMicroStep:
 
     def test_doubly_stochastic_fixes_uniform(self):
         gen = two_block_generator()
-        assert gen.is_doubly_stochastic()
+        assert np.abs(gen.rates.sum(axis=1)).max() < 1e-12
         out = micro_step(uniform(4), gen, 0.9)
         npt.assert_allclose(out.probs, 0.25, atol=1e-12)
 
@@ -424,14 +423,14 @@ class TestEntropyProduction:
     def test_stationary_uniform_constant(self):
         gen = two_block_generator()
         run = roll(uniform(4), gen, BLOCK_FAMILY, dt=0.2, steps=8)
-        series = entropy_production(run)
+        series = run.entropies
         npt.assert_allclose(series, np.log(4), atol=1e-10)
 
     def test_two_state_relaxation_increases_to_log2(self):
         gen = two_state_generator(1.0)
         fam = ExponentialFamily(np.array([[0.0, 1.0]]))
         run = roll(FiniteDistribution([0.9, 0.1]), gen, fam, dt=0.3, steps=20)
-        series = entropy_production(run)
+        series = run.entropies
         assert np.all(np.diff(series) > 0)
         npt.assert_allclose(series[-1], np.log(2), atol=1e-4)
         # closed form: p(t) = 1/2 + 0.4 exp(-2t)
@@ -444,14 +443,14 @@ class TestEntropyProduction:
         gen = two_block_generator()
         rho0 = FiniteDistribution([0.5, 0.2, 0.2, 0.1])
         run = roll(rho0, gen, BLOCK_FAMILY, dt=0.25, steps=16)
-        assert np.all(np.diff(entropy_production(run)) >= -1e-10)
+        assert np.all(np.diff(run.entropies) >= -1e-10)
 
     def test_full_family_matches_micro_entropy(self):
         gen = two_block_generator()
         fam = full_simplex_family(4)
         rho0 = FiniteDistribution([0.4, 0.3, 0.2, 0.1])
         run = roll(rho0, gen, fam, dt=0.1, steps=10)
-        for t, s in zip(run.times, entropy_production(run)):
+        for t, s in zip(run.times, run.entropies):
             exact = expm(t * gen.rates) @ rho0.probs
             npt.assert_allclose(s, entropy(exact), atol=1e-9)
 

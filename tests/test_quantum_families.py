@@ -468,7 +468,7 @@ class TestSharedWithClassical:
         cfam = ExponentialFamily([[0.0, 1.0]])
         calls = (
             lambda: qfam.hamiltonian(xi),
-            lambda: cfam.massieu(xi),
+            lambda: cfam.point(xi),
             lambda: quantum_maxent_fit(qfam, [0.5], xi0=xi),
             lambda: fit_mixture_coords(cfam, [0.5], xi0=xi),
         )

@@ -15,7 +15,6 @@ from infogeo.quantum import (
     bkm_metric,
     gns_metric,
     log_derivatives,
-    maximally_mixed,
     mean_parametrized_path,
     quantum_cramer_rao,
     quantum_fisher_info,
@@ -72,11 +71,11 @@ def mixture_line_path(rho0, d):
 
 class TestGnsMetric:
     def test_zero(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         assert gns_metric(rho, np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
 
     def test_pauli_algebra(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         npt.assert_allclose(gns_metric(rho, PAULI_X, PAULI_X), 1.0, atol=1e-14)
 
     def test_real_part_identity(self):
@@ -97,7 +96,7 @@ class TestGnsMetric:
 
 class TestBkmMetric:
     def test_degenerate_spectrum_matches_gns(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         npt.assert_allclose(bkm_metric(rho, PAULI_X, PAULI_X), 1.0, atol=1e-14)
 
     def test_matches_quadrature(self):

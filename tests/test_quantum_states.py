@@ -8,7 +8,6 @@ from infogeo.errors import BoundaryError
 from infogeo.quantum import (
     DensityMatrix,
     binary_entropy,
-    maximally_mixed,
     mixture_entropy_bound,
     mixture_qtangent,
     quantum_tangent_convert,
@@ -287,13 +286,13 @@ class TestComposeDensity:
 
 class TestTangentConvert:
     def test_zero(self):
-        rho = maximally_mixed(3)
+        rho = DensityMatrix(np.eye(3) / 3)
         out = quantum_tangent_convert(rho, mixture_qtangent(np.zeros((3, 3))), "score")
         npt.assert_allclose(out.matrix, 0.0)
 
     def test_maximally_mixed_scales_by_inverse_dim(self):
         rng = np.random.default_rng(1)
-        rho = maximally_mixed(4)
+        rho = DensityMatrix(np.eye(4) / 4)
         x = random_traceless(rng, 4)
         out = quantum_tangent_convert(rho, score_qtangent(x), "mixture")
         npt.assert_allclose(out.matrix, x / 4.0, atol=1e-13)
@@ -327,7 +326,8 @@ class TestTangentConvert:
 class TestEntropy:
     def test_maximally_mixed(self):
         for d in (2, 3, 5):
-            npt.assert_allclose(von_neumann_entropy(maximally_mixed(d)), np.log(d))
+            rho = DensityMatrix(np.eye(d) / d)
+            npt.assert_allclose(von_neumann_entropy(rho), np.log(d))
 
     def test_pure_state_zero(self):
         rho = DensityMatrix(np.diag([1.0, 0.0, 0.0]), allow_boundary=True)
@@ -360,6 +360,6 @@ class TestMixtureEntropyBound:
             assert rep.slack >= -1e-10
 
     def test_rejects_degenerate_weight(self):
-        rho = maximally_mixed(2)
+        rho = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError, match="weight"):
             mixture_entropy_bound(rho, rho, 1.0)

@@ -27,7 +27,6 @@ from infogeo.spectral import (
     log_sum_exp,
     logarithmic_mean_kernel,
     log_difference_kernel,
-    matrix_function,
     symmetric_inverse_kernel,
 )
 
@@ -203,42 +202,6 @@ class TestEigh:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eigh(np.ones((2, 3)))
-
-
-class TestMatrixFunction:
-    def test_log_of_diagonal(self):
-        out = matrix_function(np.diag([1.0, np.e]), np.log)
-        npt.assert_allclose(out, np.diag([0.0, 1.0]), atol=1e-14)
-
-    @pytest.mark.parametrize("alpha", [-0.5, 0.3, 2.0])
-    def test_power_of_identity(self, alpha):
-        out = matrix_function(np.eye(4), lambda w: w**alpha)
-        npt.assert_allclose(out, np.eye(4), atol=1e-14)
-
-    def test_exp_log_roundtrip(self):
-        rng = np.random.default_rng(11)
-        a = random_hermitian(rng, 5)
-        back = matrix_function(matrix_function(a, np.exp), np.log)
-        npt.assert_allclose(back, a, atol=1e-10)
-
-    def test_domain_error_names_eigenvalue(self):
-        with pytest.raises(ValueError, match="undefined on eigenvalue"):
-            matrix_function(np.diag([1.0, -2.0]), np.log)
-
-    def test_domain_error_prints_a_plain_float(self):
-        with pytest.raises(
-            ValueError, match=r"^scalar function undefined on eigenvalue -1\.0$"
-        ):
-            matrix_function(np.diag([1.0, -1.0]), np.log)
-
-    def test_exp_trace_floor(self):
-        # sum of exp(eigenvalues) >= dim * exp(min eigenvalue)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = random_hermitian(rng, 4)
-            w = eigh(a).eigenvalues
-            tr = np.trace(matrix_function(a, np.exp)).real
-            assert tr >= 4 * np.exp(w.min()) - 1e-12
 
 
 class TestKernelApply:
