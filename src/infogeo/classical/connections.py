@@ -25,10 +25,10 @@ weights of the raw xi array (no log Z); a stage builds no
 :class:`CanonicalPoint`.  :func:`geodesic` integrates it with
 :func:`_integrate`, the one ODE integrator: adaptive Dormand-Prince 5(4) at
 the relative tolerance ``_RTOL`` = 1e-10, whose samples, spaced ``dt``
-apart, come off the fourth-order dense output.  ``geodesic`` refuses, by
-name, a dt that is not positive and finite, a t_max that is not
-nonnegative and finite, a non-finite alpha or velocity, and an xi_box that
-is not positive and finite.
+apart, come off the fourth-order dense output, in the coordinate box
+|xi_j| <= ``_XI_BOX`` = 50.  ``geodesic`` refuses, by name, a dt that is not
+positive and finite, a t_max that is not nonnegative and finite, and a
+non-finite alpha or velocity.
 """
 
 from __future__ import annotations
@@ -151,6 +151,9 @@ _RTOL = 1e-10
 # the rounding of a near-singular covariance; on the workload's paths a
 # geodesic takes 5 to 26 steps
 _MAX_STEPS = 2000
+
+# a path is truncated once |xi_j| passes this
+_XI_BOX = 50.0
 
 # samples per geodesic; the workload's paths take at most about 500
 _MAX_SAMPLES = 10**6
@@ -287,18 +290,17 @@ def geodesic(
     alpha: float,
     t_max: float,
     dt: float = 1e-3,
-    xi_box: float = 50.0,
 ) -> GeodesicPath:
     """Integrate the alpha-geodesic from pt0 with initial velocity v0.
 
-    :func:`_integrate` runs on y = (xi, v) in the box |xi_j| <= xi_box, with
+    :func:`_integrate` runs on y = (xi, v) in the box |xi_j| <= 50, with
     samples at t = k dt, k <= round(t_max / dt).  At alpha = +1 the rate is
     (v, 0) and the samples are the line xi_0 + t v_0 to rounding.
 
     dt must be positive and finite, t_max nonnegative and finite, alpha
-    finite, xi_box positive and finite, v0 a finite vector of the family's
-    size, t_max / dt at most 10^6 samples and v0 small enough for a finite
-    starting step; anything else raises ``ValueError`` naming the argument.
+    finite, v0 a finite vector of the family's size, t_max / dt at most
+    10^6 samples and v0 small enough for a finite starting step; anything
+    else raises ``ValueError`` naming the argument.
 
     Each stage checks its raw xi array, takes the probabilities from
     :func:`.families._weights` (no log Z), builds no :class:`CanonicalPoint`
@@ -309,7 +311,6 @@ def geodesic(
     dt = _real(dt, "dt", "positive")
     t_max = _real(t_max, "t_max", "nonnegative")
     alpha = _real(alpha, "alpha")
-    xi_box = _real(xi_box, "xi_box", "positive")
     family = pt0.family
     n = family.n_features
     v0 = _vector(v0, n, "velocity")
@@ -330,7 +331,7 @@ def geodesic(
     times = dt * np.arange(round(ratio) + 1)
     try:
         ys, truncated, accepted, rejected, max_error = _integrate(
-            rate, np.concatenate((pt0.xi, v0)), times, n, xi_box
+            rate, np.concatenate((pt0.xi, v0)), times, n, _XI_BOX
         )
     except OverflowError as exc:
         raise ValueError(f"velocity is too large: {exc}") from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConvergenceError, FeasibilityError
-from ..spectral import _log_sum_shifted, _vector, check_finite, log_sum_exp
+from ..spectral import _log_sum_shifted, _real, _vector, check_finite, log_sum_exp
 from .distributions import FiniteDistribution, check_probabilities
 
 _GRAM_FLOOR = 1e-10
@@ -225,16 +225,16 @@ def fit_mixture_coords(
     target_means,
     xi0=None,
     tol: float = 1e-10,
-    max_iter: int = 200,
     *,
     _warm=None,
 ) -> CanonicalPoint:
     """Solve for the member whose feature means equal ``target_means``.
 
     Runs :func:`_dual_newton` on Psi(xi) + xi . m, whose Hessian is the
-    feature covariance, from ``xi0`` (default 0).  Convergence is declared
-    when the mean residual drops below ``tol`` in the max norm.  The point
-    takes s and Psi from the solver's evaluation at the returned xi.
+    feature covariance, from ``xi0`` (default 0), for at most 200 steps.
+    Convergence is declared when the mean residual drops below ``tol`` in
+    the max norm.  The point takes s and Psi from the solver's evaluation
+    at the returned xi.
 
     ``_warm`` is private: a :class:`_WarmStart` that
     :func:`..projection.roll` threads through its solves of one family.
@@ -242,7 +242,8 @@ def fit_mixture_coords(
     Raises
     ------
     ValueError
-        If ``xi0`` or the targets have the wrong shape or are not finite.
+        If ``xi0`` or the targets have the wrong shape or are not finite, or
+        ``tol`` is not positive and finite.
     FeasibilityError
         If the iteration stops with a canonical coordinate beyond 10 in
         absolute value: the target lies outside (or on the boundary of) the
@@ -250,9 +251,11 @@ def fit_mixture_coords(
     ConvergenceError
         If the iteration stops anywhere else.
     """
-    return _dual_newton(family, target_means, xi0, tol, max_iter, _warm)
+    return _dual_newton(family, target_means, xi0, tol, _warm)
 
 
+#: Newton steps a solve may take before it stops without convergence.
+_MAX_ITER = 200
 #: The solver stops once some |xi_j| passes this: the target is escaping.
 _DIVERGENCE_NORM = 1e3
 #: A stop without convergence beyond this |xi_j| is reported as infeasible.
@@ -278,36 +281,37 @@ class _WarmStart:
         self.xi = self.value = None
 
 
-def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
+def _dual_newton(family, m, xi0, tol: float, warm=None):
     """Minimise the convex dual D(xi) = log Z(xi) + xi . m by damped Newton.
 
     ``family._oracle(xi)`` returns ``(log_z, eta, hessian, state)``: log Z,
     the feature means (the gradient of D is m - eta), the Hessian of log Z
     (the feature covariance of a classical family, the BKM covariance of a
     quantum one) and what the fitted state is built from.  ``xi0`` (default
-    0) is checked like any xi.  Armijo backtracking (factor 0.5, slope 1e-4)
-    makes D decrease monotonically; below a residual of 1e-6 plain Newton
-    steps are taken.  Once max |m - eta| < tol it returns
+    0) is checked like any xi; ``tol`` must be positive and finite.  Armijo
+    backtracking (factor 0.5, slope 1e-4) makes D decrease monotonically;
+    below a residual of 1e-6 plain Newton steps are taken.  Once max |m - eta| < tol it returns
     ``family._point(xi, value, iterations)``, ``value`` being the oracle's
     value at that xi.  A :class:`_WarmStart` ``warm`` supplies the value at
     ``xi0`` when it holds one for exactly that point, and receives the
     returned xi and value.
 
     Every stop without convergence (singular Hessian, non-finite step,
-    stalled line search, D failing to decrease, |xi| past 1e3, budget spent)
-    raises :class:`FeasibilityError` when some |xi_j| exceeds 10, else
-    :class:`ConvergenceError`.
+    stalled line search, D failing to decrease, |xi| past 1e3, 200 steps
+    spent) raises :class:`FeasibilityError` when some |xi_j| exceeds 10,
+    else :class:`ConvergenceError`.
     """
     n = family.n_features
     xi = np.zeros(n) if xi0 is None else _vector(xi0, n, "xi").copy()
     m = _vector(m, n, "target means")
+    tol = _real(tol, "tol", "positive")
 
     warm_xi = None if warm is None else warm.xi
     if warm_xi is not None and warm_xi.shape == xi.shape and (warm_xi == xi).all():
         value = warm.value
     else:
         value = family._oracle(xi)
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         log_z, eta, hess, _ = value
         grad = m - eta
         resid = float(np.abs(grad).max())
@@ -350,7 +354,7 @@ def _dual_newton(family, m, xi0, tol: float, max_iter: int, warm=None):
             raise _stopped("dual objective failed to decrease", xi, m, resid)
         xi, value = xi_new, value_n
     resid = float(np.abs(m - value[1]).max())
-    raise _stopped(f"no convergence in {max_iter} iterations", xi, m, resid)
+    raise _stopped(f"no convergence in {_MAX_ITER} iterations", xi, m, resid)
 
 
 def _stopped(reason: str, xi: np.ndarray, m: np.ndarray, resid: float):

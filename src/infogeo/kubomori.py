@@ -34,7 +34,7 @@ import numpy as np
 from .quantum.states import DensityMatrix, gibbs_moments, gibbs_spectrum, gibbs_state
 # _duhamel_traces looks expm up in this module, so a test or a profiler can
 # count the exponentials by rebinding kubomori.expm
-from .spectral import expm, hermitian_part
+from .spectral import _count, expm, hermitian_part
 
 MAX_POINTS = 8
 MAX_ORDER = 6
@@ -104,12 +104,14 @@ class PerturbationProblem:
         v = hermitian_part(self.v)
         if v.shape != h0.shape:
             raise ValueError(f"shape mismatch: H0 {h0.shape}, V {v.shape}")
-        if not (1 <= self.max_order <= MAX_ORDER):
+        max_order = _count(self.max_order, "max_order")
+        if not (1 <= max_order <= MAX_ORDER):
             raise ValueError(f"max_order must lie in 1..{MAX_ORDER}")
         h0.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "v", v)
+        object.__setattr__(self, "max_order", max_order)
 
     @property
     def dim(self) -> int:

@@ -53,8 +53,6 @@ from .spectral import (
 )
 
 FISHER = "fisher"
-GNS = "gns"
-BKM = "bkm"
 
 # Matrix entries (trials x dim^2) per stack in one pass of a sweep.  A pass
 # then holds about 2 MB of transient arrays whatever the dimension and trial
@@ -287,18 +285,16 @@ def audit_metric_contraction(mapping, state, tangent, metric: str) -> float:
     return float(ratios[0])
 
 
-def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
+def audit_family_info(mapping, fam, theta) -> float:
     """Information of the pushed parametric family over the original.
 
-    Classical families use the Fisher information, whichever of ``fisher``
-    or a quantum name is passed; quantum paths, given as (state, derivative)
-    at the parameter point, the BKM (default) or GNS information; other
-    names raise.  This is :func:`audit_metric_contraction` on the family's
-    mixture tangent, except that degenerate families report 0.
+    A classical family is audited in the Fisher information; a quantum path,
+    given as (state, derivative) at the parameter point, in the BKM
+    information.  This is :func:`audit_metric_contraction` on the family's
+    mixture tangent, except that degenerate families report 0; another
+    metric on a quantum path is that function with the metric's name.
     """
-    metric = BKM if metric is None else metric
     if isinstance(mapping, ClassicalStochasticMap):
-        _known((FISHER, *METRIC_KERNELS), metric, "metric")
         if fam.param_dim != 1:
             raise ValueError("information audit supports one-parameter families")
         theta = np.asarray(theta, dtype=float)
@@ -306,8 +302,8 @@ def audit_family_info(mapping, fam, theta, metric: str | None = None) -> float:
         tangent = fam._scores_at(theta, state)[0] * state.probs
         metric = FISHER
     else:
-        _metric_kernel(metric)
         state, tangent = fam
+        metric = "bkm"
     if not np.any(tangent):
         return 0.0
     return audit_metric_contraction(mapping, state, tangent, metric)

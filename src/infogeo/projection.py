@@ -196,9 +196,11 @@ class ProjectionRun:
 
     One record per instant (steps + 1 in total, unless truncated): time,
     canonical coordinates, means, entropy of the projected state, and the
-    projection defect, i.e. the entropy gained by replacing the microstate
-    with its max-entropy projection at fixed means (zero when the family is
-    full).  ``truncated`` reports an infeasible projection or boundary hit
+    projection defect S(proj) - S(micro) at fixed means (zero when the
+    family is full).  Only with a flat base (constant base log density, or
+    H0 a multiple of the identity) is it D(micro || proj), the information
+    the projection discards; with a base it can be negative (ROADMAP item
+    9).  ``truncated`` reports an infeasible projection or boundary hit
     mid-run, with the diagnostic message preserved.
     """
 

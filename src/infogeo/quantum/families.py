@@ -146,7 +146,6 @@ def quantum_maxent_fit(
     target_means,
     xi0=None,
     tol: float = 1e-10,
-    max_iter: int = 200,
     *,
     _warm=None,
 ) -> QuantumFitResult:
@@ -165,7 +164,7 @@ def quantum_maxent_fit(
     ``_warm`` is private: the ``_WarmStart`` of a chain of solves of one
     family, in :func:`..projection.roll` or along a mean-parametrized path.
     """
-    return _dual_newton(fam, target_means, xi0, tol, max_iter, _warm)
+    return _dual_newton(fam, target_means, xi0, tol, _warm)
 
 
 def quantum_entropy_relative_to_base(fam: QuantumExponentialFamily, xi) -> float:

@@ -81,14 +81,12 @@ def bkm_metric(rho: DensityMatrix, x, y) -> float:
     return float(_kernel_pairing(rho.spectral, xs, ys, logarithmic_mean_kernel))
 
 
-def path_derivative(
-    path: Callable[[float], DensityMatrix], t0: float, h: float = _FD_STEP
-) -> np.ndarray:
-    """Central finite-difference derivative of a state path, symmetrized and
-    projected back onto the traceless subspace."""
-    hi = path(t0 + h).matrix
-    lo = path(t0 - h).matrix
-    d = (hi - lo) / (2.0 * h)
+def path_derivative(path: Callable[[float], DensityMatrix], t0: float) -> np.ndarray:
+    """Central finite-difference derivative of a state path at step 1e-5,
+    symmetrized and projected back onto the traceless subspace."""
+    hi = path(t0 + _FD_STEP).matrix
+    lo = path(t0 - _FD_STEP).matrix
+    d = (hi - lo) / (2.0 * _FD_STEP)
     tr = abs(np.trace(d).real)
     if tr > _DRHO_TRACE_TOL:
         raise ValueError(
@@ -98,15 +96,12 @@ def path_derivative(
     return project_traceless(d)
 
 
-def _resolve_drho(
-    path, t0, drho, h: float = _FD_STEP
-) -> tuple[DensityMatrix, np.ndarray]:
+def _resolve_drho(path, t0, drho) -> tuple[DensityMatrix, np.ndarray]:
     rho = path(t0)
     if drho is None:
-        d = path_derivative(path, t0, h)
+        d = path_derivative(path, t0)
     else:
-        d = drho(t0) if callable(drho) else np.asarray(drho)
-        d = hermitian_part(d)
+        d = hermitian_part(np.asarray(drho))
         if abs(np.trace(d).real) > _DRHO_TRACE_TOL:
             raise ValueError("supplied derivative is not traceless")
         d = project_traceless(d)
@@ -129,10 +124,10 @@ def log_derivatives(
 ) -> LogDerivatives:
     """Compute L_r, L_s and L_B of the path at t0.
 
-    ``drho`` may supply the derivative analytically (a matrix or a callable
-    of t); otherwise a central difference with step 1e-5 is used.  L_r is
-    returned as a general matrix with an explicit hermiticity flag since it
-    is non-Hermitian whenever the state and its derivative do not commute.
+    ``drho`` may supply the derivative analytically, as a matrix; otherwise
+    a central difference with step 1e-5 is used.  L_r is returned as a
+    general matrix with an explicit hermiticity flag since it is
+    non-Hermitian whenever the state and its derivative do not commute.
     """
     rho, d = _resolve_drho(path, t0, drho)
     r_inv = np.linalg.inv(rho.matrix)
@@ -164,7 +159,7 @@ def quantum_fisher_info(
     GNS_SLD and BKM, the report keys of the table's metrics: Tr[D K(D)];
     RIGHT: Tr[rho L_r* L_r]; other kinds raise, listing the known ones.
     All three coincide with the classical Fisher information when the path
-    commutes with its derivative.
+    commutes with its derivative.  ``drho`` is as in :func:`log_derivatives`.
     """
     kernels = _info_kernels()
     kernel = kernels[_known(kernels, which, "information kind")]
@@ -197,15 +192,14 @@ def quantum_cramer_rao(
     t0: float,
     observable: np.ndarray,
     drho=None,
-    h: float = _FD_STEP,
 ) -> QuantumCramerRaoReport:
     """Cramer-Rao report for an observable estimating the path parameter.
 
     Precondition (checked): the observable is locally unbiased, i.e.
-    Tr[rho_t X] = t and its derivative equals 1 to 1e-6.  Without ``drho``
-    the derivative is a central difference with step ``h``.
+    Tr[rho_t X] = t and its derivative equals 1 to 1e-6.  ``drho`` is as in
+    :func:`log_derivatives`.
     """
-    rho, d = _resolve_drho(path, t0, drho, h)
+    rho, d = _resolve_drho(path, t0, drho)
     x = hermitian_part(observable)
     mean = rho.expectation(x)
     dmean = float(np.trace(d @ x).real)

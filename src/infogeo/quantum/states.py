@@ -168,31 +168,30 @@ class DensityMatrix:
         object.__setattr__(self, "_spectral", dec)
 
     @classmethod
-    def from_spectrum(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
-        """The state sum_i p_i |u_i><u_i| of a spectrum already in hand.
+    def from_spectrum(cls, p, u) -> "DensityMatrix":
+        """The faithful state sum_i p_i |u_i><u_i| of a spectrum already in hand.
 
         :func:`compose_density` for one matrix: it builds the Hermitian part
         of (u p) u† and keeps (p, u), sorted ascending, as its decomposition
         instead of decomposing it again, after the checks listed there
         (finite p and u, weights small enough that the trace cannot
         overflow, u unitary to the 1e-10 that :func:`..spectral.eigh`
-        demands, finite entries, unit trace, the floor or with
-        ``allow_boundary`` the sign).
+        demands, finite entries, unit trace, the floor).
         """
         _check_one_matrix(u)
-        return cls._wrap(*compose_density(p, u, allow_boundary), allow_boundary)
+        return cls._wrap(*compose_density(p, u))
 
     @classmethod
-    def _from_unitary(cls, p, u, allow_boundary: bool = False) -> "DensityMatrix":
+    def _from_unitary(cls, p, u) -> "DensityMatrix":
         """:meth:`from_spectrum` for d weights p and a d x d complex u that
         is already known to be unitary, such as the eigenvectors that
         :func:`..spectral.eigh` has just validated; every other check runs."""
-        return cls._wrap(*_compose(p, u, allow_boundary), allow_boundary)
+        return cls._wrap(*_compose(p, u, False))
 
     @classmethod
-    def _wrap(cls, m, dec, allow_boundary: bool) -> "DensityMatrix":
+    def _wrap(cls, m, dec) -> "DensityMatrix":
         state = object.__new__(cls)
-        object.__setattr__(state, "allow_boundary", allow_boundary)
+        object.__setattr__(state, "allow_boundary", False)
         state._set(m, dec)
         return state
 

@@ -218,8 +218,8 @@ def cramer_rao_report_to_json(rep) -> dict:
     }
 
 
-def contraction_report_to_json(rep: ContractionReport, bins: int = 20) -> dict:
-    counts, edges = rep.histogram(bins=bins)
+def contraction_report_to_json(rep: ContractionReport) -> dict:
+    counts, edges = rep.histogram()
     return {
         "metric": rep.metric,
         "trials": rep.trials,

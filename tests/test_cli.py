@@ -142,6 +142,27 @@ class TestFitQuantum:
         assert "empty 'features' list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tol, message",
+    [("-1", "tol must be positive"), ("0", "tol must be positive"),
+     ("nan", "tol must be positive"), ("inf", "tol must be finite")],
+)
+@pytest.mark.parametrize("command", ["fit-classical", "fit-quantum"])
+def test_fit_tolerance_not_positive_and_finite_exits_two(
+    workdir, capsys, command, tol, message
+):
+    doc = coin_family_doc() if command == "fit-classical" else {
+        "dim": 2,
+        "H0": {"dim": 2, "re": [[0.0, 0.0], [0.0, 0.0]]},
+        "features": [{"dim": 2, "re": [[1.0, 0.0], [0.0, -1.0]]}],
+    }
+    fam = write(workdir / "f.json", doc)
+    assert run([command, "--family", fam, "--means", "0.5", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 class TestCramerRao:
     def test_feature_estimators_saturate(self, workdir, capsys):
         fam = write(workdir / "coin.json", coin_family_doc())

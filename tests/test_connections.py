@@ -22,6 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from test_geodesic_stages import (  # noqa: E402
     FINE_RK4_BOUND,
+    boxed_geodesic,
     make_family,
     orthonormal_family,
     rk4_geodesic,
@@ -149,20 +150,12 @@ class TestGeodesics:
             geodesic(fam.point([0.1]), v0, 0.0, t_max, dt=dt)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize(
-        "alpha, xi_box, message",
-        [
-            (np.nan, 50.0, "alpha must be finite"),
-            (-np.inf, 50.0, "alpha must be finite"),
-            (0.0, 0.0, "xi_box must be positive"),
-            (0.0, np.nan, "xi_box must be positive"),
-        ],
-    )
-    def test_bad_alpha_or_box_raises(self, alpha, xi_box, message):
+    @pytest.mark.parametrize("alpha", [np.nan, -np.inf])
+    def test_bad_alpha_raises(self, alpha):
         fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
         with pytest.raises(ValueError) as info:
-            geodesic(fam.point([0.1]), [0.5], alpha, 1.0, dt=0.1, xi_box=xi_box)
-        assert str(info.value) == message
+            geodesic(fam.point([0.1]), [0.5], alpha, 1.0, dt=0.1)
+        assert str(info.value) == "alpha must be finite"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -187,11 +180,6 @@ class TestGeodesics:
         with pytest.raises(ValueError) as info:
             geodesic(fam.point([0.1]), v0, alpha, t_max, dt=dt)
         assert str(info.value) == message
-
-    def test_infinite_box_is_refused(self):
-        fam = ExponentialFamily(np.array([[0.0, 1.0, 2.0]]))
-        with pytest.raises(ValueError, match="^xi_box must be finite$"):
-            geodesic(fam.point([0.1]), [0.5], 0.0, 1.0, dt=0.1, xi_box=np.inf)
 
 
 class TestIntegrate:
@@ -403,11 +391,11 @@ class TestAdaptiveGeodesic:
         # the box decides only where the path stops, so a path in a larger
         # box starts with the same samples, to the bit
         pt0, v0 = fast_start(seed, kind, omega, n, speed)
-        path = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+        path = boxed_geodesic(box, pt0, v0, alpha, 1.0, dt=0.01)
         m = len(path.times)
         assert np.abs(path.xis).max() <= box
         assert path.truncated == (m < 101)
-        wide = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=4 * box)
+        wide = boxed_geodesic(4 * box, pt0, v0, alpha, 1.0, dt=0.01)
         assert np.array_equal(wide.xis[:m], path.xis)
         assert np.array_equal(wide.velocities[:m], path.velocities)
         if np.abs(wide.xis).max() > box:
@@ -423,7 +411,7 @@ class TestAdaptiveGeodesic:
         # a family that degenerates just outside the box: a stage there
         # raises, and the path must still end as a truncation
         pt0, v0 = fast_start(seed, kind, omega, n, speed)
-        plain = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+        plain = boxed_geodesic(box, pt0, v0, alpha, 1.0, dt=0.01)
         weights = families._weights
 
         def degenerate(family, xi):
@@ -433,7 +421,7 @@ class TestAdaptiveGeodesic:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(families, "_weights", degenerate)
-            path = geodesic(pt0, v0, alpha, 1.0, dt=0.01, xi_box=box)
+            path = boxed_geodesic(box, pt0, v0, alpha, 1.0, dt=0.01)
         assert path.truncated == plain.truncated
         assert len(path.times) == len(plain.times)
         assert np.abs(path.xis).max() <= box
@@ -444,7 +432,7 @@ class TestAdaptiveGeodesic:
         # stage that fails there ends the path at the last sample inside
         fam = ExponentialFamily(np.array([[0.0, 1.0, 3.0]]))
         pt0, v0 = fam.point([0.0]), np.array([4.0])
-        plain = geodesic(pt0, v0, 0.5, 1.0, dt=0.01, xi_box=1.0)
+        plain = boxed_geodesic(1.0, pt0, v0, 0.5, 1.0, dt=0.01)
         weights = families._weights
 
         def degenerate(family, xi):
@@ -454,7 +442,7 @@ class TestAdaptiveGeodesic:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(families, "_weights", degenerate)
-            path = geodesic(pt0, v0, 0.5, 1.0, dt=0.01, xi_box=1.0)
+            path = boxed_geodesic(1.0, pt0, v0, 0.5, 1.0, dt=0.01)
         assert plain.truncated and path.truncated
         assert path.steps_rejected > 0
         assert len(path.times) == len(plain.times)
@@ -485,7 +473,7 @@ class TestAdaptiveGeodesic:
         # reaching xi = 50 would take about 1950 of the 2000 allowed
         fam = ExponentialFamily(np.array([[0.0, 1.0]]))
         for box, most in ((10.0, 500), (50.0, 1200)):
-            path = geodesic(fam.point([0.0]), np.array([10.0]), -1.0, 1.0, dt=0.01, xi_box=box)
+            path = boxed_geodesic(box, fam.point([0.0]), np.array([10.0]), -1.0, 1.0, dt=0.01)
             assert path.truncated and len(path.times) == 20
             assert path.steps_accepted + path.steps_rejected < most
             eta = 0.5 - 2.5 * path.times  # affine in t: the -1 geodesic

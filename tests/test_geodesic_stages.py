@@ -18,6 +18,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import infogeo.classical.connections as connections  # noqa: E402
 import infogeo.classical.families as families  # noqa: E402
 from infogeo.classical import (  # noqa: E402
     CanonicalPoint,
@@ -189,6 +190,13 @@ def rk4_geodesic(pt0, v0, alpha, t_max, dt=1e-3):
     return ys[:, :n], ys[:, n:]
 
 
+def boxed_geodesic(xi_box, *args, **kwargs):
+    """``geodesic(*args, **kwargs)`` in the box |xi_j| <= xi_box."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(connections, "_XI_BOX", xi_box)
+        return geodesic(*args, **kwargs)
+
+
 def assert_same_path(pt0, v0, alpha, t_max, dt, xi_box):
     """Both integrators give the same samples to the bit, or the same error."""
     try:
@@ -197,10 +205,10 @@ def assert_same_path(pt0, v0, alpha, t_max, dt, xi_box):
         )
     except ValueError as exc:
         with pytest.raises(type(exc)) as info:
-            geodesic(pt0, v0, alpha, t_max, dt=dt, xi_box=xi_box)
+            boxed_geodesic(xi_box, pt0, v0, alpha, t_max, dt=dt)
         assert str(info.value) == str(exc)
         return None
-    path = geodesic(pt0, v0, alpha, t_max, dt=dt, xi_box=xi_box)
+    path = boxed_geodesic(xi_box, pt0, v0, alpha, t_max, dt=dt)
     assert np.array_equal(path.times, times)
     assert np.array_equal(path.xis, xis)
     assert np.array_equal(path.velocities, vels)

@@ -267,31 +267,39 @@ def _loads(tree):
     return loads
 
 
-def _uncalled_public_names():
-    """Each public top-level function or class of ``infogeo``, and each public
-    method of a public class, that nothing outside its own body loads in
-    ``src/infogeo``, ``demos/*.py`` or ``perfbench/*.py``."""
+def _trees():
+    """The parsed files of ``src/infogeo``, ``demos/*.py`` and
+    ``perfbench/*.py``, and each public member of ``infogeo`` as
+    ``(node, "module.name")``: every public top-level function or class, and
+    every public method of a public class."""
     src = Path(infogeo.__file__).resolve().parent
     repo = src.parents[1]
     paths = [*src.rglob("*.py"), *repo.glob("demos/*.py"), *repo.glob("perfbench/*.py")]
     trees = {path: ast.parse(path.read_text()) for path in sorted(paths)}
-    loads = {}
-    for tree in trees.values():
-        for name, where in _loads(tree).items():
-            loads.setdefault(name, []).extend(where)
-    uncalled = set()
+    members = []
     for path, tree in trees.items():
         if src not in path.parents:
             continue
         module = ".".join(path.relative_to(src).with_suffix("").parts)
         for top in _public(tree.body):
-            members = [(top, top.name)]
+            members.append((top, f"{module}.{top.name}"))
             if isinstance(top, ast.ClassDef):
-                members += [(m, f"{top.name}.{m.name}") for m in _public(top.body)]
-            for node, name in members:
-                if all(id(node) in where for where in loads.get(node.name, [])):
-                    uncalled.add(f"{module}.{name}")
-    return uncalled
+                members += [(m, f"{module}.{top.name}.{m.name}") for m in _public(top.body)]
+    return trees, members
+
+
+def _uncalled_public_names():
+    """Each public member of ``infogeo`` that nothing outside its own body
+    loads in ``src/infogeo``, ``demos/*.py`` or ``perfbench/*.py``."""
+    trees, members = _trees()
+    loads = {}
+    for tree in trees.values():
+        for name, where in _loads(tree).items():
+            loads.setdefault(name, []).extend(where)
+    return {
+        name for node, name in members
+        if all(id(node) in where for where in loads.get(node.name, []))
+    }
 
 
 def test_every_public_name_has_a_caller():
@@ -302,3 +310,71 @@ def test_every_public_name_has_a_caller():
     assert not extra, f"public names that nothing calls: {extra}"
     stale = sorted(UNCALLED.keys() - uncalled)
     assert not stale, f"UNCALLED entries that now have a caller: {stale}"
+
+
+#: Defaulted parameters of public functions and methods that no call in
+#: ``src/``, ``demos/`` or ``perfbench/`` passes, each kept for the reason
+#: given.  Every other option needs a caller that sets it.
+UNSET = {
+    "maps.random_cp_unital_map(dim_out)":
+        "a test helper (in UNCALLED): tests draw non-square channels",
+    "maps.random_cp_unital_map(n_kraus)":
+        "a test helper (in UNCALLED): tests draw channels of any Kraus count",
+    "maps.random_cp_unital_map(seed)":
+        "a test helper (in UNCALLED): tests seed their draws",
+    "projection.micro_step(propagator)":
+        "roll passes its one propagator through the name step",
+}
+
+
+def _passed(call, positional, keyword, shift):
+    """The parameters ``call`` passes, by keyword, by position or through
+    ``*args`` or ``**kwargs``, to a function with the ``positional`` and
+    ``keyword``-only parameter names given, whose first ``shift``
+    positional ones (``self`` or ``cls``) are bound before the call."""
+    if any(k.arg is None for k in call.keywords):
+        return {*positional, *keyword}
+    passed = {k.arg for k in call.keywords}
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return passed | set(positional[shift + i:])
+        passed |= set(positional[shift + i: shift + i + 1])
+    return passed
+
+
+def _unset_options():
+    """Each defaulted parameter of a public function or method of
+    ``infogeo``, as ``"module.name(parameter)"``, that no call to that name
+    passes in ``src/infogeo``, ``demos/*.py`` or ``perfbench/*.py``."""
+    trees, members = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if name := _called_name(node):
+                calls.setdefault(name, []).append(node)
+    unset = set()
+    for node, name in members:
+        if isinstance(node, ast.ClassDef):
+            continue
+        a = node.args
+        positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+        keyword = [p.arg for p in a.kwonlyargs]
+        defaulted = positional[len(positional) - len(a.defaults):] + [
+            p for p, d in zip(keyword, a.kw_defaults) if d is not None
+        ]
+        shift = int(positional[:1] in (["self"], ["cls"]))
+        passed = set()
+        for call in calls.get(node.name, []):
+            passed |= _passed(call, positional, keyword, shift)
+        unset |= {f"{name}({p})" for p in defaulted if p not in passed}
+    return unset
+
+
+def test_every_option_has_a_caller():
+    # an option that no caller sets is one value in use dressed as a choice;
+    # UNSET states why each exception stays
+    unset = _unset_options()
+    extra = sorted(unset - UNSET.keys())
+    assert not extra, f"defaulted parameters that nothing sets: {extra}"
+    stale = sorted(UNSET.keys() - unset)
+    assert not stale, f"UNSET entries that now have a caller: {stale}"

@@ -221,6 +221,8 @@ class TestKuboNPoint:
         (np.eye(3), 4, "shape mismatch: H0 (2, 2), V (3, 3)"),
         (np.eye(2), 0, "max_order must lie in 1..6"),
         (np.eye(2), 7, "max_order must lie in 1..6"),
+        (np.eye(2), 3.0, "max_order must be an integer, got 3.0"),
+        (np.eye(2), True, "max_order must be an integer, got True"),
     ],
 )
 def test_bad_perturbation_problem_raises(v, max_order, message):

@@ -475,3 +475,21 @@ class TestSharedWithClassical:
         for call in calls:
             with pytest.raises(ValueError, match=message):
                 call()
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(-1.0, "tol must be positive"), (0.0, "tol must be positive"),
+         (np.nan, "tol must be positive"), (np.inf, "tol must be finite")],
+    )
+    def test_tol_errors_match_the_classical_family(self, tol, message):
+        # refused before the first evaluation: a tolerance no residual can
+        # pass would spend the iteration budget, and inf accepts the start
+        qfam = QuantumExponentialFamily(np.zeros((2, 2)), [PAULI_Z])
+        cfam = ExponentialFamily([[0.0, 1.0]])
+        for call in (
+            lambda: quantum_maxent_fit(qfam, [0.5], tol=tol),
+            lambda: fit_mixture_coords(cfam, [0.5], tol=tol),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message

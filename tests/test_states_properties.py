@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from infogeo.errors import BoundaryError  # noqa: E402
 from infogeo.quantum import DensityMatrix  # noqa: E402
+from infogeo.quantum.states import compose_density  # noqa: E402
 
 RTOL = 1e-13
 
@@ -28,11 +29,11 @@ def spectra(draw):
     return w / w.sum(), q
 
 
-def both(p, u, **kw):
+def both(p, u):
     """from_spectrum(p, u) and the constructor on (u p) u†."""
     return (
-        lambda: DensityMatrix.from_spectrum(p, u, **kw),
-        lambda: DensityMatrix((u * p) @ u.conj().T, **kw),
+        lambda: DensityMatrix.from_spectrum(p, u),
+        lambda: DensityMatrix((u * p) @ u.conj().T),
     )
 
 
@@ -64,13 +65,19 @@ def test_rejects_what_the_constructor_rejects(spectrum, k):
     skewed = u.copy()
     skewed[:, k] *= 1.1
     cases = [
-        (p * 1.01, u, {}, ValueError),
-        (sub_floor, u, {}, BoundaryError),
-        (negative, u, {}, BoundaryError),
-        (negative, u, {"allow_boundary": True}, ValueError),
-        (p, skewed, {}, ValueError),
+        (p * 1.01, u, ValueError),
+        (sub_floor, u, BoundaryError),
+        (negative, u, BoundaryError),
+        (p, skewed, ValueError),
     ]
-    for weights, vectors, kw, err in cases:
-        for build in both(weights, vectors, **kw):
+    for weights, vectors, err in cases:
+        for build in both(weights, vectors):
             with pytest.raises(err):
                 build()
+    # admitting the boundary admits no negative weight
+    for build in (
+        lambda: compose_density(negative, u, allow_boundary=True),
+        lambda: DensityMatrix((u * negative) @ u.conj().T, allow_boundary=True),
+    ):
+        with pytest.raises(ValueError):
+            build()
