@@ -96,7 +96,11 @@ class ExponentialFamily:
         return _log_sum_shifted(w, s == s_max, s_max), eta, cov, s
 
     def _point(self, xi, value, iterations) -> "CanonicalPoint":
-        """The fitted point at xi, from the s and Psi of the oracle's value."""
+        """The fitted point at xi, from the s and Psi of the oracle's value.
+
+        The point keeps the solver's own xi, uncopied, so that a roll which
+        starts its next solve at ``pt.xi`` starts at the warm xi itself.
+        """
         pt = object.__new__(CanonicalPoint)
         object.__setattr__(pt, "family", self)
         pt._fill(xi, value[3], value[0])
@@ -139,11 +143,12 @@ class CanonicalPoint:
     log_p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xi = _vector(self.xi, self.family.n_features, "xi")
+        xi = _vector(self.xi, self.family.n_features, "xi").copy()
         self._fill(xi, *_log_normalize(self.family, xi))
 
     def _fill(self, xi, s, psi):
-        xi = xi.copy()
+        """Keep xi (an array no caller writes, made read-only here), Psi
+        and log p = s - Psi."""
         xi.setflags(write=False)
         log_p = s - psi
         log_p.setflags(write=False)
@@ -270,9 +275,11 @@ class _WarmStart:
     """The last xi a solve returned and the oracle's value there.
 
     A solve handed one reads the value instead of evaluating the oracle again
-    when it starts at exactly that xi, and leaves its own final xi and value
-    in it.  One instance serves a chain of solves of the same family, such
-    as the projections of one :func:`..projection.roll`.
+    when its ``xi0`` is that very array, and leaves its own final xi and value
+    in it.  The xi is the solver's own array, checked when its chain began and
+    never written, so it is not checked, copied or compared again.  One
+    instance serves a chain of solves of the same family, such as the
+    projections of one :func:`..projection.roll`.
     """
 
     __slots__ = ("xi", "value")
@@ -288,13 +295,14 @@ def _dual_newton(family, m, xi0, tol: float, warm=None):
     the feature means (the gradient of D is m - eta), the Hessian of log Z
     (the feature covariance of a classical family, the BKM covariance of a
     quantum one) and what the fitted state is built from.  ``xi0`` (default
-    0) is checked like any xi; ``tol`` must be positive and finite.  Armijo
-    backtracking (factor 0.5, slope 1e-4) makes D decrease monotonically;
-    below a residual of 1e-6 plain Newton steps are taken.  Once max |m - eta| < tol it returns
+    0) is checked like any xi, except a warm xi the solver itself returned:
+    when ``xi0`` is the xi of the :class:`_WarmStart` ``warm``, it is not
+    re-checked, copied or compared, and ``warm`` supplies the value there.
+    ``tol`` must be positive and finite.  Armijo backtracking (factor 0.5,
+    slope 1e-4) makes D decrease monotonically; below a residual of 1e-6
+    plain Newton steps are taken.  Once max |m - eta| < tol it returns
     ``family._point(xi, value, iterations)``, ``value`` being the oracle's
-    value at that xi.  A :class:`_WarmStart` ``warm`` supplies the value at
-    ``xi0`` when it holds one for exactly that point, and receives the
-    returned xi and value.
+    value at that xi, and leaves that xi and value in ``warm``.
 
     Every stop without convergence (singular Hessian, non-finite step,
     stalled line search, D failing to decrease, |xi| past 1e3, 200 steps
@@ -302,15 +310,15 @@ def _dual_newton(family, m, xi0, tol: float, warm=None):
     else :class:`ConvergenceError`.
     """
     n = family.n_features
-    xi = np.zeros(n) if xi0 is None else _vector(xi0, n, "xi").copy()
+    own = xi0 is not None and warm is not None and xi0 is warm.xi
+    if own:
+        xi = xi0
+    else:
+        xi = np.zeros(n) if xi0 is None else _vector(xi0, n, "xi").copy()
     m = _vector(m, n, "target means")
     tol = _real(tol, "tol", "positive")
 
-    warm_xi = None if warm is None else warm.xi
-    if warm_xi is not None and warm_xi.shape == xi.shape and (warm_xi == xi).all():
-        value = warm.value
-    else:
-        value = family._oracle(xi)
+    value = warm.value if own else family._oracle(xi)
     for it in range(_MAX_ITER):
         log_z, eta, hess, _ = value
         grad = m - eta

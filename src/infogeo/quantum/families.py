@@ -84,15 +84,22 @@ class QuantumExponentialFamily:
         return len(self.features)
 
     def hamiltonian(self, xi) -> np.ndarray:
-        xi = _vector(xi, self.n_features, "xi")
+        return self._hamiltonian(_vector(xi, self.n_features, "xi"))
+
+    def _hamiltonian(self, xi) -> np.ndarray:
+        """H0 + xi_1 F_1 + ... + xi_n F_n, summed in that order; xi unchecked."""
         h = self.h0
         for c, f in zip(xi, self.features):
             h = h + c * f
         return h
 
     def _oracle(self, xi):
-        """The solver's oracle: log Z, eta, BKM covariance, Gibbs spectrum (dec, p)."""
-        dec, log_p, log_z = gibbs_spectrum(self.hamiltonian(xi))
+        """The solver's oracle: log Z, eta, BKM covariance, Gibbs spectrum (dec, p).
+
+        ``xi`` is not checked: the solver's xi is finite and of length n, and
+        other callers check theirs with the ``_vector`` of :meth:`hamiltonian`.
+        """
+        dec, log_p, log_z = gibbs_spectrum(self._hamiltonian(xi))
         p, eta, cov = gibbs_moments(dec, log_p, self.features)
         return log_z, eta, cov, (dec, p)
 
@@ -115,7 +122,7 @@ def quantum_massieu(fam: QuantumExponentialFamily, xi) -> float:
 
 def quantum_mixture_coords(fam: QuantumExponentialFamily, xi) -> np.ndarray:
     """Feature means eta_j = Tr[rho_xi F_j]."""
-    return fam._oracle(xi)[1]
+    return fam._oracle(_vector(xi, fam.n_features, "xi"))[1]
 
 
 @dataclass(frozen=True)

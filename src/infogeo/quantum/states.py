@@ -223,8 +223,9 @@ def gibbs_spectrum(h: np.ndarray):
     normalisation in the package goes through here.
     """
     dec = eigh(h)
-    log_z = log_sum_exp(-dec.eigenvalues)
-    return dec, -dec.eigenvalues - log_z, log_z
+    x = -dec.eigenvalues
+    log_z = log_sum_exp(x)
+    return dec, x - log_z, log_z
 
 
 def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray):
@@ -247,10 +248,11 @@ def gibbs_moments(dec: SpectralDecomposition, log_p: np.ndarray, ops: np.ndarray
     diagonals = centered[:, :: dec.dim + 1]
     means = (p * diagonals.real).sum(axis=-1)
     diagonals -= means[:, None]
-    col = log_p[:, None]
-    x = np.minimum(col, log_p) - np.maximum(col, log_p)
-    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
-    k = np.maximum(p[:, None], p[None, :]) * ratio
+    # min(a, b) - max(a, b) of each pair, which is -|a - b| to the bit
+    # because rounding is symmetric
+    x = -np.abs(log_p[:, None] - log_p)
+    k = np.divide(np.expm1(x), x, out=np.ones(x.shape), where=x != 0.0)
+    k *= np.maximum(p[:, None], p)
     cov = ((k.reshape(-1) * centered) @ centered.conj().T).real
     return p, means, 0.5 * (cov + cov.T)
 

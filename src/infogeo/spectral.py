@@ -187,6 +187,16 @@ def unitarity_residual(u: np.ndarray) -> np.ndarray:
     return _identity_residual(dagger(u) @ u)
 
 
+_NON_FINITE = "matrix has non-finite entries"
+
+
+def _failed_validation(recon, scale, unit_err) -> str:
+    """The refusal of one decomposition, from its two residuals and |a|_F."""
+    return ("eigendecomposition failed validation: reconstruction "
+            f"residual {recon / np.maximum(scale, 1e-300):.3e}, "
+            f"unitarity residual {unit_err:.3e}")
+
+
 def eigh(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix or a stack of them.
 
@@ -202,14 +212,26 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     entry is) and the rescaling, U† is formed once for the reconstruction
     and for U†U - I, and the identity is subtracted on the diagonal in
     place.  A decomposition returned here needs no second unitarity check.
+
+    One matrix (``ndim`` 2) has the same residuals, tolerance, rescaling
+    and messages as a stack, but its largest |entry| and its residuals are
+    scalars: it decides by plain comparisons, forms no mask and searches no
+    index.
     """
     a = hermitian_part(a)
     d = a.shape[-1]
-    largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
-    # one comparison passes every finite matrix below the rescaling bound
-    rescale = any_set(~(largest <= _NORM_SAFE))
-    if rescale:
-        check_finite(largest, "matrix has non-finite entries", 0)
+    one = a.ndim == 2
+    if one:
+        largest = np.abs(a).max() if d else 0.0
+        # one comparison passes every finite matrix below the rescaling bound
+        rescale = not largest <= _NORM_SAFE
+        if rescale and not math.isfinite(largest):
+            raise ValueError(_NON_FINITE)
+    else:
+        largest = np.abs(a).max(axis=(-2, -1)) if d else np.zeros(a.shape[:-2])
+        rescale = any_set(~(largest <= _NORM_SAFE))
+        if rescale:
+            check_finite(largest, _NON_FINITE, 0)
     try:
         w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -226,11 +248,13 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     recon = _frobenius((u * w_check[..., None, :]) @ uh - a)
     unit_err = _identity_residual(uh @ u)
     tol = _RECONSTRUCTION_RTOL
-    _refuse((recon > tol * scale) | (unit_err > tol),
-            lambda: np.maximum(recon / np.maximum(scale, 1e-300), unit_err),
-            lambda i: ("eigendecomposition failed validation: reconstruction "
-                       f"residual {recon[i] / np.maximum(scale[i], 1e-300):.3e}, "
-                       f"unitarity residual {unit_err[i]:.3e}"))
+    if one:
+        if recon > tol * scale or unit_err > tol:
+            raise ValueError(_failed_validation(recon, scale, unit_err))
+    else:
+        _refuse((recon > tol * scale) | (unit_err > tol),
+                lambda: np.maximum(recon / np.maximum(scale, 1e-300), unit_err),
+                lambda i: _failed_validation(recon[i], scale[i], unit_err[i]))
     return SpectralDecomposition(w, u)
 
 

@@ -649,3 +649,54 @@ def test_quantum_roll_matches_state_from_score_reference(dynamics, d, seed):
         state = projected
     for got, want in zip((run.xis, run.etas, run.entropies, run.defects), zip(*ref)):
         npt.assert_allclose(got, np.asarray(want), rtol=0, atol=1e-12)
+
+
+def _classical_input(seed, omega=8):
+    """Three random features on ``omega`` points, a symmetric (doubly
+    stochastic) generator and a Dirichlet initial state."""
+    rng = np.random.default_rng(seed)
+    rates = rng.random((omega, omega))
+    rates = 0.5 * (rates + rates.T)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=0))
+    fam = ExponentialFamily(rng.normal(size=(3, omega)))
+    return fam, FiniteDistribution(rng.dirichlet(np.full(omega, 5.0))), MarkovGenerator(rates)
+
+
+@pytest.mark.parametrize("kind", ["classical", "hamiltonian", "channel"])
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_warm_roll_is_a_chain_of_cold_fits(kind, d, seed):
+    # a warm solve starts at the previous solve's own xi and reads its
+    # evaluation there unchecked; a cold fit started at a copy of that xi
+    # checks it and evaluates afresh, and must land on the same bits
+    if kind == "classical":
+        fam, initial, step = _classical_input(seed, 2 * d)
+        fit_name = "fit_mixture_coords"
+    else:
+        fam, initial, step = _series_input(seed, d, kind)
+        fit_name = "quantum_maxent_fit"
+    fit = getattr(projection, fit_name)
+    point = type(fam)._point
+    runs, iterations = [], []
+    for cold in (False, True):
+        seen = []
+
+        def recorded(self, xi, value, its):
+            seen.append(its)
+            return point(self, xi, value, its)
+
+        def cold_fit(family, means, xi0=None, _warm=None):
+            return fit(family, means, xi0=np.array(xi0))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(type(fam), "_point", recorded)
+            if cold:
+                mp.setattr(projection, fit_name, cold_fit)
+            runs.append(roll(initial, step, fam, dt=0.1, steps=8))
+        iterations.append(seen)
+    warm, chained = runs
+    assert warm.steps_completed == 8 and not warm.truncated
+    for name in ("xis", "etas", "entropies", "defects"):
+        assert getattr(warm, name).tobytes() == getattr(chained, name).tobytes()
+    assert iterations[0] == iterations[1] and len(iterations[0]) == 9

@@ -586,6 +586,55 @@ class TestStacks:
             hermitian_part(np.ones((2, 3)))
 
 
+def _corrupting(solve, part, factor, index):
+    """np.linalg.eigh with one matrix's decomposition scaled: of ``a``
+    itself, or of stack entry ``index``.  ``part`` "w" multiplies the
+    eigenvalues by ``factor``, "u" the eigenvectors, and "both" the
+    eigenvectors while dividing the eigenvalues by its square, which keeps
+    the reconstruction to rounding and leaves only U†U - I to catch."""
+    w_factor = {"w": factor, "u": 1.0, "both": factor**-2}[part]
+    u_factor = 1.0 if part == "w" else factor
+
+    def corrupted(a):
+        w, u = solve(a)
+        w, u = w.copy(), u.copy()
+        at = ... if a.ndim == 2 else index
+        w[at] *= w_factor
+        u[at] *= u_factor
+        return w, u
+
+    return corrupted
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    scale=st.sampled_from([1.0, 1e-3, 1e200]),
+    index=st.integers(0, 2),
+    part=st.sampled_from(["w", "u", "both"]),
+    factor=st.sampled_from([2.0, 0.5, 1.0 + 1e-6, 1.0 - 1e-8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_matrix_eigh_is_its_stack_entry(d, scale, index, part, factor, seed):
+    # one matrix is validated on scalars, a stack on per-matrix arrays: the
+    # same decomposition, and under a faulty LAPACK the same refusal
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_hermitian(rng, d, scale) for _ in range(3)])
+    one, dec = eigh(stack[index]), eigh(stack)
+    assert one.eigenvalues.tobytes() == dec.eigenvalues[index].tobytes()
+    assert one.eigenvectors.tobytes() == dec.eigenvectors[index].tobytes()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", _corrupting(np.linalg.eigh, part, factor, index))
+        with pytest.raises(ValueError) as alone:
+            eigh(stack[index])
+        with pytest.raises(ValueError) as stacked:
+            eigh(stack)
+    message = str(alone.value)
+    assert message.startswith("eigendecomposition failed validation: ")
+    assert str(stacked.value) == f"stack index {index}: {message}"
+
+
 def random_generator(rng, size, one_norm):
     """A rate matrix (nonnegative off-diagonal, zero column sums) of the
     given 1-norm."""
